@@ -15,47 +15,55 @@ let setup_logs verbose =
 
 let ppf = Format.std_formatter
 
-(* Each experiment takes a [quick] flag; most ignore it (their full
-   runs are already CI-sized), fig6x uses it to shrink its sweep. *)
+(* Dumps one sweep's machine-readable results next to its printout. *)
+let write_results path json =
+  let oc = open_out path in
+  output_string oc json;
+  output_char oc '\n';
+  close_out oc;
+  Format.fprintf ppf "results written to %s@." path
+
+(* Each experiment prints its figure and returns the paper claims its
+   results cover ({!M3_harness.Report}); [run] ends with their summary.
+   Each takes a [quick] flag; most ignore it (their full runs are
+   already CI-sized), the sweeps (fig6x, figS, figS2) shrink. *)
 let experiments =
+  let open M3_harness in
+  let fig print verdicts t =
+    print ppf t;
+    verdicts t
+  in
+  let sweep print to_json path t =
+    print ppf t;
+    write_results path (to_json t);
+    []
+  in
   [
-    ( "fig3",
-      fun ~quick:_ -> M3_harness.Fig3.print ppf (M3_harness.Fig3.run ()) );
-    ( "fig4",
-      fun ~quick:_ -> M3_harness.Fig4.print ppf (M3_harness.Fig4.run ()) );
-    ( "fig5",
-      fun ~quick:_ -> M3_harness.Fig5.print ppf (M3_harness.Fig5.run ()) );
-    ( "fig6",
-      fun ~quick:_ -> M3_harness.Fig6.print ppf (M3_harness.Fig6.run ()) );
+    ("fig3", fun ~quick:_ -> fig Fig3.print Report.fig3_verdicts (Fig3.run ()));
+    ("fig4", fun ~quick:_ -> fig Fig4.print Report.fig4_verdicts (Fig4.run ()));
+    ("fig5", fun ~quick:_ -> fig Fig5.print Report.fig5_verdicts (Fig5.run ()));
+    ("fig6", fun ~quick:_ -> fig Fig6.print Report.fig6_verdicts (Fig6.run ()));
     ( "fig6x",
       fun ~quick ->
-        let t = M3_harness.Fig6x.run ~quick () in
-        M3_harness.Fig6x.print ppf t;
-        M3_harness.Fig6x.write_json t "FIG6X_results.json";
-        Format.fprintf ppf "results written to FIG6X_results.json@." );
-    ( "fig7",
-      fun ~quick:_ -> M3_harness.Fig7.print ppf (M3_harness.Fig7.run ()) );
+        sweep Fig6x.print Fig6x.to_json "FIG6X_results.json"
+          (Fig6x.run ~quick ()) );
+    ("fig7", fun ~quick:_ -> fig Fig7.print Report.fig7_verdicts (Fig7.run ()));
     ( "figS",
       fun ~quick ->
-        let t = M3_harness.Figs.run ~quick () in
-        M3_harness.Figs.print ppf t;
-        M3_harness.Figs.write_json t "SERVE_results.json";
-        Format.fprintf ppf "results written to SERVE_results.json@." );
+        sweep Figs.print Figs.to_json "SERVE_results.json" (Figs.run ~quick ())
+    );
     ( "figS2",
       fun ~quick ->
-        let t = M3_harness.Figs2.run ~quick () in
-        M3_harness.Figs2.print ppf t;
-        M3_harness.Figs2.write_json t "FIGS2_results.json";
-        Format.fprintf ppf "results written to FIGS2_results.json@." );
+        sweep Figs2.print Figs2.to_json "FIGS2_results.json"
+          (Figs2.run ~quick ()) );
     ( "t1",
-      fun ~quick:_ -> M3_harness.Tables.print_t1 ppf (M3_harness.Tables.run_t1 ())
+      fun ~quick:_ -> fig Tables.print_t1 Report.t1_verdicts (Tables.run_t1 ())
     );
     ( "t2",
-      fun ~quick:_ -> M3_harness.Tables.print_t2 ppf (M3_harness.Tables.run_t2 ())
+      fun ~quick:_ -> fig Tables.print_t2 Report.t2_verdicts (Tables.run_t2 ())
     );
     ( "ablations",
-      fun ~quick:_ -> M3_harness.Ablations.print ppf (M3_harness.Ablations.run ())
-    );
+      fun ~quick:_ -> fig Ablations.print (fun _ -> []) (Ablations.run ()) );
   ]
 
 let names = List.map fst experiments
@@ -90,11 +98,15 @@ let run_cmd =
   let run which all quick verbose =
     setup_logs verbose;
     let which = if all || which = [] then names else which in
-    List.iter
-      (fun name ->
-        (List.assoc name experiments) ~quick;
-        Format.fprintf ppf "@.")
-      which
+    let verdicts =
+      List.concat_map
+        (fun name ->
+          let verdicts = (List.assoc name experiments) ~quick in
+          Format.fprintf ppf "@.";
+          verdicts)
+        which
+    in
+    if verdicts <> [] then M3_harness.Report.print ppf verdicts
   in
   let doc = "Reproduce the paper's evaluation figures and tables." in
   Cmd.v (Cmd.info "run" ~doc) Term.(const run $ which $ all $ quick $ verbose)
@@ -207,7 +219,7 @@ let trace_cmd =
     Fun.protect
       ~finally:(fun () -> M3_harness.Runner.observer := None)
       (fun () ->
-        (List.assoc which experiments) ~quick:false;
+        ignore ((List.assoc which experiments) ~quick:false);
         Format.fprintf ppf "@.");
     M3_obs.Chrome.write_file chrome out;
     M3_harness.Report.print_obs ppf metrics;

@@ -44,11 +44,11 @@ let default_config ~dram =
   }
 
 (* Registries are keyed by (engine id, service name), never by name
-   alone: several engines coexist in one process (bench sweeps, the
+   alone: several engines coexist in one process (figure sweeps, the
    fig6x shard matrix, back-to-back tests), and with a name-only key a
    later simulation would silently observe — or clobber — an earlier
    run's server entry. Mutex-protected on top: engines run
-   concurrently on different domains (bench domain pool), and a racing
+   concurrently on different domains (Domainpool), and a racing
    Hashtbl resize would corrupt every bucket. *)
 let images : (int * string, Fs_image.t) M3_sim.Locked.Table.t =
   M3_sim.Locked.Table.create 4

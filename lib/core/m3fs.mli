@@ -74,7 +74,7 @@ val open_sessions : engine:M3_sim.Engine.t -> srv_name:string -> int option
 val generation : engine:M3_sim.Engine.t -> srv_name:string -> int option
 
 (** [forget ~engine] drops every m3fs registry entry belonging to
-    [engine]. Long-lived processes that run many simulations (bench,
-    the harness sweeps) call this after inspecting a finished run so
-    the per-engine tables don't grow without bound. *)
+    [engine]. Long-lived processes that run many simulations (the
+    harness sweeps, the test runner) call this after inspecting a
+    finished run so the per-engine tables don't grow without bound. *)
 val forget : engine:M3_sim.Engine.t -> unit

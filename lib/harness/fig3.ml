@@ -150,24 +150,16 @@ let warm_read_pass ~primed () =
   in
   (m, !rt)
 
-(* The two passes are complete, independent systems, so they can run
-   on separate domains ([?domains] > 1) with bit-identical results. *)
-let m3_warm_read ?(domains = 1) () =
-  match
-    M3_sim.Domainpool.run ~domains
-      [
-        (fun () -> warm_read_pass ~primed:false ());
-        (fun () -> warm_read_pass ~primed:true ());
-      ]
-  with
-  | [ (cold, cold_rt); (warm, warm_rt) ] ->
-    { w_cold = cold; w_warm = warm; w_cold_rt = cold_rt; w_warm_rt = warm_rt }
-  | _ -> assert false
+let m3_warm_read () =
+  let cold, cold_rt = warm_read_pass ~primed:false () in
+  let warm, warm_rt = warm_read_pass ~primed:true () in
+  { w_cold = cold; w_warm = warm; w_cold_rt = cold_rt; w_warm_rt = warm_rt }
 
 (* The PR's acceptance gate: warm costs at least 1.5x fewer service
    round-trips than cold. *)
-let warm_cell_ok w = w.w_cold_rt > 0 && w.w_warm_rt * 3 <= w.w_cold_rt * 2
-let warm_ok t = warm_cell_ok t.warm_read
+let warm_ok t =
+  let w = t.warm_read in
+  w.w_cold_rt > 0 && w.w_warm_rt * 3 <= w.w_cold_rt * 2
 
 (* --- Linux sides ----------------------------------------------------------- *)
 

@@ -30,22 +30,12 @@ type t = {
   warm_read : warm_cell;
 }
 
-(** [warm_read_pass ~primed ()] runs one pass of the warm cell on a
-    fresh system and returns (measure, service round-trips inside the
-    bracket). Exposed so the bench can run the four warm-cache passes
-    (this cell's two plus fig6x's two) on one domain pool. *)
-val warm_read_pass : primed:bool -> unit -> Runner.measure * int
-
 (** [m3_warm_read ()] measures just the warm cell (cheap — two runs of
-    one 2 MiB read); {!run} embeds the same cell in the full figure.
-    [?domains] runs the two independent passes on that many domains
-    (default 1) — the results are bit-identical either way. *)
-val m3_warm_read : ?domains:int -> unit -> warm_cell
+    one 2 MiB read); {!run} embeds the same cell in the full figure. *)
+val m3_warm_read : unit -> warm_cell
 
 (** The acceptance gate: the warm pass costs at least 1.5x fewer
     service round-trips than the cold one. *)
-val warm_cell_ok : warm_cell -> bool
-
 val warm_ok : t -> bool
 
 (** 2 MiB *)

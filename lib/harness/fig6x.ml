@@ -86,22 +86,9 @@ let warm_find_pass ~primed () =
   in
   (m, !rt, !hits, !misses)
 
-(* The two passes are complete, independent systems, so they can run
-   on separate domains ([?domains] > 1) with bit-identical results. *)
-let warm_find ?(domains = 1) () =
-  let cold_r, warm_r =
-    match
-      M3_sim.Domainpool.run ~domains
-        [
-          (fun () -> warm_find_pass ~primed:false ());
-          (fun () -> warm_find_pass ~primed:true ());
-        ]
-    with
-    | [ c; w ] -> (c, w)
-    | _ -> assert false
-  in
-  let cold, cold_rt, _, _ = cold_r in
-  let warm, warm_rt, hits, misses = warm_r in
+let warm_find () =
+  let cold, cold_rt, _, _ = warm_find_pass ~primed:false () in
+  let warm, warm_rt, hits, misses = warm_find_pass ~primed:true () in
   {
     wf_cold = cold;
     wf_warm = warm;
@@ -268,28 +255,7 @@ let print ppf t =
 
 (* --- machine-readable results (FIG6X_results.json) --------------------- *)
 
-let jstr s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
-let jobj fields =
-  "{"
-  ^ String.concat "," (List.map (fun (k, v) -> jstr k ^ ":" ^ v) fields)
-  ^ "}"
-
-let jarr items = "[" ^ String.concat "," items ^ "]"
-let jfloat f = if Float.is_nan f then "null" else Printf.sprintf "%.6f" f
+let jstr, jobj, jarr, jfloat, jbool = Figs.(jstr, jobj, jarr, jfloat, jbool)
 
 let to_json t =
   jobj
@@ -342,7 +308,7 @@ let to_json t =
             ("cold_round_trips", string_of_int t.r_warm.wf_cold_rt);
             ("warm_round_trips", string_of_int t.r_warm.wf_warm_rt);
             ("hit_rate", jfloat t.r_warm.wf_hit_rate);
-            ("pass", if warm_find_ok t.r_warm then "true" else "false");
+            ("pass", jbool (warm_find_ok t.r_warm));
           ] );
       ( "acceptance",
         match verdict t with
@@ -356,12 +322,6 @@ let to_json t =
               ( "single_shard_normalized",
                 match baseline with Some b -> jfloat b | None -> "null" );
               ("target", jfloat acceptance_target);
-              ("pass", if ok then "true" else "false");
+              ("pass", jbool ok);
             ] );
     ]
-
-let write_json t path =
-  let oc = open_out path in
-  output_string oc (to_json t);
-  output_char oc '\n';
-  close_out oc

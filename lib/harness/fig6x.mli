@@ -52,15 +52,12 @@ type t = {
 
 (** [warm_find_pass ~primed ()] runs one pass of the warm-find cell on
     a fresh system and returns (measure, round-trips, cache hits,
-    cache misses). Exposed so the bench can run the four warm-cache
-    passes (this cell's two plus fig3's two) on one domain pool. *)
+    cache misses). *)
 val warm_find_pass : primed:bool -> unit -> Runner.measure * int * int * int
 
 (** [warm_find ()] measures just the warm-find cell (cheap — two find
-    replays); {!run} embeds the same cell in the full sweep.
-    [?domains] runs the two independent passes on that many domains
-    (default 1) — the results are bit-identical either way. *)
-val warm_find : ?domains:int -> unit -> warm_find
+    replays); {!run} embeds the same cell in the full sweep. *)
+val warm_find : unit -> warm_find
 
 (** The warm-cache acceptance gate: the warm walk costs at least 1.5x
     fewer service round-trips than the cold one. *)
@@ -83,8 +80,5 @@ val all_pass : t -> bool
 val print : Format.formatter -> t -> unit
 
 (** [to_json t] is the sweep (cells, queue stats, acceptance verdict)
-    as a JSON document; [write_json t path] dumps it to a file —
-    uploaded as a CI artifact. *)
+    as the [FIG6X_results.json] document. *)
 val to_json : t -> string
-
-val write_json : t -> string -> unit

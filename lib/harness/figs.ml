@@ -1045,9 +1045,3 @@ let to_json t =
       ("knee_pass", jbool (knee_verdict t));
       ("all_pass", jbool (all_pass t));
     ]
-
-let write_json t path =
-  let oc = open_out path in
-  output_string oc (to_json t);
-  output_char oc '\n';
-  close_out oc

@@ -215,14 +215,16 @@ val autoscale_cell : requests:int -> seed:int -> autoscale_out
 
 val all_pass : t -> bool
 val print : Format.formatter -> t -> unit
+
+(** [to_json t] is the sweep (plus verdicts) as the [SERVE_results.json]
+    document. *)
 val to_json : t -> string
-val write_json : t -> string -> unit
 
 (** {1 JSON emitters}
 
     The hand-rolled emitters behind {!to_json}, shared with the other
-    figure harnesses ({!Figs2}) so every results file renders the same
-    way. [jobj] takes pre-rendered values ([string_of_int] for
+    figure harnesses ({!Fig6x}, {!Figs2}) so every results file renders
+    the same way. [jobj] takes pre-rendered values ([string_of_int] for
     integers). *)
 
 val jstr : string -> string

@@ -566,11 +566,7 @@ let print ppf t =
 
 (* --- machine-readable results (FIGS2_results.json) ----------------------- *)
 
-let jstr = Figs.jstr
-let jobj = Figs.jobj
-let jarr = Figs.jarr
-let jfloat = Figs.jfloat
-let jbool = Figs.jbool
+let jstr, jobj, jarr, jfloat, jbool = Figs.(jstr, jobj, jarr, jfloat, jbool)
 
 let to_json t =
   jobj
@@ -650,9 +646,3 @@ let to_json t =
           ] );
       ("all_pass", jbool (all_pass t));
     ]
-
-let write_json t path =
-  let oc = open_out path in
-  output_string oc (to_json t);
-  output_char oc '\n';
-  close_out oc

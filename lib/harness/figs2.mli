@@ -102,9 +102,9 @@ val flash_p99_factor : float
 (** Open-loop p99 must exceed closed-loop p99 by this factor. *)
 val knee_p99_factor : float
 
-(** One point of the capacity grid on its own — the bench harness uses
-    this as the [kv] kernel (a single Zipfian read/write stream against
-    [shards] m3fs mounts) without paying for the full figure. *)
+(** One point of the capacity grid on its own (a single Zipfian
+    read/write stream against [shards] m3fs mounts), without paying for
+    the full figure; [test_kv] runs it as a determinism regression. *)
 val capacity_cell :
   keys:int ->
   requests:int ->
@@ -131,6 +131,6 @@ val all_pass : t -> bool
 
 val print : Format.formatter -> t -> unit
 
-(** [write_json t path] dumps the measurements (plus verdicts) as the
-    machine-readable [FIGS2_results.json]. *)
-val write_json : t -> string -> unit
+(** [to_json t] is the measurements (plus verdicts) as the
+    [FIGS2_results.json] document. *)
+val to_json : t -> string

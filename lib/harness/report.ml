@@ -127,14 +127,6 @@ let t2_verdicts rows =
       && near 3_200_000 a.Tables.copy_overhead);
   ]
 
-let validate ?fig3 ?fig4 ?fig5 ?fig6 ?fig7 ?t1 ?t2 () =
-  let opt f = function Some x -> f x | None -> [] in
-  opt fig3_verdicts fig3 @ opt fig4_verdicts fig4 @ opt fig5_verdicts fig5
-  @ opt fig6_verdicts fig6 @ opt fig7_verdicts fig7 @ opt t1_verdicts t1
-  @ opt t2_verdicts t2
-
-let all_pass = List.for_all (fun r -> r.pass)
-
 let print ppf verdicts =
   Format.fprintf ppf "Reproduction summary (%d/%d claims hold)@."
     (List.length (List.filter (fun r -> r.pass) verdicts))

@@ -1,7 +1,7 @@
 (** Reproduction verdict: checks the paper's qualitative claims against
     the measured results and prints a PASS/FAIL summary — the same
-    checks the test suite enforces, rendered for humans at the end of a
-    benchmark run. *)
+    checks the test suite enforces, rendered for humans at the end of
+    [m3_repro run]. *)
 
 type verdict = {
   claim : string;    (** what the paper says *)
@@ -9,23 +9,25 @@ type verdict = {
   pass : bool;
 }
 
-(** [validate ~fig3 ~fig4 ~fig5 ~fig7 ~t1 ~t2 ()] evaluates every
-    claim that the given results cover (all arguments optional). *)
-val validate :
-  ?fig3:Fig3.t ->
-  ?fig4:Fig4.point list ->
-  ?fig5:Fig5.row list ->
-  ?fig6:Fig6.curve list ->
-  ?fig7:Fig7.t ->
-  ?t1:Tables.t1 ->
-  ?t2:Tables.t2 ->
-  unit ->
-  verdict list
+(** {1 Per-figure claims}
 
+    Each function checks the claims that one experiment's results
+    cover; [m3_repro run] collects them from every experiment it ran. *)
+
+val fig3_verdicts : Fig3.t -> verdict list
+val fig4_verdicts : Fig4.point list -> verdict list
+val fig5_verdicts : Fig5.row list -> verdict list
+
+(** Empty when the sweep skipped the 16-instance point. *)
+val fig6_verdicts : Fig6.curve list -> verdict list
+
+val fig7_verdicts : Fig7.t -> verdict list
+val t1_verdicts : Tables.t1 -> verdict list
+val t2_verdicts : Tables.t2 -> verdict list
+
+(** [print ppf vs] renders the "Reproduction summary (k/n claims hold)"
+    block, one PASS/FAIL line per claim. *)
 val print : Format.formatter -> verdict list -> unit
-
-(** [all_pass vs] *)
-val all_pass : verdict list -> bool
 
 (** [print_obs ppf m] renders the counters and latency percentiles a
     traced run collected (event kinds, per-endpoint traffic, link

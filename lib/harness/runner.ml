@@ -94,7 +94,7 @@ let run_m3 ?(pe_count = 16) ?(dram_mib = 64) ?core_at ?(seeds = [])
   ignore (Engine.run engine);
   M3.Bootstrap.expect_exit sys exit;
   Option.iter (fun f -> f sys.M3.Bootstrap.platform) inspect;
-  (* One bench invocation runs many simulations in this process; drop
+  (* One figure run boots many systems in this process; drop
      this engine's m3fs registry entries so the tables stay bounded. *)
   M3.M3fs.forget ~engine;
   !result

@@ -2,11 +2,11 @@
    pool of OCaml domains.
 
    The engine's partitioned mode parallelizes *within* one simulation;
-   this module parallelizes *across* simulations — the bench sweeps
-   and the warm-cache cells run several complete, independent systems
-   whose only shared state is the process-global registries (engine
-   ids, m3fs server tables, per-env state tables), all of which are
-   domain-safe (atomic ids, mutex-protected tables). Each thunk's
+   this module parallelizes *across* simulations — sweeps run several
+   complete, independent systems whose only shared state is the
+   process-global registries (engine ids, m3fs server tables, per-env
+   state tables), all of which are domain-safe (atomic ids,
+   mutex-protected tables). Each thunk's
    simulation stays fully deterministic: nothing about host scheduling
    leaks into simulated time. *)
 

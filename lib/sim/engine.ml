@@ -48,7 +48,7 @@ type t = {
 
 (* Engine ids key registries that outlive a single simulation (the
    m3fs server tables); engines are created from concurrently running
-   domains (the bench domain pool), so minting must be atomic — a
+   domains ([Domainpool]), so minting must be atomic — a
    duplicated id would silently alias two simulations' registry
    entries. *)
 let next_id = Atomic.make 0

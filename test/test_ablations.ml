@@ -1,6 +1,6 @@
 (* Regression tests for the ablation scenarios: the design arguments
    in DESIGN.md must stay measurable. (A5 is covered in
-   test_harness.ml; full sweeps run in the bench.) *)
+   test_harness.ml; full sweeps run in [m3_repro run ablations].) *)
 
 let check_bool = Alcotest.(check bool)
 

@@ -63,8 +63,10 @@ let test_fig3_m3_transfer_share () =
 
 (* --- Figure 4 ------------------------------------------------------------ *)
 
+let fig4 = lazy (Fig4.run ())
+
 let test_fig4_shape () =
-  let points = Fig4.run () in
+  let points = Lazy.force fig4 in
   let find bpe =
     List.find (fun p -> p.Fig4.blocks_per_extent = bpe) points
   in
@@ -146,8 +148,10 @@ let test_fig6_shape () =
 
 (* --- Figure 7 -------------------------------------------------------------------- *)
 
+let fig7 = lazy (Fig7.run ())
+
 let test_fig7_shape () =
-  let t = Fig7.run () in
+  let t = Lazy.force fig7 in
   let sw = t.Fig7.m3_software.Runner.m_cycles in
   let hw = t.Fig7.m3_accel.Runner.m_cycles in
   let lx = t.Fig7.linux.Runner.m_cycles in
@@ -183,16 +187,20 @@ let test_multi_instance_m3fs () =
 
 (* --- Tables -------------------------------------------------------------------------- *)
 
+let t1 = lazy (Tables.run_t1 ())
+
 let test_t1 () =
-  let t = Tables.run_t1 () in
+  let t = Lazy.force t1 in
   check_bool "m3 total ≈ 200" true (t.Tables.m3_total >= 170 && t.Tables.m3_total <= 240);
   check_bool "transfer share ≈ 30" true (t.Tables.m3_xfer >= 10 && t.Tables.m3_xfer <= 45);
   check_bool "software share ≈ 170" true
     (t.Tables.m3_other >= 140 && t.Tables.m3_other <= 210);
   check_bool "linux 410" true (t.Tables.lx_total = 410)
 
+let t2 = lazy (Tables.run_t2 ())
+
 let test_t2 () =
-  let rows = Tables.run_t2 () in
+  let rows = Lazy.force t2 in
   let get name = List.find (fun r -> r.Tables.arch = name) rows in
   let xtensa = get "xtensa" and arm = get "arm-a15" in
   check_bool "syscalls 410 vs 320" true
@@ -230,6 +238,31 @@ let test_fig6x_warm_find () =
     true (Fig6x.warm_find_ok w);
   check_bool "warm run sees cache hits" true (w.Fig6x.wf_hit_rate > 0.0)
 
+(* --- reproduction summary ------------------------------------------------ *)
+
+(* The claims [m3_repro run] prints, fed from the results the tests
+   above already computed: every one must hold. Fig. 6's claim needs
+   the 16-instance point, which only the full sweep runs. *)
+let test_report_verdicts () =
+  let verdicts =
+    List.concat
+      [
+        Report.fig3_verdicts (Lazy.force fig3);
+        Report.fig4_verdicts (Lazy.force fig4);
+        Report.fig5_verdicts (Lazy.force fig5);
+        Report.fig7_verdicts (Lazy.force fig7);
+        Report.t1_verdicts (Lazy.force t1);
+        Report.t2_verdicts (Lazy.force t2);
+      ]
+  in
+  Alcotest.(check int) "claims checked" 13 (List.length verdicts);
+  List.iter
+    (fun v ->
+      check_bool
+        (Printf.sprintf "%s (%s)" v.Report.claim v.Report.measured)
+        true v.Report.pass)
+    verdicts
+
 let tc name f = Alcotest.test_case name `Quick f
 let slow name f = Alcotest.test_case name `Slow f
 
@@ -262,4 +295,5 @@ let suites =
     ( "repro.tables",
       [ tc "T1 syscall decomposition" test_t1; tc "T2 Xtensa vs ARM" test_t2 ]
     );
+    ("repro.report", [ tc "every summary claim holds" test_report_verdicts ]);
   ]

@@ -357,7 +357,8 @@ let test_figs2_cell_is_deterministic () =
   let a = cell () and b = cell () in
   check_bool "same seed, same capacity cell" true (a = b);
   check_int "no failed requests" 0 a.Figs2.c_failed;
-  check_int "every request completed" 40 a.Figs2.c_completed
+  check_int "every request completed" 40 a.Figs2.c_completed;
+  check_bool "reads hit the mount cache" true (a.Figs2.c_cache_hits > 0)
 
 let suites =
   let tc = Alcotest.test_case in

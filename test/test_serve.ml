@@ -668,6 +668,10 @@ let test_figs_hotclient () =
   let t = Lazy.force figs_quick in
   let h = t.Figs.g_hotclient in
   check_bool "the flood was throttled" true (h.Figs.h_hot_throttled > 0);
+  (* Both schedules carry [g_requests] requests each. *)
+  check_int "no request failed: each completed or was throttled"
+    (2 * t.Figs.g_requests)
+    (h.Figs.h_completed + h.Figs.h_throttled);
   check_bool "the flood dominates the throttle count" true
     (h.Figs.h_hot_throttled <= h.Figs.h_throttled
     && 10 * (h.Figs.h_throttled - h.Figs.h_hot_throttled)
