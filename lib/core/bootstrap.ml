@@ -63,11 +63,7 @@ let start ?platform_config ?fs ?(fs_instances = 1) ?(no_fs = false) ?obs
                 base.M3fs.seed
           in
           let config = { base with M3fs.srv_name = name; seed } in
-          (* Program names carry the engine id: the program registry is
-             process-global, and two live engines must not resolve the
-             same "m3fs" entry to one engine's configuration. *)
-          let prog = Printf.sprintf "%s@e%d" name (Engine.id engine) in
-          M3fs.register ~prog_name:prog config;
+          let prog = M3fs.register_instance ~engine config in
           ignore (Kernel.launch kernel ~name ~account:(Account.create ()) prog))
         names;
       names

@@ -121,11 +121,20 @@ let generation ~engine ~srv_name =
   | None -> None
   | Some t -> Some t.gen
 
+(* An instance's program name carries its engine's id: the program
+   registry is process-global, and two live engines must not resolve
+   the same "m3fs" entry to one engine's configuration. *)
+let engine_suffix eid = Printf.sprintf "@e%d" eid
+
 let forget ~engine =
   let eid = M3_sim.Engine.id engine in
   let drop tbl = M3_sim.Locked.Table.remove_if tbl (fun (e, _) _ -> e = eid) in
   drop images;
-  drop servers
+  drop servers;
+  (* The program's closure holds the instance's config, and through it
+     the system's DRAM. *)
+  let suffix = engine_suffix eid in
+  Program.remove_if (String.ends_with ~suffix)
 
 let charge_meta t ~scanned =
   Env.charge t.env Account.Os
@@ -705,6 +714,12 @@ let main (config : config) (env : Env.t) =
   in
   serve ()
 
-let register ?prog_name (config : config) =
-  let name = Option.value prog_name ~default:config.srv_name in
+let register_as ~name (config : config) =
   Program.register ~name ~image_bytes:(24 * 1024) (main config)
+
+let register (config : config) = register_as ~name:config.srv_name config
+
+let register_instance ~engine (config : config) =
+  let name = config.srv_name ^ engine_suffix (M3_sim.Engine.id engine) in
+  register_as ~name config;
+  name

@@ -41,10 +41,15 @@ val default_config : dram:M3_mem.Store.t -> config
 val program_name : string
 
 (** [register config] (re)registers the program [config.srv_name]
-    (overridable via [prog_name], so several engines can hold distinct
-    configurations for the same service name) with this
-    configuration. *)
-val register : ?prog_name:string -> config -> unit
+    with this configuration. *)
+val register : config -> unit
+
+(** [register_instance ~engine config] registers this configuration as
+    [engine]'s instance of [config.srv_name], under a program name of
+    its own (so several engines can hold distinct configurations for
+    the same service name), and returns that name. {!forget} removes
+    it. *)
+val register_instance : engine:M3_sim.Engine.t -> config -> string
 
 (** [main config env] is the server body itself — exported so tests
     and the crash harness can run an instance under
@@ -74,7 +79,9 @@ val open_sessions : engine:M3_sim.Engine.t -> srv_name:string -> int option
 val generation : engine:M3_sim.Engine.t -> srv_name:string -> int option
 
 (** [forget ~engine] drops every m3fs registry entry belonging to
-    [engine]. Long-lived processes that run many simulations (the
-    harness sweeps, the test runner) call this after inspecting a
-    finished run so the per-engine tables don't grow without bound. *)
+    [engine], including the programs {!register_instance} registered
+    for it. Long-lived processes that run many simulations (the harness
+    sweeps, the test runner) call this after inspecting a finished run
+    so the per-engine tables don't grow without bound and the finished
+    system's memory can be reclaimed. *)
 val forget : engine:M3_sim.Engine.t -> unit

@@ -28,6 +28,8 @@ let register_lambda ~image_bytes main =
 
 let find name = M3_sim.Locked.Table.find_opt registry name
 
+let remove_if f = M3_sim.Locked.Table.remove_if registry (fun name _ -> f name)
+
 let shebang name = "#!m3 " ^ name ^ "\n"
 
 let parse_shebang contents =

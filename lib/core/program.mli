@@ -27,6 +27,9 @@ val register_lambda : image_bytes:int -> main -> string
 
 val find : string -> t option
 
+(** [remove_if f] drops every program whose name satisfies [f]. *)
+val remove_if : (string -> bool) -> unit
+
 (** Default image size charged for a program when unspecified
     (16 KiB — code plus static data in the 64 KiB SPM). *)
 val default_image_bytes : int

@@ -1,10 +1,15 @@
 (** Bounds-checked byte store — the common representation of SPMs and
     the DRAM module. All multi-byte accessors are little-endian, like
-    the Xtensa cores of the Tomahawk platform. *)
+    the Xtensa cores of the Tomahawk platform.
+
+    A store is sparse: it holds 4 KiB pages that are committed on their
+    first write. Untouched memory reads as zeros and takes no host
+    memory, and filling it with ['\000'] leaves it untouched. *)
 
 type t
 
-(** [create ~name ~size] is a zero-filled store of [size] bytes. *)
+(** [create ~name ~size] is a zero-filled store of [size] bytes; it
+    commits no page. *)
 val create : name:string -> size:int -> t
 
 val name : t -> string

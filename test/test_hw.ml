@@ -72,6 +72,40 @@ let test_pe_spawn_and_halt () =
   check_bool "process gone" true (Process.status p = Process.Finished);
   check_bool "running cleared" true (Pe.running pe = None)
 
+(* Host bytes allocated by [f ()], in MiB. *)
+let allocated_mib f =
+  let before = Gc.allocated_bytes () in
+  let r = f () in
+  (r, (Gc.allocated_bytes () -. before) /. 1048576.)
+
+(* A default platform has 64 MiB of DRAM and sixteen 64 KiB SPMs, but
+   a run touches a few MiB of them: memory is committed page by page
+   on first write, so building and booting a system costs little host
+   memory. *)
+let test_platform_memory_is_sparse () =
+  let engine = Engine.create () in
+  let _platform, mib = allocated_mib (fun () -> Platform.create engine) in
+  check_bool
+    (Printf.sprintf "Platform.create allocates under 1 MiB (got %.2f)" mib)
+    true (mib < 1.);
+  let engine = Engine.create () in
+  let (), mib =
+    allocated_mib (fun () ->
+        let sys = M3.Bootstrap.start engine in
+        let exit =
+          M3.Bootstrap.launch sys ~name:"mount" (fun env ->
+              M3.Errno.ok_exn (M3.Vfs.mount_root env);
+              0)
+        in
+        ignore (Engine.run engine);
+        M3.Bootstrap.expect_exit sys exit)
+  in
+  M3.M3fs.forget ~engine;
+  check_bool
+    (Printf.sprintf "boot plus one mounting client allocates under 4 MiB (got %.2f)"
+       mib)
+    true (mib < 4.)
+
 let test_cost_model_syscall_budget () =
   (* The software-side constants must sum to ≈ 170 cycles so that, with
      ≈ 30 cycles of message transfers, a null syscall lands at the
@@ -185,6 +219,7 @@ let suites =
         tc "default shape" test_platform_shape;
         tc "find_pe by core type" test_find_pe_by_core;
         tc "spawn and halt programs" test_pe_spawn_and_halt;
+        tc "memory is committed on first write" test_platform_memory_is_sparse;
       ] );
     ( "hw.cost_model",
       [

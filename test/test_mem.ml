@@ -60,6 +60,211 @@ let test_store_faults () =
     (faults (fun () -> Store.write_i64 s ~addr:4 0L));
   check_bool "in-bounds ok" false (faults (fun () -> Store.read_u8 s ~addr:7))
 
+(* --- the paged store against a flat oracle --- *)
+
+(* Random operation sequences run on two stores and on two flat
+   buffers with the semantics of a flat store. Each operation acts on
+   store A or B; a blit copies from that store into itself or into the
+   other one. *)
+type op =
+  | Write_u8 of int * int
+  | Read_u8 of int
+  | Write_u32 of int * int
+  | Read_u32 of int
+  | Write_i64 of int * int64
+  | Read_i64 of int
+  | Write_bytes of int * int * int (* addr, pos, len *)
+  | Read_bytes of int * int
+  | Read_string of int * int
+  | Fill of int * int * char
+  | Blit of int * bool * int * int (* src_addr, into the other, dst_addr, len *)
+
+type outcome = Fault | Done | Int of int | Int64 of int64 | Str of string
+
+let show_op = function
+  | Write_u8 (a, v) -> Printf.sprintf "write_u8 %d %d" a v
+  | Read_u8 a -> Printf.sprintf "read_u8 %d" a
+  | Write_u32 (a, v) -> Printf.sprintf "write_u32 %d %d" a v
+  | Read_u32 a -> Printf.sprintf "read_u32 %d" a
+  | Write_i64 (a, v) -> Printf.sprintf "write_i64 %d %Ld" a v
+  | Read_i64 a -> Printf.sprintf "read_i64 %d" a
+  | Write_bytes (a, p, n) -> Printf.sprintf "write_bytes %d pos %d len %d" a p n
+  | Read_bytes (a, n) -> Printf.sprintf "read_bytes %d len %d" a n
+  | Read_string (a, n) -> Printf.sprintf "read_string %d len %d" a n
+  | Fill (a, n, c) -> Printf.sprintf "fill %d len %d %C" a n c
+  | Blit (a, other, d, n) ->
+    Printf.sprintf "blit %d -> %s %d len %d" a
+      (if other then "other" else "same") d n
+
+let show_outcome = function
+  | Fault -> "Fault"
+  | Done -> "()"
+  | Int v -> string_of_int v
+  | Int64 v -> Int64.to_string v
+  | Str s -> Printf.sprintf "%d bytes" (String.length s)
+
+(* [write_bytes] sources: [len + 3] bytes, so [pos] 3 fits, 4 does not. *)
+let source len = Bytes.init (max 0 (len + 3)) (fun i -> Char.chr ((i * 31 + 7) land 0xff))
+
+let page = 4096
+
+(* Addresses near page boundaries and the end of the store, plus a few
+   anywhere and a few negative. *)
+let addr_gen size =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map2 (fun k d -> (k * page) + d) (int_bound ((size / page) + 1)) (int_range (-8) 8));
+        (2, map (fun d -> size + d) (int_range (-9) 1));
+        (2, int_bound (size - 1));
+        (1, return 0);
+        (1, int_range (-3) (-1));
+      ])
+
+(* An address and a length; [(size, 0)] has a weight of its own. *)
+let span_gen size =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return (size, 0));
+        ( 9,
+          pair (addr_gen size)
+            (frequency
+               [
+                 (2, return 0);
+                 (4, int_range 1 16);
+                 (3, map (fun d -> page + d) (int_range (-8) 8));
+                 (2, int_range 1 (3 * page));
+                 (1, return (-1));
+               ]) );
+      ])
+
+let op_gen ~size ~other_size =
+  let open QCheck.Gen in
+  let addr = addr_gen size and span = span_gen size in
+  frequency
+    [
+      (1, map2 (fun a v -> Write_u8 (a, v)) addr int);
+      (1, map (fun a -> Read_u8 a) addr);
+      (1, map2 (fun a v -> Write_u32 (a, v)) addr int);
+      (1, map (fun a -> Read_u32 a) addr);
+      (1, map2 (fun a v -> Write_i64 (a, v)) addr int64);
+      (1, map (fun a -> Read_i64 a) addr);
+      ( 3,
+        map2 (fun (a, n) p -> Write_bytes (a, p, n)) span (oneofl [ -1; 0; 3; 4 ]) );
+      (2, map (fun (a, n) -> Read_bytes (a, n)) span);
+      (1, map (fun (a, n) -> Read_string (a, n)) span);
+      ( 3,
+        map2 (fun (a, n) c -> Fill (a, n, c)) span
+          (frequency [ (1, return '\000'); (1, char) ]) );
+      ( 4,
+        let* src, n = span in
+        let* other = bool in
+        let* dst =
+          if other then addr_gen other_size
+          else
+            (* Overlapping in either direction, or anywhere. *)
+            frequency
+              [ (2, map (fun d -> src + d) (int_range (-n - 2) (n + 2))); (1, addr) ]
+        in
+        return (Blit (src, other, dst, n)) );
+    ]
+
+let model_gen =
+  let open QCheck.Gen in
+  let size =
+    frequency
+      [ (1, oneofl [ 1; 7; 4095; 4096; 4097; 8192; 12289 ]); (1, int_range 1 (5 * page)) ]
+  in
+  let* size_a = size and* size_b = size in
+  let+ ops =
+    list_size (int_range 1 40)
+      (let* on_b = bool in
+       let size, other_size = if on_b then (size_b, size_a) else (size_a, size_b) in
+       map (fun op -> (on_b, op)) (op_gen ~size ~other_size))
+  in
+  ((size_a, size_b), ops)
+
+let print_model ((size_a, size_b), ops) =
+  Printf.sprintf "A %d bytes, B %d bytes:\n%s" size_a size_b
+    (String.concat "\n"
+       (List.map (fun (on_b, op) -> (if on_b then "B " else "A ") ^ show_op op) ops))
+
+let oracle_step o o' op =
+  let fits b addr len = addr >= 0 && len >= 0 && addr + len <= Bytes.length b in
+  let guard addr len f = if fits o addr len then f () else Fault in
+  match op with
+  | Write_u8 (addr, v) ->
+    guard addr 1 (fun () -> Bytes.set o addr (Char.chr (v land 0xff)); Done)
+  | Read_u8 addr -> guard addr 1 (fun () -> Int (Char.code (Bytes.get o addr)))
+  | Write_u32 (addr, v) ->
+    guard addr 4 (fun () -> Bytes.set_int32_le o addr (Int32.of_int v); Done)
+  | Read_u32 addr ->
+    guard addr 4 (fun () ->
+        Int (Int32.to_int (Bytes.get_int32_le o addr) land 0xffffffff))
+  | Write_i64 (addr, v) -> guard addr 8 (fun () -> Bytes.set_int64_le o addr v; Done)
+  | Read_i64 addr -> guard addr 8 (fun () -> Int64 (Bytes.get_int64_le o addr))
+  | Write_bytes (addr, pos, len) ->
+    let src = source len in
+    guard addr len (fun () ->
+        if fits src pos len then (Bytes.blit src pos o addr len; Done) else Fault)
+  | Read_bytes (addr, len) | Read_string (addr, len) ->
+    guard addr len (fun () -> Str (Bytes.sub_string o addr len))
+  | Fill (addr, len, c) -> guard addr len (fun () -> Bytes.fill o addr len c; Done)
+  | Blit (src_addr, other, dst_addr, len) ->
+    let d = if other then o' else o in
+    guard src_addr len (fun () ->
+        if fits d dst_addr len then (Bytes.blit o src_addr d dst_addr len; Done)
+        else Fault)
+
+let store_step s s' op =
+  match
+    match op with
+    | Write_u8 (addr, v) -> Store.write_u8 s ~addr v; Done
+    | Read_u8 addr -> Int (Store.read_u8 s ~addr)
+    | Write_u32 (addr, v) -> Store.write_u32 s ~addr v; Done
+    | Read_u32 addr -> Int (Store.read_u32 s ~addr)
+    | Write_i64 (addr, v) -> Store.write_i64 s ~addr v; Done
+    | Read_i64 addr -> Int64 (Store.read_i64 s ~addr)
+    | Write_bytes (addr, pos, len) ->
+      Store.write_bytes s ~addr (source len) ~pos ~len;
+      Done
+    | Read_bytes (addr, len) -> Str (Bytes.to_string (Store.read_bytes s ~addr ~len))
+    | Read_string (addr, len) -> Str (Store.read_string s ~addr ~len)
+    | Fill (addr, len, c) -> Store.fill s ~addr ~len c; Done
+    | Blit (src_addr, other, dst_addr, len) ->
+      Store.blit ~src:s ~src_addr ~dst:(if other then s' else s) ~dst_addr ~len;
+      Done
+  with
+  | r -> r
+  | exception Store.Fault _ -> Fault
+
+let qcheck_store_matches_flat =
+  QCheck.Test.make ~name:"paged store matches a flat buffer" ~count:300
+    (QCheck.make ~print:print_model model_gen)
+    (fun ((size_a, size_b), ops) ->
+      let a = Store.create ~name:"a" ~size:size_a
+      and b = Store.create ~name:"b" ~size:size_b in
+      let oa = Bytes.make size_a '\000' and ob = Bytes.make size_b '\000' in
+      List.iteri
+        (fun i (on_b, op) ->
+          let s, s', o, o' = if on_b then (b, a, ob, oa) else (a, b, oa, ob) in
+          let want = oracle_step o o' op in
+          let got = store_step s s' op in
+          if got <> want then
+            QCheck.Test.fail_reportf "op %d (%s): store gave %s, oracle %s" i
+              (show_op op) (show_outcome got) (show_outcome want);
+          List.iter
+            (fun (s, o) ->
+              if Store.read_string s ~addr:0 ~len:(Bytes.length o)
+                 <> Bytes.to_string o
+              then
+                QCheck.Test.fail_reportf "op %d (%s): store %s diverged" i
+                  (show_op op) (Store.name s))
+            [ (a, oa); (b, ob) ])
+        ops;
+      true)
+
 (* --- alloc --- *)
 
 let test_alloc_basic () =
@@ -138,6 +343,7 @@ let suites =
         tc "bytes and strings" test_store_bytes_and_strings;
         tc "blit between stores" test_store_blit_between_stores;
         tc "faults on out-of-bounds" test_store_faults;
+        QCheck_alcotest.to_alcotest qcheck_store_matches_flat;
       ] );
     ( "mem.alloc",
       [

@@ -129,15 +129,25 @@ let test_two_engines_do_not_alias () =
   check_bool "engine A lacks B's seed" false (has image_a "/only-b");
   check_bool "engine B sees its seed" true (has image_b "/only-b");
   check_bool "engine B lacks A's seed" false (has image_b "/only-a");
+  (* Each engine's server is a program of its own, whose closure holds
+     the config and through it the system's DRAM. *)
+  let program engine =
+    M3.Program.find (Printf.sprintf "m3fs@e%d" (Engine.id engine))
+  in
+  check_bool "A's program is registered" true (program engine_a <> None);
+  check_bool "B's program is registered" true (program engine_b <> None);
   (* [forget] reclaims one engine's entries and only that engine's. *)
   M3fs.forget ~engine:engine_a;
   check_bool "A's registry entries are gone" true
     (M3fs.current_image engine_a = None);
+  check_bool "A's program is gone" true (program engine_a = None);
   check_bool "B's survive A's forget" true
     (M3fs.current_image engine_b <> None);
+  check_bool "B's program survives A's forget" true (program engine_b <> None);
   M3fs.forget ~engine:engine_b;
   check_bool "B's registry entries are gone" true
-    (M3fs.current_image engine_b = None)
+    (M3fs.current_image engine_b = None);
+  check_bool "B's program is gone" true (program engine_b = None)
 
 let test_duplicate_service_name_is_e_exists () =
   let engine = Engine.create () in
