@@ -71,15 +71,13 @@ let start ?platform_config ?fs ?(fs_instances = 1) ?(no_fs = false) ?obs
   in
   { engine; platform; kernel; fs_services }
 
-(* Atomic: boot programs are launched from concurrent simulations on
-   different domains, and a duplicated name would overwrite another
-   run's entry in the process-global program registry. *)
-let counter = Atomic.make 0
+(* Process-wide: a duplicated name would overwrite another run's entry
+   in the process-global program registry. *)
+let counter = ref 0
 
 let launch t ~name ?account ?args ?on_vpe main =
-  let prog_name =
-    Printf.sprintf "boot.%s.%d" name (Atomic.fetch_and_add counter 1 + 1)
-  in
+  incr counter;
+  let prog_name = Printf.sprintf "boot.%s.%d" name !counter in
   Program.register ~name:prog_name ~image_bytes:Program.default_image_bytes main;
   let account = match account with Some a -> a | None -> Account.create () in
   Kernel.launch t.kernel ~name ~account ?args ?on_vpe prog_name

@@ -46,14 +46,15 @@ type t = {
 }
 
 (* Uids key process-global state tables (VFS mounts, file notify
-   state, EP counters); envs are created from concurrently running
-   simulations on different domains, so minting must be atomic. *)
-let next_uid = Atomic.make 0
+   state, EP counters), so they stay unique across every simulation in
+   the process. *)
+let next_uid = ref 0
 
 let create ~pe ~fabric ~kernel_pe ~vpe_id ~name ~image_bytes ~args ~account =
   let general_eps = M3_dtu.Dtu.ep_count (Pe.dtu pe) - first_free_ep in
+  incr next_uid;
   {
-    uid = Atomic.fetch_and_add next_uid 1 + 1;
+    uid = !next_uid;
     pe;
     dtu = Pe.dtu pe;
     engine = Pe.engine pe;

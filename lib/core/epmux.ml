@@ -1,13 +1,11 @@
-module Locked = M3_sim.Locked
-
-let counters : (int, int ref) Locked.Table.t = Locked.Table.create 16
+let counters : (int, int ref) Hashtbl.t = Hashtbl.create 16
 
 let counter (env : Env.t) =
-  match Locked.Table.find_opt counters env.uid with
+  match Hashtbl.find_opt counters env.uid with
   | Some c -> c
   | None ->
     let c = ref 0 in
-    Locked.Table.add counters env.uid c;
+    Hashtbl.add counters env.uid c;
     c
 
 let activations env = !(counter env)

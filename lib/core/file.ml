@@ -150,13 +150,12 @@ type notify_state = {
   mutable ns_next_label : int64;
 }
 
-(* Keyed by env uid; concurrent simulations on different domains share
-   the table, so it is mutex-protected (entries stay disjoint). *)
-let notify_states : (int, notify_state) M3_sim.Locked.Table.t =
-  M3_sim.Locked.Table.create 16
+(* Keyed by env uid: the environment record cannot reference this
+   module's types. *)
+let notify_states : (int, notify_state) Hashtbl.t = Hashtbl.create 16
 
 let notify_state (env : Env.t) =
-  match M3_sim.Locked.Table.find_opt notify_states env.uid with
+  match Hashtbl.find_opt notify_states env.uid with
   | Some ns -> Ok ns
   | None -> (
     match
@@ -166,7 +165,7 @@ let notify_state (env : Env.t) =
     | Error e -> Error e
     | Ok gate ->
       let ns = { ns_gate = gate; ns_mounts = []; ns_next_label = 1L } in
-      M3_sim.Locked.Table.replace notify_states env.uid ns;
+      Hashtbl.replace notify_states env.uid ns;
       Ok ns)
 
 let flush_cache (env : Env.t) m ~reason =
@@ -209,7 +208,7 @@ let apply_notification (env : Env.t) m ~kind ~seq ~ino ~size ~path =
    whole path with the cache off — costs nothing. *)
 let drain (env : Env.t) m =
   if m.m_cache <> None then
-    match M3_sim.Locked.Table.find_opt notify_states env.uid with
+    match Hashtbl.find_opt notify_states env.uid with
     | None -> ()
     | Some ns ->
       let rec loop () =
@@ -908,14 +907,14 @@ let readdir env mount path ~index =
 
 let scratch_size = 4096
 
-let scratches : (int, int) M3_sim.Locked.Table.t = M3_sim.Locked.Table.create 16
+let scratches : (int, int) Hashtbl.t = Hashtbl.create 16
 
 let scratch (env : Env.t) =
-  match M3_sim.Locked.Table.find_opt scratches env.uid with
+  match Hashtbl.find_opt scratches env.uid with
   | Some addr -> addr
   | None ->
     let addr = Env.alloc_spm env ~size:scratch_size in
-    M3_sim.Locked.Table.replace scratches env.uid addr;
+    Hashtbl.replace scratches env.uid addr;
     addr
 
 let write_string (env : Env.t) t s =

@@ -47,16 +47,13 @@ let default_config ~dram =
    alone: several engines coexist in one process (figure sweeps, the
    fig6x shard matrix, back-to-back tests), and with a name-only key a
    later simulation would silently observe — or clobber — an earlier
-   run's server entry. Mutex-protected on top: engines run
-   concurrently on different domains (Domainpool), and a racing
-   Hashtbl resize would corrupt every bucket. *)
-let images : (int * string, Fs_image.t) M3_sim.Locked.Table.t =
-  M3_sim.Locked.Table.create 4
+   run's server entry. *)
+let images : (int * string, Fs_image.t) Hashtbl.t = Hashtbl.create 4
 
 let engine_key engine srv_name = (M3_sim.Engine.id engine, srv_name)
 
 let image_of ~engine ~srv_name =
-  M3_sim.Locked.Table.find_opt images (engine_key engine srv_name)
+  Hashtbl.find_opt images (engine_key engine srv_name)
 
 let current_image engine = image_of ~engine ~srv_name:program_name
 
@@ -108,16 +105,15 @@ type server = {
 
 (* Server registry keyed like [images]: lets tests and the crash
    harness check that dead clients' sessions were reaped. *)
-let servers : (int * string, server) M3_sim.Locked.Table.t =
-  M3_sim.Locked.Table.create 4
+let servers : (int * string, server) Hashtbl.t = Hashtbl.create 4
 
 let open_sessions ~engine ~srv_name =
-  match M3_sim.Locked.Table.find_opt servers (engine_key engine srv_name) with
+  match Hashtbl.find_opt servers (engine_key engine srv_name) with
   | None -> None
   | Some t -> Some (Hashtbl.length t.sessions)
 
 let generation ~engine ~srv_name =
-  match M3_sim.Locked.Table.find_opt servers (engine_key engine srv_name) with
+  match Hashtbl.find_opt servers (engine_key engine srv_name) with
   | None -> None
   | Some t -> Some t.gen
 
@@ -128,7 +124,11 @@ let engine_suffix eid = Printf.sprintf "@e%d" eid
 
 let forget ~engine =
   let eid = M3_sim.Engine.id engine in
-  let drop tbl = M3_sim.Locked.Table.remove_if tbl (fun (e, _) _ -> e = eid) in
+  let drop tbl =
+    Hashtbl.filter_map_inplace
+      (fun (e, _) v -> if e = eid then None else Some v)
+      tbl
+  in
   drop images;
   drop servers;
   (* The program's closure holds the instance's config, and through it
@@ -621,7 +621,7 @@ let main (config : config) (env : Env.t) =
          ~crgate_sel:crgate.rg_sel)
   in
   let key = engine_key env.Env.engine config.srv_name in
-  M3_sim.Locked.Table.replace images key fs;
+  Hashtbl.replace images key fs;
   let t =
     {
       env;
@@ -633,7 +633,7 @@ let main (config : config) (env : Env.t) =
       gen = 0;
     }
   in
-  M3_sim.Locked.Table.replace servers key t;
+  Hashtbl.replace servers key t;
   Log.debug (fun m ->
       m "%s up: %d blocks" config.srv_name (Fs_image.total_blocks fs));
   let obs = Fabric.obs env.Env.fabric in

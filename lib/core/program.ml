@@ -6,29 +6,28 @@ type t = {
   prog_image_bytes : int;
 }
 
-(* Process-global and touched from concurrent simulations (domain
-   pool, partitioned runs): the table is mutex-protected and lambda
-   names are minted atomically. *)
-let registry : (string, t) M3_sim.Locked.Table.t = M3_sim.Locked.Table.create 32
+let registry : (string, t) Hashtbl.t = Hashtbl.create 32
 
 let default_image_bytes = 16 * 1024
 
 let register ~name ~image_bytes main =
-  M3_sim.Locked.Table.replace registry name
+  Hashtbl.replace registry name
     { prog_name = name; prog_main = main; prog_image_bytes = image_bytes }
 
-let lambda_counter = Atomic.make 0
+let lambda_counter = ref 0
 
 let register_lambda ~image_bytes main =
-  let name =
-    Printf.sprintf "lambda.%d" (Atomic.fetch_and_add lambda_counter 1 + 1)
-  in
+  incr lambda_counter;
+  let name = Printf.sprintf "lambda.%d" !lambda_counter in
   register ~name ~image_bytes main;
   name
 
-let find name = M3_sim.Locked.Table.find_opt registry name
+let find name = Hashtbl.find_opt registry name
 
-let remove_if f = M3_sim.Locked.Table.remove_if registry (fun name _ -> f name)
+let remove_if f =
+  Hashtbl.filter_map_inplace
+    (fun name p -> if f name then None else Some p)
+    registry
 
 let shebang name = "#!m3 " ^ name ^ "\n"
 

@@ -24,18 +24,15 @@ type entry = Single of File.mount | Sharded of shard_set
 type state = { mutable mounts : (string * entry) list }
 
 (* Mount tables are per VPE; keyed by VPE id because the environment
-   record cannot reference this module's types. Mutex-protected: the
-   table is process-global and concurrent simulations on different
-   domains create entries at the same time (their keys stay
-   disjoint). *)
-let states : (int, state) M3_sim.Locked.Table.t = M3_sim.Locked.Table.create 16
+   record cannot reference this module's types. *)
+let states : (int, state) Hashtbl.t = Hashtbl.create 16
 
 let state (env : Env.t) =
-  match M3_sim.Locked.Table.find_opt states env.uid with
+  match Hashtbl.find_opt states env.uid with
   | Some s -> s
   | None ->
     let s = { mounts = [] } in
-    M3_sim.Locked.Table.replace states env.uid s;
+    Hashtbl.replace states env.uid s;
     s
 
 let normalize path = if path = "" then "/" else path

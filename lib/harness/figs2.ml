@@ -150,20 +150,16 @@ let run_sim ?plan ?pe_count ?(sched = false) ~fs_instances ~label main =
 (* Boot, mount, prepare the store, start a kv pool, let [drive] play
    load, and collect what the client, the dispatcher and the workers'
    mount caches saw. Worker environments are captured from the kv
-   handler (one entry per VPE uid, mutex-guarded — workers run on
-   parallel domains) so the harness can read their cache counters
-   after the run. *)
+   handler (one entry per VPE uid) so the harness can read their cache
+   counters after the run. *)
 let run_kv ?plan ?pe_count ?sched ~fs_instances ~label ~store ~cfg ~drive () =
   let out = ref None in
   let seen : (int, M3.Env.t) Hashtbl.t = Hashtbl.create 8 in
-  let seen_lock = Mutex.create () in
   let handler =
     let inner = Store.pool_exec store in
     fun env ~seq arg ->
-      Mutex.lock seen_lock;
       if not (Hashtbl.mem seen env.M3.Env.uid) then
         Hashtbl.replace seen env.M3.Env.uid env;
-      Mutex.unlock seen_lock;
       inner env ~seq arg
   in
   let _sys =

@@ -43,15 +43,13 @@ let snapshot account =
 let observer : (M3_obs.Obs.t -> unit) option ref = ref None
 
 let run_m3 ?(pe_count = 16) ?(dram_mib = 64) ?core_at ?(seeds = [])
-    ?(no_fs = false) ?(sched = false) ?faults ?partitions ?domains ?partition_of
-    ?inspect app =
-  let engine = Engine.create ?partitions ?domains () in
+    ?(no_fs = false) ?(sched = false) ?faults ?inspect app =
+  let engine = Engine.create () in
   let dram_size = dram_mib * 1024 * 1024 in
   let config =
     match core_at with
-    | None -> { Platform.default_config with pe_count; dram_size; partition_of }
-    | Some core_at ->
-      { Platform.default_config with pe_count; dram_size; core_at; partition_of }
+    | None -> { Platform.default_config with pe_count; dram_size }
+    | Some core_at -> { Platform.default_config with pe_count; dram_size; core_at }
   in
   let fs ~dram =
     let base = M3.M3fs.default_config ~dram in

@@ -31,22 +31,18 @@ val other : measure -> int
     number. *)
 val serialized : measure -> measure
 
-(** [run_m3 ?pe_count ?core_at ?seeds ?spin ?ring app] boots a fresh
-    system (kernel on PE 0 + m3fs seeded with [seeds]) and runs [app]
-    in a VPE. [app] receives the environment and a [measured] bracket:
-    everything inside the bracket contributes to the returned measure
-    (wall cycles and account delta — including work that child VPEs
-    charge while it runs). [ring] is unused here but kept for scenario
-    parameter plumbing. [faults] attaches a fault plan before boot;
+(** [run_m3 app] boots a fresh system (kernel on PE 0 + m3fs) and
+    runs [app] in a VPE. [app] receives the environment and a
+    [measured] bracket: everything inside the bracket contributes to
+    the returned measure (wall cycles and account delta — including
+    work that child VPEs charge while it runs). [pe_count] (default 16)
+    and [dram_mib] (default 64) size the platform and [core_at] picks
+    each PE's core type (default: all general purpose). [seeds] are
+    files m3fs is formatted with; [no_fs] boots without m3fs. [sched]
+    boots the kernel with a VPE scheduler (suspend/resume,
+    time-multiplexing). [faults] attaches a fault plan before boot;
     [inspect] runs against the platform after the app has exited
-    (e.g. to collect DTU retry/refund statistics). [sched] boots the
-    kernel with a VPE scheduler (suspend/resume, time-multiplexing).
-    [partitions]/[domains] build a partitioned engine (parallel host
-    execution of one simulation; see {!M3_sim.Engine.create}) and
-    [partition_of] maps NoC nodes onto those partitions — scenario
-    parameters: the partition count shapes the committed schedule, the
-    domain count is pure host-side width. Defaults: one partition, one
-    domain, everything on partition 0. *)
+    (e.g. to collect DTU retry/refund statistics). *)
 val run_m3 :
   ?pe_count:int ->
   ?dram_mib:int ->
@@ -55,9 +51,6 @@ val run_m3 :
   ?no_fs:bool ->
   ?sched:bool ->
   ?faults:M3_fault.Plan.t ->
-  ?partitions:int ->
-  ?domains:int ->
-  ?partition_of:(int -> int) ->
   ?inspect:(M3_hw.Platform.t -> unit) ->
   (M3.Env.t -> measured:((unit -> unit) -> unit) -> unit) ->
   measure

@@ -46,7 +46,6 @@ type stats = {
 type t = {
   cfg : config;
   name : string;
-  lock : Mutex.t;
   applies : (int, int) Hashtbl.t;
   inited : (int, unit) Hashtbl.t;
   st : stats;
@@ -60,7 +59,6 @@ let create ?(config = default_config) ~name () =
   {
     cfg = config;
     name;
-    lock = Mutex.create ();
     applies = Hashtbl.create 64;
     inited = Hashtbl.create 8;
     st =
@@ -77,10 +75,6 @@ let create ?(config = default_config) ~name () =
 
 let config t = t.cfg
 let stats t = t.st
-
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 (* --- layout ------------------------------------------------------------- *)
 
@@ -134,15 +128,10 @@ let parse_header s =
 let ensure_init env t =
   if t.cfg.cache then begin
     let uid = env.Env.uid in
-    let fresh =
-      locked t (fun () ->
-          if Hashtbl.mem t.inited uid then false
-          else begin
-            Hashtbl.replace t.inited uid ();
-            true
-          end)
-    in
-    if fresh then ignore (Vfs.enable_cache env ~path:"/")
+    if not (Hashtbl.mem t.inited uid) then begin
+      Hashtbl.replace t.inited uid ();
+      ignore (Vfs.enable_cache env ~path:"/")
+    end
   end
 
 (* --- operations ---------------------------------------------------------- *)
@@ -162,12 +151,12 @@ let read_file env _t ~path ~max =
     res
 
 let get env t key =
-  locked t (fun () -> t.st.k_gets <- t.st.k_gets + 1);
+  t.st.k_gets <- t.st.k_gets + 1;
   let bucket = bucket_of_key t key in
   match read_file env t ~path:(path_of_key t key)
           ~max:(header_len + t.cfg.value_max) with
   | Error Errno.E_not_found ->
-    locked t (fun () -> t.st.k_misses <- t.st.k_misses + 1);
+    t.st.k_misses <- t.st.k_misses + 1;
     emit env t ~op:"get" ~bucket ~dup:false;
     Kv_wire.P_err Errno.E_not_found
   | Error e -> Kv_wire.P_err e
@@ -179,7 +168,7 @@ let get env t key =
     | Some _ | None -> Kv_wire.P_err Errno.E_inv_args)
 
 let put env t ~seq key value =
-  locked t (fun () -> t.st.k_puts <- t.st.k_puts + 1);
+  t.st.k_puts <- t.st.k_puts + 1;
   let bucket = bucket_of_key t key in
   if String.length value > t.cfg.value_max then
     Kv_wire.P_err Errno.E_kv_too_large
@@ -194,7 +183,7 @@ let put env t ~seq key value =
     in
     match stored with
     | Some stored_seq when stored_seq >= seq ->
-      locked t (fun () -> t.st.k_dup_skips <- t.st.k_dup_skips + 1);
+      t.st.k_dup_skips <- t.st.k_dup_skips + 1;
       emit env t ~op:"put" ~bucket ~dup:true;
       Kv_wire.P_done
     | _ -> (
@@ -211,21 +200,21 @@ let put env t ~seq key value =
         match res with
         | Error e -> Kv_wire.P_err e
         | Ok () ->
-          locked t (fun () ->
-              t.st.k_applied <- t.st.k_applied + 1;
-              if seq >= 0 then
-                let n =
-                  match Hashtbl.find_opt t.applies seq with
-                  | Some n -> n
-                  | None -> 0
-                in
-                Hashtbl.replace t.applies seq (n + 1));
+          t.st.k_applied <- t.st.k_applied + 1;
+          if seq >= 0 then begin
+            let n =
+              match Hashtbl.find_opt t.applies seq with
+              | Some n -> n
+              | None -> 0
+            in
+            Hashtbl.replace t.applies seq (n + 1)
+          end;
           emit env t ~op:"put" ~bucket ~dup:false;
           Kv_wire.P_done))
   end
 
 let delete env t key =
-  locked t (fun () -> t.st.k_deletes <- t.st.k_deletes + 1);
+  t.st.k_deletes <- t.st.k_deletes + 1;
   let bucket = bucket_of_key t key in
   emit env t ~op:"delete" ~bucket ~dup:false;
   match Vfs.unlink env (path_of_key t key) with
@@ -233,7 +222,7 @@ let delete env t key =
   | Error e -> Kv_wire.P_err e
 
 let scan env t ~bucket ~cursor ~limit =
-  locked t (fun () -> t.st.k_scans <- t.st.k_scans + 1);
+  t.st.k_scans <- t.st.k_scans + 1;
   if bucket < 0 || bucket >= t.cfg.buckets || cursor < 0 then
     Kv_wire.P_err Errno.E_inv_args
   else begin
@@ -338,12 +327,10 @@ let prepare env t =
 (* --- witness --------------------------------------------------------------- *)
 
 let applied_once t ~seq =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.applies seq with Some 1 -> true | _ -> false)
+  match Hashtbl.find_opt t.applies seq with Some 1 -> true | _ -> false
 
 let double_applied t =
-  locked t (fun () ->
-      Hashtbl.fold (fun _ n acc -> if n > 1 then acc + 1 else acc) t.applies 0)
+  Hashtbl.fold (fun _ n acc -> if n > 1 then acc + 1 else acc) t.applies 0
 
-let applied_total t = locked t (fun () -> Hashtbl.length t.applies)
+let applied_total t = Hashtbl.length t.applies
 let dup_skips t = t.st.k_dup_skips

@@ -3,11 +3,7 @@
    4 KiB pages. Every untouched slot of [pages] aliases [zero_page],
    which is never written; a page is committed on its first write, so
    reads of untouched memory return zeros and allocate nothing.
-
-   Committing a page needs no lock: a store is only ever touched from
-   the engine partition that owns it (Dtu.check_copartition refuses
-   memory endpoints between partitions), so no two domains race on one
-   slot. [zero_page] is shared by all stores, but only read. *)
+   [zero_page] is shared by all stores, but only read. *)
 
 let page_bits = 12
 let page_size = 1 lsl page_bits

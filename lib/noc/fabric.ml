@@ -29,18 +29,9 @@ type t = {
   engine : Engine.t;
   topology : Topology.t;
   config : config;
-  (* Maps a node id to the engine partition simulating it; [fun _ -> 0]
-     on an unpartitioned fabric. *)
-  partition_of : int -> int;
-  (* Link occupancy and traffic counters are kept per partition so that
-     concurrently-executing partitions never share mutable state: slot
-     [p] is only ever touched by the domain currently running partition
-     [p]. Intra-partition transfers see full link contention against
-     the other traffic of their partition; cross-partition transfers
-     take the transaction-level path below and model no contention. *)
-  links : (int * int, link) Hashtbl.t array;
-  packets : int array;
-  bytes : int array;
+  links : (int * int, link) Hashtbl.t;
+  mutable packets : int;
+  mutable bytes : int;
   (* Observability bus; the fabric is reachable from every layer, so
      this is where the whole system finds its bus. Obs.null when off. *)
   mutable obs : Obs.t;
@@ -49,37 +40,17 @@ type t = {
   mutable faults : M3_fault.Plan.t;
 }
 
-let create ?partition_of engine topology ~config =
+let create engine topology ~config =
   if config.hop_latency < 0 || config.bytes_per_cycle <= 0
      || config.max_packet <= 0
   then invalid_arg "Fabric.create: bad config";
-  let nparts = Engine.partitions engine in
-  let partition_of =
-    match partition_of with
-    | None -> fun _ -> 0
-    | Some f ->
-      fun node ->
-        let p = f node in
-        if p < 0 || p >= nparts then
-          invalid_arg
-            (Printf.sprintf
-               "Fabric.create: partition_of %d = %d outside [0,%d)" node p
-               nparts);
-        p
-  in
-  (* Cross-partition deliveries land at least one full hop in the
-     future (every cross-partition route has >= 1 hop, and
-     serialization adds >= 1 cycle on top), so a window of
-     [hop_latency] cycles is a safe conservative lookahead. *)
-  if nparts > 1 then Engine.set_lookahead engine (max 1 config.hop_latency);
   {
     engine;
     topology;
     config;
-    partition_of;
-    links = Array.init nparts (fun _ -> Hashtbl.create 64);
-    packets = Array.make nparts 0;
-    bytes = Array.make nparts 0;
+    links = Hashtbl.create 64;
+    packets = 0;
+    bytes = 0;
     obs = Obs.null;
     faults = M3_fault.Plan.none;
   }
@@ -91,15 +62,13 @@ let obs t = t.obs
 let set_obs t obs = t.obs <- obs
 let faults t = t.faults
 let set_faults t plan = t.faults <- plan
-let partition_of t node = t.partition_of node
 
-let link t ~part key =
-  let tbl = t.links.(part) in
-  match Hashtbl.find_opt tbl key with
+let link t key =
+  match Hashtbl.find_opt t.links key with
   | Some l -> l
   | None ->
     let l = { free_at = 0; busy = 0 } in
-    Hashtbl.add tbl key l;
+    Hashtbl.add t.links key l;
     l
 
 let serialization t bytes =
@@ -107,12 +76,12 @@ let serialization t bytes =
 
 (* Packet switching: claims each link of the route in order, respecting
    current occupancy, and returns the arrival time of its tail. *)
-let send_packet_store_forward t ~part ~route ~bytes ~msg ~depart =
+let send_packet_store_forward t ~route ~bytes ~msg ~depart =
   let ser = serialization t (bytes + packet_header_bytes) in
   let head = ref depart in
   List.iter
     (fun ((link_src, link_dst) as hop) ->
-      let l = link t ~part hop in
+      let l = link t hop in
       let ideal = !head + t.config.hop_latency in
       let enter = max ideal l.free_at in
       l.free_at <- enter + ser;
@@ -132,13 +101,13 @@ let send_packet_store_forward t ~part ~route ~bytes ~msg ~depart =
    links busy. This slightly over-holds upstream links of a stalled
    worm (by at most hops x hop_latency), a conservative approximation
    of zero-buffer flit backpressure. *)
-let send_packet_wormhole t ~part ~route ~bytes ~msg ~depart =
+let send_packet_wormhole t ~route ~bytes ~msg ~depart =
   let flits = serialization t (bytes + packet_header_bytes) in
   let head = ref depart in
   let acquired = ref [] in
   List.iter
     (fun ((link_src, link_dst) as hop) ->
-      let l = link t ~part hop in
+      let l = link t hop in
       let ideal = !head + t.config.hop_latency in
       let enter = max ideal l.free_at in
       if Obs.enabled t.obs then
@@ -158,12 +127,12 @@ let send_packet_wormhole t ~part ~route ~bytes ~msg ~depart =
     !acquired;
   tail_done
 
-let send_packet t ~part ~route ~bytes ~msg ~depart =
-  t.packets.(part) <- t.packets.(part) + 1;
-  t.bytes.(part) <- t.bytes.(part) + bytes;
+let send_packet t ~route ~bytes ~msg ~depart =
+  t.packets <- t.packets + 1;
+  t.bytes <- t.bytes + bytes;
   match t.config.mode with
-  | `Packet -> send_packet_store_forward t ~part ~route ~bytes ~msg ~depart
-  | `Wormhole -> send_packet_wormhole t ~part ~route ~bytes ~msg ~depart
+  | `Packet -> send_packet_store_forward t ~route ~bytes ~msg ~depart
+  | `Wormhole -> send_packet_wormhole t ~route ~bytes ~msg ~depart
 
 let pure_latency t ~src ~dst ~bytes =
   if src = dst then 1
@@ -205,90 +174,48 @@ let transfer ?(msg = 0) ?on_fault t ~src ~dst ~bytes ~on_deliver =
         M3_fault.Plan.xfer_outcome t.faults ~src ~dst ~bytes
       | _ -> M3_fault.Plan.Deliver
     in
-    let part = Engine.current_partition t.engine in
-    let dp = t.partition_of dst in
-    if t.partition_of src <> dp then begin
-      (* Cross-partition: transaction-level timing. The transfer pays
-         its congestion-free latency and touches no link state — link
-         tables are per partition, and sharing them across concurrently
-         executing domains would race. Counters are charged to the
-         issuing partition; delivery is posted to the destination
-         partition's inbound queue and runs inside one of its windows
-         (the arrival is beyond the lookahead horizon by construction,
-         see [create]). Fault callbacks resume the *sender*, so they
-         stay on the issuing partition. *)
-      let npackets =
-        max 1 ((bytes + t.config.max_packet - 1) / t.config.max_packet)
-      in
-      t.packets.(part) <- t.packets.(part) + npackets;
-      t.bytes.(part) <- t.bytes.(part) + bytes;
-      let arrival = now + pure_latency t ~src ~dst ~bytes in
-      match (outcome, on_fault) with
-      | M3_fault.Plan.Drop reason, Some fail ->
-        if Obs.enabled t.obs then
-          Obs.emit t.obs (Event.Fault_drop { src; dst; bytes; msg; reason });
-        Engine.schedule_at t.engine ~time:arrival (fun () -> fail (Lost reason))
-      | M3_fault.Plan.Corrupt, Some fail ->
-        if Obs.enabled t.obs then begin
-          Obs.emit t.obs
-            (Event.Noc_xfer { src; dst; bytes; depart = now; arrive = arrival; msg });
-          Obs.emit t.obs (Event.Fault_corrupt { src; dst; bytes; msg })
-        end;
-        Engine.schedule_at t.engine ~time:arrival (fun () -> fail Corrupted)
-      | (M3_fault.Plan.Deliver | M3_fault.Plan.Drop _ | M3_fault.Plan.Corrupt),
-        _ ->
-        if Obs.enabled t.obs then
-          Obs.emit t.obs
-            (Event.Noc_xfer { src; dst; bytes; depart = now; arrive = arrival; msg });
-        Engine.schedule_on t.engine ~partition:dp ~time:arrival on_deliver
-    end
-    else begin
-      let route = Topology.route t.topology ~src ~dst in
-      let remaining = ref bytes and depart = ref now and arrival = ref now in
-      (* A zero-byte message still occupies one header packet. *)
-      let continue = ref true in
-      while !continue do
-        let chunk = min !remaining t.config.max_packet in
-        let arrive = send_packet t ~part ~route ~bytes:chunk ~msg ~depart:!depart in
-        arrival := max !arrival arrive;
-        (* Next packet can leave as soon as this one has fully entered
-           the first link (pipelining across packets). *)
-        depart := !depart + serialization t (chunk + packet_header_bytes);
-        remaining := !remaining - chunk;
-        if !remaining <= 0 then continue := false
-      done;
-      match (outcome, on_fault) with
-      | M3_fault.Plan.Drop reason, Some fail ->
-        (* The packets still occupied their links; the loss is observed
-           at the would-be arrival time. *)
-        if Obs.enabled t.obs then
-          Obs.emit t.obs (Event.Fault_drop { src; dst; bytes; msg; reason });
-        Engine.schedule_at t.engine ~time:!arrival (fun () -> fail (Lost reason))
-      | M3_fault.Plan.Corrupt, Some fail ->
-        if Obs.enabled t.obs then begin
-          Obs.emit t.obs
-            (Event.Noc_xfer
-               { src; dst; bytes; depart = now; arrive = !arrival; msg });
-          Obs.emit t.obs (Event.Fault_corrupt { src; dst; bytes; msg })
-        end;
-        Engine.schedule_at t.engine ~time:!arrival (fun () -> fail Corrupted)
-      | (M3_fault.Plan.Deliver | M3_fault.Plan.Drop _ | M3_fault.Plan.Corrupt),
-        _ ->
-        if Obs.enabled t.obs then
-          Obs.emit t.obs
-            (Event.Noc_xfer
-               { src; dst; bytes; depart = now; arrive = !arrival; msg });
-        Engine.schedule_at t.engine ~time:!arrival on_deliver
-    end
+    let route = Topology.route t.topology ~src ~dst in
+    let remaining = ref bytes and depart = ref now and arrival = ref now in
+    (* A zero-byte message still occupies one header packet. *)
+    let continue = ref true in
+    while !continue do
+      let chunk = min !remaining t.config.max_packet in
+      let arrive = send_packet t ~route ~bytes:chunk ~msg ~depart:!depart in
+      arrival := max !arrival arrive;
+      (* Next packet can leave as soon as this one has fully entered
+         the first link (pipelining across packets). *)
+      depart := !depart + serialization t (chunk + packet_header_bytes);
+      remaining := !remaining - chunk;
+      if !remaining <= 0 then continue := false
+    done;
+    match (outcome, on_fault) with
+    | M3_fault.Plan.Drop reason, Some fail ->
+      (* The packets still occupied their links; the loss is observed
+         at the would-be arrival time. *)
+      if Obs.enabled t.obs then
+        Obs.emit t.obs (Event.Fault_drop { src; dst; bytes; msg; reason });
+      Engine.schedule_at t.engine ~time:!arrival (fun () -> fail (Lost reason))
+    | M3_fault.Plan.Corrupt, Some fail ->
+      if Obs.enabled t.obs then begin
+        Obs.emit t.obs
+          (Event.Noc_xfer
+             { src; dst; bytes; depart = now; arrive = !arrival; msg });
+        Obs.emit t.obs (Event.Fault_corrupt { src; dst; bytes; msg })
+      end;
+      Engine.schedule_at t.engine ~time:!arrival (fun () -> fail Corrupted)
+    | (M3_fault.Plan.Deliver | M3_fault.Plan.Drop _ | M3_fault.Plan.Corrupt), _
+      ->
+      if Obs.enabled t.obs then
+        Obs.emit t.obs
+          (Event.Noc_xfer
+             { src; dst; bytes; depart = now; arrive = !arrival; msg });
+      Engine.schedule_at t.engine ~time:!arrival on_deliver
   end
 
-let packets_sent t = Array.fold_left ( + ) 0 t.packets
-let bytes_sent t = Array.fold_left ( + ) 0 t.bytes
+let packets_sent t = t.packets
+let bytes_sent t = t.bytes
 
 let link_busy_cycles t ~src ~dst =
-  Array.fold_left
-    (fun acc tbl ->
-      match Hashtbl.find_opt tbl (src, dst) with
-      | Some l -> acc + l.busy
-      | None -> acc)
-    0 t.links
+  match Hashtbl.find_opt t.links (src, dst) with
+  | Some l -> l.busy
+  | None -> 0

@@ -35,32 +35,12 @@ type config = {
 
 val default_config : config
 
-(** [create engine topology ~config] builds the fabric.
-
-    [?partition_of] maps a node id to the engine partition simulating
-    it (default: everything on partition 0). On a partitioned engine
-    the fabric keeps link occupancy and traffic counters per partition
-    (so concurrently-executing domains never share mutable state) and
-    installs [max 1 hop_latency] as the engine's conservative
-    lookahead: transfers between nodes of {e different} partitions take
-    a transaction-level path — they pay exactly {!pure_latency}, model
-    no link contention, and are delivered through the destination
-    partition's inbound queue — while transfers within one partition
-    keep the full congestion model against their partition's traffic.
-    @raise Invalid_argument if [partition_of] maps a node outside the
-    engine's partition range (checked lazily, at first use). *)
-val create :
-  ?partition_of:(int -> int) ->
-  M3_sim.Engine.t -> Topology.t -> config:config -> t
+(** [create engine topology ~config] builds the fabric. *)
+val create : M3_sim.Engine.t -> Topology.t -> config:config -> t
 
 val topology : t -> Topology.t
 val engine : t -> M3_sim.Engine.t
 val config : t -> config
-
-(** [partition_of t node] is the engine partition simulating [node]
-    (0 everywhere on an unpartitioned fabric). The DTU uses this to
-    refuse direct-DMA bridges that would cross partitions. *)
-val partition_of : t -> int -> int
 
 (** The fabric carries the system-wide observability bus: every layer
     holds a fabric reference, so this is where instrumented code finds

@@ -21,22 +21,17 @@ type _ Effect.t +=
   | Suspend : t * (('a -> unit) -> unit) -> 'a Effect.t
 
 (* The process currently executing, so that [wait]/[suspend] need no
-   explicit handle. Domain-local: a process runs to its next effect
-   without interleaving *on its own domain*, but other domains run
-   their own processes concurrently — partitions of one parallel
-   engine, or independent engines on a domain pool — and a shared ref
-   would cross-wire their [wait]/[suspend] to the wrong process. *)
-let current : t option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+   explicit handle. A process runs to its next effect without
+   interleaving, so one global cell suffices. *)
+let current : t option ref = ref None
 
 let with_current p f =
-  let cell = Domain.DLS.get current in
-  let saved = !cell in
-  cell := Some p;
-  Fun.protect ~finally:(fun () -> cell := saved) f
+  let saved = !current in
+  current := Some p;
+  Fun.protect ~finally:(fun () -> current := saved) f
 
 let self () =
-  match !(Domain.DLS.get current) with
+  match !current with
   | Some p -> p
   | None -> failwith "Process.wait/suspend called outside a process"
 

@@ -6,4 +6,4 @@ let () =
    @ Test_harness.suites @ Test_ablations.suites @ Test_obs.suites
    @ Test_fault.suites @ Test_crash.suites @ Test_shard.suites
    @ Test_serve.suites @ Test_sched.suites @ Test_fs_cache.suites
-   @ Test_parallel.suites @ Test_load.suites @ Test_kv.suites)
+   @ Test_replay.suites @ Test_load.suites @ Test_kv.suites)

@@ -331,6 +331,63 @@ let qcheck_heap_sorts =
       in
       drain [] = List.sort compare keys)
 
+(* --- heap: popped slots must not pin their entries ------------------- *)
+
+(* Kept out of the test body so the payload cannot stay live in the
+   caller's frame: once this returns, only the heap's backing array
+   could still reference it. *)
+let[@inline never] push_pop_cycle h =
+  let payload = Array.make 1024 0 in
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some payload);
+  Heap.push h ~key:1 payload;
+  (match Heap.pop h with
+  | Some (_, v) -> assert (v == payload)
+  | None -> assert false);
+  w
+
+let test_heap_no_pinning () =
+  let h = Heap.create () in
+  (* A surviving entry, so the heap stays allocated across the pop. *)
+  Heap.push h ~key:5 (Array.make 1 0);
+  let w = push_pop_cycle h in
+  Gc.full_major ();
+  check_bool "drained slot holds no reference to the popped entry" true
+    (Weak.get w 0 = None)
+
+(* --- heap: property test against a sorted-list oracle ---------------- *)
+
+(* [Some k] pushes with key [k], [None] pops; the oracle is a stable
+   sorted association list, so FIFO-among-equal-keys is checked too. *)
+let qcheck_heap_oracle =
+  QCheck.Test.make ~name:"heap matches a sorted-list oracle under push/pop"
+    ~count:300
+    QCheck.(list (option (int_bound 30)))
+    (fun ops ->
+      let h = Heap.create () in
+      let oracle = ref [] in
+      let seq = ref 0 in
+      List.for_all
+        (fun op ->
+          match op with
+          | Some k ->
+            Heap.push h ~key:k !seq;
+            let rec ins = function
+              | (k', v) :: rest when k' <= k -> (k', v) :: ins rest
+              | rest -> (k, !seq) :: rest
+            in
+            oracle := ins !oracle;
+            incr seq;
+            Heap.length h = List.length !oracle
+            && Heap.min_key h = Option.map fst (List.nth_opt !oracle 0)
+          | None -> (
+            match !oracle with
+            | [] -> Heap.pop h = None
+            | entry :: rest ->
+              oracle := rest;
+              Heap.pop h = Some entry))
+        ops)
+
 let qcheck_alloc_roundtrip =
   QCheck.Test.make ~name:"process wait sums delays" ~count:100
     QCheck.(list (int_bound 50))
@@ -351,6 +408,9 @@ let suites =
         tc "FIFO among equal keys" test_heap_fifo_ties;
         tc "interleaved push/pop stays monotone" test_heap_interleaved;
         QCheck_alcotest.to_alcotest qcheck_heap_sorts;
+        Alcotest.test_case "heap: popped slots are cleared" `Quick
+          test_heap_no_pinning;
+        QCheck_alcotest.to_alcotest qcheck_heap_oracle;
       ] );
     ( "sim.engine",
       [
