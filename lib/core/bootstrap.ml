@@ -63,24 +63,19 @@ let start ?platform_config ?fs ?(fs_instances = 1) ?(no_fs = false) ?obs
                 base.M3fs.seed
           in
           let config = { base with M3fs.srv_name = name; seed } in
-          let prog = M3fs.register_instance ~engine config in
-          ignore (Kernel.launch kernel ~name ~account:(Account.create ()) prog))
+          ignore
+            (Kernel.launch kernel ~name ~account:(Account.create ())
+               (M3fs.program config)))
         names;
       names
     end
   in
   { engine; platform; kernel; fs_services }
 
-(* Process-wide: a duplicated name would overwrite another run's entry
-   in the process-global program registry. *)
-let counter = ref 0
-
 let launch t ~name ?account ?args ?on_vpe main =
-  incr counter;
-  let prog_name = Printf.sprintf "boot.%s.%d" name !counter in
-  Program.register ~name:prog_name ~image_bytes:Program.default_image_bytes main;
   let account = match account with Some a -> a | None -> Account.create () in
-  Kernel.launch t.kernel ~name ~account ?args ?on_vpe prog_name
+  Kernel.launch t.kernel ~name ~account ?args ?on_vpe
+    { Program.prog_main = main; prog_image_bytes = Program.default_image_bytes }
 
 (* Supervisor policy: relaunch a workload whose VPE was aborted (PE
    crash), up to [max_restarts] times. The kernel quarantines the

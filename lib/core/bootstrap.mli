@@ -20,7 +20,7 @@ type t = {
 
 (** [start ?platform_config ?fs ?fs_instances ?no_fs ?obs engine]
     builds the platform (kernel on PE 0), boots the kernel and, unless
-    [no_fs], registers and launches m3fs with configuration [fs] (seed
+    [no_fs], launches m3fs ({!M3fs.program}) with configuration [fs] (seed
     files etc.; defaults to an empty 16 MiB filesystem).
 
     [fs_instances] (default 1) launches that many m3fs shards, each on
@@ -48,9 +48,10 @@ val start :
   M3_sim.Engine.t ->
   t
 
-(** [launch t ~name ?account ?args main] registers [main] under a
-    fresh program name and starts it in a new VPE. Returns the exit
-    ivar. The default account is a throwaway. *)
+(** [launch t ~name ?account ?args main] starts [main] in a new VPE
+    named [name], by value ({!Kernel.launch}): nothing is registered,
+    so the closure dies with the simulation. Returns the exit ivar.
+    The default account is a throwaway. *)
 val launch :
   t ->
   name:string ->

@@ -43,11 +43,12 @@ type t = {
   ep_slots : ep_slot array;
   mutable ep_clock : int;
   mutable spin_transfers : bool;
+  mutable activations : int;
+  mutable scratch : int option;
 }
 
-(* Uids key process-global state tables (VFS mounts, file notify
-   state, EP counters), so they stay unique across every simulation in
-   the process. *)
+(* Uids key libm3's per-engine side tables (VFS mounts, file notify
+   state). *)
 let next_uid = ref 0
 
 let create ~pe ~fabric ~kernel_pe ~vpe_id ~name ~image_bytes ~args ~account =
@@ -70,6 +71,8 @@ let create ~pe ~fabric ~kernel_pe ~vpe_id ~name ~image_bytes ~args ~account =
     ep_slots = Array.make general_eps Ep_free;
     ep_clock = 0;
     spin_transfers = false;
+    activations = 0;
+    scratch = None;
   }
 
 (* The kernel retargets a migrated VPE's environment before firing its

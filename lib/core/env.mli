@@ -50,9 +50,10 @@ type ep_slot =
 
 type t = {
   uid : int;
-      (** globally unique across all simulated systems in this host
-          process — keys for libm3 side tables (mount table, scratch
-          buffers) that cannot live in this record *)
+      (** unique across all environments in this host process — the
+          key of libm3's side tables (mount table, file-invalidation
+          channel) whose types this record cannot name; those tables
+          hang off the engine ({!M3_sim.Engine.local}) *)
   mutable pe : M3_hw.Pe.t;
       (** mutable: the kernel scheduler retargets these two on
           migration, before the VPE's quiesced continuation fires *)
@@ -72,6 +73,9 @@ type t = {
   mutable spin_transfers : bool;
       (** Fig. 6 methodology: replace DRAM data transfers by an
           equal-time spin so that only software contention remains *)
+  mutable activations : int;  (** activate syscalls made by {!Epmux} *)
+  mutable scratch : int option;
+      (** SPM address of {!File}'s copy buffer, once allocated *)
 }
 
 (** [create ~pe ~fabric ~kernel_pe ~vpe_id ~name ~image_bytes ~args

@@ -1,14 +1,4 @@
-let counters : (int, int ref) Hashtbl.t = Hashtbl.create 16
-
-let counter (env : Env.t) =
-  match Hashtbl.find_opt counters env.uid with
-  | Some c -> c
-  | None ->
-    let c = ref 0 in
-    Hashtbl.add counters env.uid c;
-    c
-
-let activations env = !(counter env)
+let activations (env : Env.t) = env.activations
 
 (* Picks an endpoint for a gate that needs one: a free slot if
    possible, otherwise the next multiplexed slot in round-robin order
@@ -64,7 +54,7 @@ let acquire (env : Env.t) (user : Env.ep_user) =
       match Syscalls.activate env ~sel:user.eu_sel ~ep with
       | Error e -> Error e
       | Ok () ->
-        incr (counter env);
+        env.activations <- env.activations + 1;
         env.ep_slots.(slot) <- Env.Ep_used user;
         user.eu_ep <- Some ep;
         Ok ep))

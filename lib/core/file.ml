@@ -150,12 +150,17 @@ type notify_state = {
   mutable ns_next_label : int64;
 }
 
-(* Keyed by env uid: the environment record cannot reference this
-   module's types. *)
-let notify_states : (int, notify_state) Hashtbl.t = Hashtbl.create 16
+(* Keyed by env uid, per engine: the environment record cannot
+   reference this module's types. *)
+type M3_sim.Engine.local += Notify_states of (int, notify_state) Hashtbl.t
+
+let notify_states (env : Env.t) =
+  M3_sim.Engine.local env.engine
+    (function Notify_states t -> Some t | _ -> None)
+    (fun () -> Notify_states (Hashtbl.create 16))
 
 let notify_state (env : Env.t) =
-  match Hashtbl.find_opt notify_states env.uid with
+  match Hashtbl.find_opt (notify_states env) env.uid with
   | Some ns -> Ok ns
   | None -> (
     match
@@ -165,7 +170,7 @@ let notify_state (env : Env.t) =
     | Error e -> Error e
     | Ok gate ->
       let ns = { ns_gate = gate; ns_mounts = []; ns_next_label = 1L } in
-      Hashtbl.replace notify_states env.uid ns;
+      Hashtbl.replace (notify_states env) env.uid ns;
       Ok ns)
 
 let flush_cache (env : Env.t) m ~reason =
@@ -208,7 +213,7 @@ let apply_notification (env : Env.t) m ~kind ~seq ~ino ~size ~path =
    whole path with the cache off — costs nothing. *)
 let drain (env : Env.t) m =
   if m.m_cache <> None then
-    match Hashtbl.find_opt notify_states env.uid with
+    match Hashtbl.find_opt (notify_states env) env.uid with
     | None -> ()
     | Some ns ->
       let rec loop () =
@@ -907,14 +912,12 @@ let readdir env mount path ~index =
 
 let scratch_size = 4096
 
-let scratches : (int, int) Hashtbl.t = Hashtbl.create 16
-
 let scratch (env : Env.t) =
-  match Hashtbl.find_opt scratches env.uid with
+  match env.scratch with
   | Some addr -> addr
   | None ->
     let addr = Env.alloc_spm env ~size:scratch_size in
-    Hashtbl.replace scratches env.uid addr;
+    env.scratch <- Some addr;
     addr
 
 let write_string (env : Env.t) t s =

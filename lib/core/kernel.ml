@@ -74,7 +74,7 @@ type t = {
   images : (int, Vpe_image.t) Hashtbl.t; (* explicitly suspended, parked *)
   staging : (int, int * int * Core_type.t) Hashtbl.t;
       (* virtual VPE -> DRAM staging region (addr, size) + core class *)
-  pending_start : (int, string * Bytes.t) Hashtbl.t; (* start before placement *)
+  pending_start : (int, Program.t * Bytes.t) Hashtbl.t; (* start before placement *)
   susp_kind : (int, [ `Park | `Requeue ]) Hashtbl.t; (* quiesce in flight *)
   susp_mem_caps : (int, cap list) Hashtbl.t;
       (* memory capabilities windowing a suspended VPE's SPM, recorded at
@@ -628,36 +628,30 @@ let install_std_caps t vpe ~holder =
       | Error e, _ | _, Error e -> Error e)
     | Error e, _ | _, Error e -> Error e)
 
-let start_program t vpe ~prog ~args =
-  match Program.find prog with
-  | None -> Error Errno.E_not_found
-  | Some program ->
-    let account =
-      match Hashtbl.find_opt t.accounts vpe.v_id with
-      | Some a -> a
-      | None -> Account.create ()
-    in
-    let env =
-      Env.create
-        ~pe:(Platform.pe t.platform vpe.v_pe)
-        ~fabric:t.fabric ~kernel_pe:(kernel_pe_id t) ~vpe_id:vpe.v_id
-        ~name:vpe.v_name ~image_bytes:program.prog_image_bytes ~args ~account
-    in
-    vpe.v_state <- V_running;
-    Hashtbl.replace t.envs vpe.v_id env;
-    (* vpe.v_name, not the registered program name: the latter carries a
-       process-global launch counter and would break determinism. *)
-    (let obs = M3_noc.Fabric.obs t.fabric in
-     if Obs.enabled obs then
-       Obs.emit obs
-         (Event.Vpe_start { vpe = vpe.v_id; pe = vpe.v_pe; name = vpe.v_name }));
-    ignore
-      (Pe.spawn
-         (Platform.pe t.platform vpe.v_pe)
-         ~name:vpe.v_name
-         (fun () -> Syscalls.run_main env program.prog_main));
-    maybe_start_prober t;
-    Ok ()
+let start_program t vpe (program : Program.t) ~args =
+  let account =
+    match Hashtbl.find_opt t.accounts vpe.v_id with
+    | Some a -> a
+    | None -> Account.create ()
+  in
+  let env =
+    Env.create
+      ~pe:(Platform.pe t.platform vpe.v_pe)
+      ~fabric:t.fabric ~kernel_pe:(kernel_pe_id t) ~vpe_id:vpe.v_id
+      ~name:vpe.v_name ~image_bytes:program.prog_image_bytes ~args ~account
+  in
+  vpe.v_state <- V_running;
+  Hashtbl.replace t.envs vpe.v_id env;
+  (let obs = M3_noc.Fabric.obs t.fabric in
+   if Obs.enabled obs then
+     Obs.emit obs
+       (Event.Vpe_start { vpe = vpe.v_id; pe = vpe.v_pe; name = vpe.v_name }));
+  ignore
+    (Pe.spawn
+       (Platform.pe t.platform vpe.v_pe)
+       ~name:vpe.v_name
+       (fun () -> Syscalls.run_main env program.prog_main));
+  maybe_start_prober t
 
 (* --- VPE scheduler sweep --------------------------------------------- *)
 
@@ -1058,15 +1052,9 @@ let place_cold t sched vpe ~core =
         emit_event t
           (Event.Vpe_resume { vpe = vpe.v_id; pe = p; from_pe = -1; cold = true });
         (match Hashtbl.find_opt t.pending_start vpe.v_id with
-        | Some (prog, args) -> (
+        | Some (program, args) ->
           Hashtbl.remove t.pending_start vpe.v_id;
-          match start_program t vpe ~prog ~args with
-          | Ok () -> ()
-          | Error e ->
-            Log.err (fun m ->
-                m "sched: deferred start of vpe%d failed: %s" vpe.v_id
-                  (Errno.to_string e));
-            do_kill_vpe t vpe ~cause:(C_exit (-1)))
+          start_program t vpe program ~args
         | None -> ());
         true
       end
@@ -1345,11 +1333,13 @@ let h_vpe_start t requester r =
     (* Virtual VPE: defer the start until the sweep binds a PE. *)
     match t.sched with
     | None -> reply_err Errno.E_inv_args
-    | Some sched ->
-      if Program.find prog = None then reply_err Errno.E_not_found
-      else if Hashtbl.mem t.pending_start vpe.v_id then reply_err Errno.E_exists
-      else begin
-        Hashtbl.replace t.pending_start vpe.v_id (prog, args);
+    | Some sched -> (
+      match Program.find t.engine prog with
+      | None -> reply_err Errno.E_not_found
+      | Some _ when Hashtbl.mem t.pending_start vpe.v_id ->
+        reply_err Errno.E_exists
+      | Some program ->
+        Hashtbl.replace t.pending_start vpe.v_id (program, args);
         let core =
           match Hashtbl.find_opt t.staging vpe.v_id with
           | Some (_, _, core) -> core
@@ -1357,12 +1347,13 @@ let h_vpe_start t requester r =
         in
         Sched.enqueue sched (Sched.Cold { e_vpe = vpe.v_id; e_core = core });
         Sched.wake sched;
-        reply_ok (fun _ -> ())
-      end)
+        reply_ok (fun _ -> ())))
   | Ok { c_obj = O_vpe vpe; _ } when vpe.v_state = V_init -> (
-    match start_program t vpe ~prog ~args with
-    | Ok () -> reply_ok (fun _ -> ())
-    | Error e -> reply_err e)
+    match Program.find t.engine prog with
+    | None -> reply_err Errno.E_not_found
+    | Some program ->
+      start_program t vpe program ~args;
+      reply_ok (fun _ -> ()))
   | Ok { c_obj = O_vpe _; _ } -> reply_err Errno.E_vpe_gone
   | Ok _ -> reply_err Errno.E_inv_args
 
@@ -1977,7 +1968,7 @@ let boot t =
     ignore (Pe.spawn t.pe ~name:"kernel:sched" (fun () -> sched_sweep t sched)));
   booted
 
-let launch t ~name ~account ?(args = Bytes.empty) ?on_vpe prog =
+let launch t ~name ~account ?(args = Bytes.empty) ?on_vpe program =
   let iv = Process.Ivar.create () in
   ignore
     (Process.spawn t.engine ~name:("kload:" ^ name) (fun () ->
@@ -1992,12 +1983,8 @@ let launch t ~name ~account ?(args = Bytes.empty) ?on_vpe prog =
            | Error e ->
              Log.err (fun m -> m "launch %s: caps: %s" name (Errno.to_string e)));
            let exit = exit_ivar t vpe.v_id in
-           match start_program t vpe ~prog ~args with
-           | Ok () -> Process.Ivar.fill iv (Process.Ivar.read exit)
-           | Error e ->
-             Log.err (fun m -> m "launch %s: %s" name (Errno.to_string e));
-             do_kill_vpe t vpe ~cause:(C_exit (-1));
-             Process.Ivar.fill iv (-1))));
+           start_program t vpe program ~args;
+           Process.Ivar.fill iv (Process.Ivar.read exit))));
   iv
 
 let exit_code t ~vpe_id = Hashtbl.find_opt t.exits vpe_id

@@ -43,20 +43,6 @@ let default_config ~dram =
     emit_queue = false;
   }
 
-(* Registries are keyed by (engine id, service name), never by name
-   alone: several engines coexist in one process (figure sweeps, the
-   fig6x shard matrix, back-to-back tests), and with a name-only key a
-   later simulation would silently observe — or clobber — an earlier
-   run's server entry. *)
-let images : (int * string, Fs_image.t) Hashtbl.t = Hashtbl.create 4
-
-let engine_key engine srv_name = (M3_sim.Engine.id engine, srv_name)
-
-let image_of ~engine ~srv_name =
-  Hashtbl.find_opt images (engine_key engine srv_name)
-
-let current_image engine = image_of ~engine ~srv_name:program_name
-
 (* One open file of one session. [fo_open_size] is the size at open
    time: if the client dies without closing, blocks appended since then
    were never committed by an [Fs_close] and roll back. *)
@@ -103,38 +89,31 @@ type server = {
   mutable gen : int; (* bumped by Fs_drain; survives across drains *)
 }
 
-(* Server registry keyed like [images]: lets tests and the crash
-   harness check that dead clients' sessions were reaped. *)
-let servers : (int * string, server) Hashtbl.t = Hashtbl.create 4
+(* Each simulation's running instances, by service name: lets tests
+   and the harnesses inspect an instance's image and check that dead
+   clients' sessions were reaped. The table hangs off the engine, so a
+   finished system's servers — and through them its DRAM — go with it. *)
+type M3_sim.Engine.local += Servers of (string, server) Hashtbl.t
+
+let servers engine =
+  M3_sim.Engine.local engine
+    (function Servers s -> Some s | _ -> None)
+    (fun () -> Servers (Hashtbl.create 4))
+
+let server ~engine ~srv_name = Hashtbl.find_opt (servers engine) srv_name
+
+let image_of ~engine ~srv_name =
+  Option.map (fun t -> t.fs) (server ~engine ~srv_name)
+
+let current_image engine = image_of ~engine ~srv_name:program_name
 
 let open_sessions ~engine ~srv_name =
-  match Hashtbl.find_opt servers (engine_key engine srv_name) with
-  | None -> None
-  | Some t -> Some (Hashtbl.length t.sessions)
+  Option.map (fun t -> Hashtbl.length t.sessions) (server ~engine ~srv_name)
 
 let generation ~engine ~srv_name =
-  match Hashtbl.find_opt servers (engine_key engine srv_name) with
-  | None -> None
-  | Some t -> Some t.gen
+  Option.map (fun t -> t.gen) (server ~engine ~srv_name)
 
-(* An instance's program name carries its engine's id: the program
-   registry is process-global, and two live engines must not resolve
-   the same "m3fs" entry to one engine's configuration. *)
-let engine_suffix eid = Printf.sprintf "@e%d" eid
-
-let forget ~engine =
-  let eid = M3_sim.Engine.id engine in
-  let drop tbl =
-    Hashtbl.filter_map_inplace
-      (fun (e, _) v -> if e = eid then None else Some v)
-      tbl
-  in
-  drop images;
-  drop servers;
-  (* The program's closure holds the instance's config, and through it
-     the system's DRAM. *)
-  let suffix = engine_suffix eid in
-  Program.remove_if (String.ends_with ~suffix)
+let forget ~engine = Hashtbl.reset (servers engine)
 
 let charge_meta t ~scanned =
   Env.charge t.env Account.Os
@@ -611,17 +590,14 @@ let main (config : config) (env : Env.t) =
       (Gate.create_recv env ~slot_order:Fs_proto.srv_msg_order
          ~slot_count:Fs_proto.srv_slots)
   in
-  (* Register into [images]/[servers] only once the kernel accepted
-     the service name: a duplicate-named instance gets [E_exists] back
-     and dies here without having clobbered the live instance's
-     registry entries. *)
+  (* Enter [servers] only once the kernel accepted the service name: a
+     duplicate-named instance gets [E_exists] back and dies here
+     without having clobbered the live instance's entry. *)
   let _srv_sel =
     Errno.ok_exn
       (Syscalls.create_srv env ~name:config.srv_name ~krgate_sel:krgate.rg_sel
          ~crgate_sel:crgate.rg_sel)
   in
-  let key = engine_key env.Env.engine config.srv_name in
-  Hashtbl.replace images key fs;
   let t =
     {
       env;
@@ -633,7 +609,7 @@ let main (config : config) (env : Env.t) =
       gen = 0;
     }
   in
-  Hashtbl.replace servers key t;
+  Hashtbl.replace (servers env.Env.engine) config.srv_name t;
   Log.debug (fun m ->
       m "%s up: %d blocks" config.srv_name (Fs_image.total_blocks fs));
   let obs = Fabric.obs env.Env.fabric in
@@ -714,12 +690,5 @@ let main (config : config) (env : Env.t) =
   in
   serve ()
 
-let register_as ~name (config : config) =
-  Program.register ~name ~image_bytes:(24 * 1024) (main config)
-
-let register (config : config) = register_as ~name:config.srv_name config
-
-let register_instance ~engine (config : config) =
-  let name = config.srv_name ^ engine_suffix (M3_sim.Engine.id engine) in
-  register_as ~name config;
-  name
+let program config =
+  { Program.prog_main = main config; prog_image_bytes = 24 * 1024 }

@@ -6,7 +6,7 @@
     server — clients obtain memory capabilities for file extents (via
     the kernel's [exchange_sess]) and move bytes with their own DTU.
 
-    The server is registered as program ["m3fs"]; the bootstrapper
+    The server is an ordinary program ({!program}); the bootstrapper
     launches it like any other application. *)
 
 type seed = {
@@ -37,19 +37,12 @@ type config = {
 
 val default_config : dram:M3_mem.Store.t -> config
 
-(** Default service name in the registry ("m3fs"). *)
+(** Default service name ("m3fs"). *)
 val program_name : string
 
-(** [register config] (re)registers the program [config.srv_name]
-    with this configuration. *)
-val register : config -> unit
-
-(** [register_instance ~engine config] registers this configuration as
-    [engine]'s instance of [config.srv_name], under a program name of
-    its own (so several engines can hold distinct configurations for
-    the same service name), and returns that name. {!forget} removes
-    it. *)
-val register_instance : engine:M3_sim.Engine.t -> config -> string
+(** [program config] is the server with this configuration, for
+    {!Kernel.launch}; it serves under [config.srv_name]. *)
+val program : config -> Program.t
 
 (** [main config env] is the server body itself — exported so tests
     and the crash harness can run an instance under
@@ -63,8 +56,10 @@ val main : config -> Env.t -> int
 val current_image : M3_sim.Engine.t -> Fs_image.t option
 
 (** [image_of ~engine ~srv_name] — the image of a specific instance of
-    a specific simulation. State is keyed by {!M3_sim.Engine.id}, so
-    engines coexisting in one process never alias. *)
+    a specific simulation. Instances are kept per engine
+    ({!M3_sim.Engine.local}), so engines coexisting in one process
+    never alias, and a finished system's instances are collected with
+    its engine. *)
 val image_of : engine:M3_sim.Engine.t -> srv_name:string -> Fs_image.t option
 
 (** [open_sessions ~engine ~srv_name] is the instance's live session
@@ -78,10 +73,8 @@ val open_sessions : engine:M3_sim.Engine.t -> srv_name:string -> int option
     turned its generation over. *)
 val generation : engine:M3_sim.Engine.t -> srv_name:string -> int option
 
-(** [forget ~engine] drops every m3fs registry entry belonging to
-    [engine], including the programs {!register_instance} registered
-    for it. Long-lived processes that run many simulations (the harness
-    sweeps, the test runner) call this after inspecting a finished run
-    so the per-engine tables don't grow without bound and the finished
-    system's memory can be reclaimed. *)
+(** [forget ~engine] empties [engine]'s table of m3fs instances, so
+    {!image_of}, {!open_sessions} and {!generation} answer [None] for
+    it. Nothing needs it to reclaim memory: the table belongs to the
+    engine and is collected with it. *)
 val forget : engine:M3_sim.Engine.t -> unit

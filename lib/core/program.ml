@@ -1,33 +1,36 @@
 type main = Env.t -> int
 
 type t = {
-  prog_name : string;
   prog_main : main;
   prog_image_bytes : int;
 }
 
-let registry : (string, t) Hashtbl.t = Hashtbl.create 32
+type registry = {
+  programs : (string, t) Hashtbl.t;
+  mutable lambdas : int;
+}
+
+type M3_sim.Engine.local += Registry of registry
+
+let registry engine =
+  M3_sim.Engine.local engine
+    (function Registry r -> Some r | _ -> None)
+    (fun () -> Registry { programs = Hashtbl.create 8; lambdas = 0 })
 
 let default_image_bytes = 16 * 1024
 
-let register ~name ~image_bytes main =
-  Hashtbl.replace registry name
-    { prog_name = name; prog_main = main; prog_image_bytes = image_bytes }
+let register engine ~name ~image_bytes main =
+  Hashtbl.replace (registry engine).programs name
+    { prog_main = main; prog_image_bytes = image_bytes }
 
-let lambda_counter = ref 0
-
-let register_lambda ~image_bytes main =
-  incr lambda_counter;
-  let name = Printf.sprintf "lambda.%d" !lambda_counter in
-  register ~name ~image_bytes main;
+let register_lambda engine ~image_bytes main =
+  let r = registry engine in
+  r.lambdas <- r.lambdas + 1;
+  let name = Printf.sprintf "lambda.%d" r.lambdas in
+  register engine ~name ~image_bytes main;
   name
 
-let find name = Hashtbl.find_opt registry name
-
-let remove_if f =
-  Hashtbl.filter_map_inplace
-    (fun name p -> if f name then None else Some p)
-    registry
+let find engine name = Hashtbl.find_opt (registry engine).programs name
 
 let shebang name = "#!m3 " ^ name ^ "\n"
 

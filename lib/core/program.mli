@@ -1,34 +1,37 @@
-(** Program registry — the simulator's stand-in for binaries.
+(** Programs — the simulator's stand-in for binaries.
 
     In the prototype, starting a VPE means copying code into the target
     SPM and pointing the PE at the entry address. Here, "code" is an
-    OCaml function; the registry maps a program name (the token that
+    OCaml function plus the image size whose copy the clone/exec paths
+    charge for. The boot loader ({!Kernel.launch}) takes a program by
+    value. Only a program that a VPE starts by name — the token that
     travels through the [vpe_start] syscall, or the content of an
-    executable file's [#!m3 <name>] line) to that function plus the
-    image size whose copy the clone/exec paths charge for. *)
+    executable file's [#!m3 <name>] line — is registered, and the
+    registry belongs to one engine: it dies with its simulation, and
+    each simulation numbers its lambdas from 1, whatever ran before it
+    in the process. *)
 
 (** A program: receives its environment, returns an exit code. *)
 type main = Env.t -> int
 
 type t = {
-  prog_name : string;
   prog_main : main;
   prog_image_bytes : int;
 }
 
-(** [register ~name ~image_bytes main] adds a program; re-registering a
-    name replaces it (tests rely on this). *)
-val register : name:string -> image_bytes:int -> main -> unit
+(** [register engine ~name ~image_bytes main] adds a program to
+    [engine]'s registry; re-registering a name replaces it. *)
+val register :
+  M3_sim.Engine.t -> name:string -> image_bytes:int -> main -> unit
 
-(** [register_lambda ~image_bytes main] registers under a fresh
-    generated name and returns that name — the clone ([VPE::run])
-    path. *)
-val register_lambda : image_bytes:int -> main -> string
+(** [register_lambda engine ~image_bytes main] registers under the
+    next name ["lambda.<n>"] of [engine], counting from 1, and returns
+    that name — the clone ([VPE::run]) path. *)
+val register_lambda : M3_sim.Engine.t -> image_bytes:int -> main -> string
 
-val find : string -> t option
-
-(** [remove_if f] drops every program whose name satisfies [f]. *)
-val remove_if : (string -> bool) -> unit
+(** [find engine name] is the program registered as [name] in
+    [engine]. *)
+val find : M3_sim.Engine.t -> string -> t option
 
 (** Default image size charged for a program when unspecified
     (16 KiB — code plus static data in the 64 KiB SPM). *)

@@ -23,11 +23,17 @@ type entry = Single of File.mount | Sharded of shard_set
 
 type state = { mutable mounts : (string * entry) list }
 
-(* Mount tables are per VPE; keyed by VPE id because the environment
-   record cannot reference this module's types. *)
-let states : (int, state) Hashtbl.t = Hashtbl.create 16
+(* Mount tables are per VPE, kept per engine and keyed by env uid
+   because the environment record cannot reference this module's
+   types. *)
+type M3_sim.Engine.local += Mount_tables of (int, state) Hashtbl.t
 
 let state (env : Env.t) =
+  let states =
+    M3_sim.Engine.local env.engine
+      (function Mount_tables t -> Some t | _ -> None)
+      (fun () -> Mount_tables (Hashtbl.create 16))
+  in
   match Hashtbl.find_opt states env.uid with
   | Some s -> s
   | None ->

@@ -34,7 +34,9 @@ let start_program env t ?(args = Bytes.empty) ~image_bytes prog =
 
 let run (env : Env.t) t ?(args = Bytes.empty) main =
   Env.charge env Account.Os Cost_model.vpe_clone_setup;
-  let prog = Program.register_lambda ~image_bytes:env.image_bytes main in
+  let prog =
+    Program.register_lambda env.engine ~image_bytes:env.image_bytes main
+  in
   start_program env t ~args ~image_bytes:env.image_bytes prog
 
 let exec env t ?(args = Bytes.empty) path =
@@ -50,7 +52,7 @@ let exec env t ?(args = Bytes.empty) path =
       match Program.parse_shebang contents with
       | None -> Error Errno.E_inv_args
       | Some name -> (
-        match Program.find name with
+        match Program.find env.engine name with
         | None -> Error Errno.E_not_found
         | Some prog ->
           start_program env t ~args ~image_bytes:prog.prog_image_bytes name)))

@@ -92,68 +92,72 @@ let a2_ring_size () =
       { x = kib; cycles = m.Runner.m_cycles; aux = 0 })
     [ 4; 16; 64; 256 ]
 
+(* A3, A4 and A6 boot an 8-PE platform of their own, with m3fs
+   formatted with [fragmented_seed bpe], and run [app engine] as its
+   one VPE. *)
+let run_cell ~config ~bpe ~name app =
+  let engine = Engine.create () in
+  let fs ~dram =
+    { (M3.M3fs.default_config ~dram) with seed = fragmented_seed bpe }
+  in
+  let sys =
+    M3.Bootstrap.start ~platform_config:config ~fs ?obs:(Runner.bus engine)
+      engine
+  in
+  let exit = M3.Bootstrap.launch sys ~name (app engine) in
+  ignore (Engine.run engine);
+  M3.Bootstrap.expect_exit sys exit
+
+(* A3 and A6: a null syscall and a 2 MiB read over [noc]. *)
+let syscall_and_bulk ~name noc =
+  let config = { Platform.default_config with pe_count = 8; noc } in
+  let syscall = ref 0 and bulk = ref 0 in
+  run_cell ~config ~bpe:2048 ~name (fun engine env ->
+      ok (M3.Syscalls.noop env);
+      let t0 = Engine.now engine in
+      ok (M3.Syscalls.noop env);
+      syscall := Engine.now engine - t0;
+      Runner.mounted env;
+      let buf = Env.alloc_spm env ~size:chunk in
+      let file = ok (Vfs.open_ env "/frag" ~flags:Fs_proto.o_read) in
+      let t1 = Engine.now engine in
+      read_loop env file buf;
+      bulk := Engine.now engine - t1;
+      0);
+  (!syscall, !bulk)
+
 (* A3: per-hop router latency vs syscall and bulk read. *)
 let a3_hop_latency () =
   List.map
     (fun hop ->
-      let engine = Engine.create () in
-      let config =
-        { Platform.default_config with
-          pe_count = 8;
-          noc = { Fabric.default_config with hop_latency = hop };
-        }
+      let syscall, bulk =
+        syscall_and_bulk ~name:"a3"
+          { Fabric.default_config with hop_latency = hop }
       in
-      let seeds = fragmented_seed 2048 in
-      let fs ~dram = { (M3.M3fs.default_config ~dram) with seed = seeds } in
-      let sys = M3.Bootstrap.start ~platform_config:config ~fs engine in
-      let syscall = ref 0 and bulk = ref 0 in
-      let exit =
-        M3.Bootstrap.launch sys ~name:"a3" (fun env ->
-            ok (M3.Syscalls.noop env);
-            let t0 = Engine.now engine in
-            ok (M3.Syscalls.noop env);
-            syscall := Engine.now engine - t0;
-            Runner.mounted env;
-            let buf = Env.alloc_spm env ~size:chunk in
-            let file = ok (Vfs.open_ env "/frag" ~flags:Fs_proto.o_read) in
-            let t1 = Engine.now engine in
-            read_loop env file buf;
-            bulk := Engine.now engine - t1;
-            0)
-      in
-      ignore (Engine.run engine);
-      M3.Bootstrap.expect_exit sys exit;
-      { x = hop; cycles = !syscall; aux = !bulk })
+      { x = hop; cycles = syscall; aux = bulk })
     [ 1; 3; 6; 12 ]
 
 (* A4: DTU endpoint count vs multiplexing pressure. *)
 let a4_ep_count () =
   List.map
     (fun eps ->
-      let engine = Engine.create () in
       let config = { Platform.default_config with pe_count = 8; ep_count = eps } in
-      let seeds = fragmented_seed 64 (* 32 extents -> 32 memory gates *) in
-      let fs ~dram = { (M3.M3fs.default_config ~dram) with seed = seeds } in
-      let sys = M3.Bootstrap.start ~platform_config:config ~fs engine in
       let cycles = ref 0 and acts = ref 0 in
-      let exit =
-        M3.Bootstrap.launch sys ~name:"a4" (fun env ->
-            Runner.mounted env;
-            let buf = Env.alloc_spm env ~size:chunk in
-            let file = ok (Vfs.open_ env "/frag" ~flags:Fs_proto.o_read) in
-            let t0 = Engine.now engine in
-            let a0 = M3.Epmux.activations env in
-            (* Two passes: the second re-reads through already-held
-               gates, so endpoint eviction shows. *)
-            read_loop env file buf;
-            ok (File.seek env file 0);
-            read_loop env file buf;
-            cycles := Engine.now engine - t0;
-            acts := M3.Epmux.activations env - a0;
-            0)
-      in
-      ignore (Engine.run engine);
-      M3.Bootstrap.expect_exit sys exit;
+      (* 32 extents -> 32 memory gates *)
+      run_cell ~config ~bpe:64 ~name:"a4" (fun engine env ->
+          Runner.mounted env;
+          let buf = Env.alloc_spm env ~size:chunk in
+          let file = ok (Vfs.open_ env "/frag" ~flags:Fs_proto.o_read) in
+          let t0 = Engine.now engine in
+          let a0 = M3.Epmux.activations env in
+          (* Two passes: the second re-reads through already-held
+             gates, so endpoint eviction shows. *)
+          read_loop env file buf;
+          ok (File.seek env file 0);
+          read_loop env file buf;
+          cycles := Engine.now engine - t0;
+          acts := M3.Epmux.activations env - a0;
+          0);
       { x = eps; cycles = !cycles; aux = !acts })
     [ 4; 8; 16; 40 ]
 
@@ -161,104 +165,77 @@ let a4_ep_count () =
 let a6_switching_mode () =
   List.map
     (fun (tag, mode) ->
-      let engine = Engine.create () in
-      let config =
-        { Platform.default_config with
-          pe_count = 8;
-          noc = { Fabric.default_config with mode };
-        }
+      let syscall, bulk =
+        syscall_and_bulk ~name:"a6" { Fabric.default_config with mode }
       in
-      let seeds = fragmented_seed 2048 in
-      let fs ~dram = { (M3.M3fs.default_config ~dram) with seed = seeds } in
-      let sys = M3.Bootstrap.start ~platform_config:config ~fs engine in
-      let syscall = ref 0 and bulk = ref 0 in
-      let exit =
-        M3.Bootstrap.launch sys ~name:"a6" (fun env ->
-            ok (M3.Syscalls.noop env);
-            let t0 = Engine.now engine in
-            ok (M3.Syscalls.noop env);
-            syscall := Engine.now engine - t0;
-            Runner.mounted env;
-            let buf = Env.alloc_spm env ~size:chunk in
-            let file = ok (Vfs.open_ env "/frag" ~flags:Fs_proto.o_read) in
-            let t1 = Engine.now engine in
-            read_loop env file buf;
-            bulk := Engine.now engine - t1;
-            0)
-      in
-      ignore (Engine.run engine);
-      M3.Bootstrap.expect_exit sys exit;
-      { x = tag; cycles = !syscall; aux = !bulk })
+      { x = tag; cycles = syscall; aux = bulk })
     [ (0, `Packet); (1, `Wormhole) ]
 
 (* A5: find clients sharded across m3fs instances; returns the average
-   per-client cycles. *)
+   per-client cycles. Hand-booted: each instance is seeded with the
+   trees of the clients it serves. *)
 let service_instances_bench ~clients ~instances:services =
-  (fun services ->
-      let engine = Engine.create () in
-      let pe_count = clients + 1 + services in
-      let config = { Platform.default_config with pe_count } in
-      let platform = Platform.create ~config engine in
-      let kernel = M3.Kernel.create platform ~kernel_pe:0 in
-      ignore (M3.Kernel.boot kernel);
-      let srv_of k = if k mod services = 0 then "m3fs" else "m3fs2" in
-      let spec_of k =
-        M3_trace.Workloads.prefixed
-          ~prefix:(Printf.sprintf "/i%d" k)
-          (M3_trace.Workloads.find ~seed:2016)
+  let engine = Engine.create () in
+  let pe_count = clients + 1 + services in
+  let config = { Platform.default_config with pe_count } in
+  let platform = Platform.create ~config engine in
+  Option.iter (Fabric.set_obs (Platform.fabric platform)) (Runner.bus engine);
+  let kernel = M3.Kernel.create platform ~kernel_pe:0 in
+  ignore (M3.Kernel.boot kernel);
+  let srv_of k = if k mod services = 0 then "m3fs" else "m3fs2" in
+  let spec_of k =
+    M3_trace.Workloads.prefixed
+      ~prefix:(Printf.sprintf "/i%d" k)
+      (M3_trace.Workloads.find ~seed:2016)
+  in
+  let launch name main =
+    M3.Kernel.launch kernel ~name ~account:(M3_sim.Account.create ()) main
+  in
+  List.iteri
+    (fun idx name ->
+      let seeds =
+        List.concat_map
+          (fun k ->
+            if k mod services = idx then (spec_of k).M3_trace.Workloads.sp_seeds
+            else [])
+          (List.init clients Fun.id)
       in
-      (* Each instance is seeded with the trees of the clients it
-         serves. *)
-      List.iteri
-        (fun idx name ->
-          let seeds =
-            List.concat_map
-              (fun k ->
-                if k mod services = idx then (spec_of k).M3_trace.Workloads.sp_seeds
-                else [])
-              (List.init clients Fun.id)
-          in
-          let cfg =
-            { (M3.M3fs.default_config ~dram:(Platform.dram platform)) with
-              seed = seeds;
-              srv_name = name;
-            }
-          in
-          M3.M3fs.register cfg;
-          ignore
-            (M3.Kernel.launch kernel ~name
-               ~account:(M3_sim.Account.create ())
-               name))
-        (if services = 1 then [ "m3fs" ] else [ "m3fs"; "m3fs2" ]);
-      let durations = Array.make clients 0 in
-      let exits =
-        List.init clients (fun k ->
-            let prog = Printf.sprintf "a5.client.%d.%d.%d" services k (Hashtbl.hash (Engine.now engine, k)) in
-            M3.Program.register ~name:prog
-              ~image_bytes:M3.Program.default_image_bytes (fun env ->
+      let cfg =
+        { (M3.M3fs.default_config ~dram:(Platform.dram platform)) with
+          seed = seeds;
+          srv_name = name;
+        }
+      in
+      ignore (launch name (M3.M3fs.program cfg)))
+    (if services = 1 then [ "m3fs" ] else [ "m3fs"; "m3fs2" ]);
+  let durations = Array.make clients 0 in
+  let exits =
+    List.init clients (fun k ->
+        launch (Printf.sprintf "client%d" k)
+          {
+            M3.Program.prog_image_bytes = M3.Program.default_image_bytes;
+            prog_main =
+              (fun env ->
                 env.Env.spin_transfers <- true;
                 ok (Vfs.mount env ~path:"/" ~service:(srv_of k));
                 let t0 = Engine.now engine in
-                (match M3_trace.Replay_m3.run env (spec_of k).M3_trace.Workloads.sp_trace with
+                let trace = (spec_of k).M3_trace.Workloads.sp_trace in
+                (match M3_trace.Replay_m3.run env trace with
                 | Ok () -> ()
                 | Error e -> failwith (Errno.to_string e));
                 durations.(k) <- Engine.now engine - t0;
                 0);
-            M3.Kernel.launch kernel
-              ~name:(Printf.sprintf "client%d" k)
-              ~account:(M3_sim.Account.create ())
-              prog)
-      in
-      ignore (Engine.run engine);
-      List.iter
-        (fun iv ->
-          match M3_sim.Process.Ivar.peek iv with
-          | Some 0 -> ()
-          | Some c -> failwith (Printf.sprintf "a5 client exited %d" c)
-          | None -> failwith "a5 client did not finish")
-        exits;
-      Array.fold_left ( + ) 0 durations / clients)
-    services
+          })
+  in
+  ignore (Engine.run engine);
+  List.iter
+    (fun iv ->
+      match M3_sim.Process.Ivar.peek iv with
+      | Some 0 -> ()
+      | Some c -> failwith (Printf.sprintf "a5 client exited %d" c)
+      | None -> failwith "a5 client did not finish")
+    exits;
+  Array.fold_left ( + ) 0 durations / clients
 
 let a5_service_instances () =
   let clients = 8 in

@@ -35,14 +35,6 @@ let workload_seed = 2016
 let run_multi ?(shards = 1) ?observe ?(emit_queue = false) ~instances
     ~pes_per_instance ~seeds_of ~body () =
   let engine = Engine.create () in
-  let obs =
-    match observe with
-    | None -> None
-    | Some attach ->
-      let o = M3_obs.Obs.of_engine engine in
-      attach o;
-      Some o
-  in
   let pe_count = (instances * pes_per_instance) + 1 + shards in
   (* Per-shard image size: with one shard every instance's inputs and
      outputs land on it; with several, the seed is partitioned by
@@ -74,8 +66,8 @@ let run_multi ?(shards = 1) ?observe ?(emit_queue = false) ~instances
     }
   in
   let sys =
-    M3.Bootstrap.start ~platform_config:config ~fs ~fs_instances:shards ?obs
-      engine
+    M3.Bootstrap.start ~platform_config:config ~fs ~fs_instances:shards
+      ?obs:(Runner.bus ?observe engine) engine
   in
   let durations = Array.make instances 0 in
   let exits =
@@ -100,7 +92,6 @@ let run_multi ?(shards = 1) ?observe ?(emit_queue = false) ~instances
   in
   ignore (Engine.run engine);
   List.iter (fun iv -> M3.Bootstrap.expect_exit sys iv) exits;
-  M3.M3fs.forget ~engine;
   Array.fold_left ( + ) 0 durations / instances
 
 let trace_bench spec_of =

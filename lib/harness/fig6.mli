@@ -36,10 +36,10 @@ val benches : unit -> (string * bench) list
     [instances] parallel copies on one kernel + [shards] m3fs
     instances (default 1 — the classic single-service setup,
     bit-identical to the pre-sharding harness) and returns the average
-    measured cycles per instance. [observe], if given, receives a
-    fresh event bus over the run's engine (attach sinks there) which
-    is then installed on the fabric; [emit_queue] turns on the
-    per-shard [fs.shard.queue] events. *)
+    measured cycles per instance. [observe], if given, receives the
+    run's event bus (attach sinks there) after the {!Runner.observer}
+    hook ({!Runner.bus}); [emit_queue] turns on the per-shard
+    [fs.shard.queue] events. *)
 val run_multi :
   ?shards:int ->
   ?observe:(M3_obs.Obs.t -> unit) ->

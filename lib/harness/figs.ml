@@ -146,14 +146,6 @@ let run_sim ?fs_seed ?fs_instances ?plan ?pe_count ?(sched = false) ~label main 
     let base = M3.M3fs.default_config ~dram in
     match fs_seed with Some seed -> { base with M3.M3fs.seed } | None -> base
   in
-  let obs =
-    match !Runner.observer with
-    | None -> None
-    | Some attach ->
-      let o = M3_obs.Obs.of_engine engine in
-      attach o;
-      Some o
-  in
   let platform_config =
     Option.map
       (fun pe_count -> { M3_hw.Platform.default_config with pe_count })
@@ -162,11 +154,10 @@ let run_sim ?fs_seed ?fs_instances ?plan ?pe_count ?(sched = false) ~label main 
   let sched = if sched then Some (M3_sched.Sched.create ()) else None in
   let sys =
     M3.Bootstrap.start ?platform_config ~fs:fs_config ?fs_instances
-      ~no_fs:(not fs) ?faults:plan ?obs ?sched engine
+      ~no_fs:(not fs) ?faults:plan ?obs:(Runner.bus engine) ?sched engine
   in
   let exit = M3.Bootstrap.launch sys ~name:"client" (main sys) in
   ignore (Engine.run engine);
-  if fs then M3.M3fs.forget ~engine;
   match Process.Ivar.peek exit with
   | Some 0 -> sys
   | Some code -> failwith (Printf.sprintf "figS %s: client exited %d" label code)
@@ -366,15 +357,10 @@ let autoscale_high_util = 2.0 (* of floor capacity = 0.8 of the ceiling *)
 let autoscale_pe_count = 8 (* kernel + client + dispatcher + max workers *)
 
 let autoscale_cfg ~elastic =
-  let base =
-    if elastic then
-      Pool.default_config ~name:"auto" ~min_workers:autoscale_floor
-        ~workers:autoscale_max ()
-    else Pool.default_config ~name:"auto" ~workers:autoscale_floor ()
-  in
-  (* React fast relative to the ramp: grow on a 2-deep-per-worker
-     backlog, one decision per 10k cycles. *)
-  { base with Pool.grow_depth = 2; scale_cooldown = 10_000 }
+  if elastic then
+    Pool.default_config ~name:"auto" ~min_workers:autoscale_floor
+      ~workers:autoscale_max ()
+  else Pool.default_config ~name:"auto" ~workers:autoscale_floor ()
 
 let autoscale_cell ~requests ~seed =
   let gap u = mean_gap ~workers:autoscale_floor ~util:u in

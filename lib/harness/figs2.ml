@@ -119,14 +119,6 @@ let run_sim ?plan ?pe_count ?(sched = false) ~fs_instances ~label main =
   let fs_config ~dram =
     { (M3.M3fs.default_config ~dram) with M3.M3fs.seed = [] }
   in
-  let obs =
-    match !Runner.observer with
-    | None -> None
-    | Some attach ->
-      let o = M3_obs.Obs.of_engine engine in
-      attach o;
-      Some o
-  in
   let platform_config =
     let base = { M3_hw.Platform.default_config with ep_count = kv_ep_count } in
     Some
@@ -137,11 +129,10 @@ let run_sim ?plan ?pe_count ?(sched = false) ~fs_instances ~label main =
   let sched = if sched then Some (M3_sched.Sched.create ()) else None in
   let sys =
     M3.Bootstrap.start ?platform_config ~fs:fs_config ~fs_instances
-      ?faults:plan ?obs ?sched engine
+      ?faults:plan ?obs:(Runner.bus engine) ?sched engine
   in
   let exit = M3.Bootstrap.launch sys ~name:"client" (main sys) in
   ignore (Engine.run engine);
-  M3.M3fs.forget ~engine;
   match Process.Ivar.peek exit with
   | Some 0 -> sys
   | Some code -> failwith (Printf.sprintf "figS2 %s: client exited %d" label code)
@@ -258,9 +249,7 @@ let flash_cfg () =
   {
     (Pool.default_config ~name:"kvflash" ~min_workers:flash_floor
        ~workers:flash_max ()) with
-    Pool.grow_depth = 2;
-    scale_cooldown = 10_000;
-    gateway =
+    Pool.gateway =
       Some (Gateway.config ~bucket:(Gateway.bucket ~refill:flash_bucket_refill ()) ());
   }
 

@@ -42,6 +42,14 @@ let snapshot account =
    before the system boots. Used by `m3_repro trace`. *)
 let observer : (M3_obs.Obs.t -> unit) option ref = ref None
 
+let bus ?observe engine =
+  match List.filter_map Fun.id [ !observer; observe ] with
+  | [] -> None
+  | hooks ->
+    let o = M3_obs.Obs.of_engine engine in
+    List.iter (fun attach -> attach o) hooks;
+    Some o
+
 let run_m3 ?(pe_count = 16) ?(dram_mib = 64) ?core_at ?(seeds = [])
     ?(no_fs = false) ?(sched = false) ?faults ?inspect app =
   let engine = Engine.create () in
@@ -55,18 +63,10 @@ let run_m3 ?(pe_count = 16) ?(dram_mib = 64) ?core_at ?(seeds = [])
     let base = M3.M3fs.default_config ~dram in
     { base with seed = seeds; fs_size = min base.fs_size (dram_size / 2) }
   in
-  let obs =
-    match !observer with
-    | None -> None
-    | Some attach ->
-      let o = M3_obs.Obs.of_engine engine in
-      attach o;
-      Some o
-  in
   let sched = if sched then Some (M3_sched.Sched.create ()) else None in
   let sys =
-    M3.Bootstrap.start ~platform_config:config ~fs ~no_fs ?obs ?sched ?faults
-      engine
+    M3.Bootstrap.start ~platform_config:config ~fs ~no_fs ?obs:(bus engine)
+      ?sched ?faults engine
   in
   let account = Account.create () in
   let result = ref zero_measure in
@@ -92,9 +92,6 @@ let run_m3 ?(pe_count = 16) ?(dram_mib = 64) ?core_at ?(seeds = [])
   ignore (Engine.run engine);
   M3.Bootstrap.expect_exit sys exit;
   Option.iter (fun f -> f sys.M3.Bootstrap.platform) inspect;
-  (* One figure run boots many systems in this process; drop
-     this engine's m3fs registry entries so the tables stay bounded. *)
-  M3.M3fs.forget ~engine;
   !result
 
 let run_linux ?(cache_ideal = false) ?(arch = M3_linux.Arch.xtensa) ?(seeds = [])

@@ -14,11 +14,20 @@ val zero_measure : measure
 val add_measure : measure -> measure -> measure
 val scale_measure : measure -> float -> measure
 
-(** When set, [run_m3] creates an event bus over the fresh engine and
-    passes it to the callback — which attaches sinks — before the
-    system boots, so even bring-up traffic is captured. One callback
-    invocation per simulated system. *)
+(** When set, every experiment frame ([run_m3], {!Fig6.run_multi}, the
+    figS/figS2 cells, the hand-booted ablations) creates an event bus
+    over its fresh engine ({!bus}) and passes it to the callback —
+    which attaches sinks — before the system boots, so even bring-up
+    traffic is captured. One callback invocation per simulated
+    system. *)
 val observer : (M3_obs.Obs.t -> unit) option ref
+
+(** [bus ?observe engine] is a fresh event bus over [engine] with the
+    {!observer} hook and then [observe] attached, or [None] when
+    neither is set (tracing off costs nothing). Experiment frames pass
+    it to {!M3.Bootstrap.start}. *)
+val bus :
+  ?observe:(M3_obs.Obs.t -> unit) -> M3_sim.Engine.t -> M3_obs.Obs.t option
 
 (** [other m] is everything that is not a data transfer — the paper's
     "Other" category in Fig. 3. *)

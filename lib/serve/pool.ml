@@ -39,11 +39,24 @@ let resp_order = 6
 let resp_slots = 64
 
 (* Batches and worker replies: up to 13 items of 17 bytes fit an order
-   8 slot with header, count and generation bytes. *)
+   8 slot with header, count and generation bytes. The dispatcher
+   coalesces up to [batch_max] requests per batch, and only when more
+   than [batch_threshold] are queued: below it requests dispatch singly
+   for latency. *)
 let batch_order = 8
 let batch_slots = 4
 let batch_credits = Endpoint.Credits 2
-let max_batch = 13
+let batch_max = 8
+let batch_threshold = 2
+
+(* Elastic pools grow when the backlog (queued + in-flight) exceeds
+   [grow_depth] per active worker and park a worker that sat idle for
+   [shrink_idle] cycles, at most one decision per [scale_cooldown]
+   cycles. *)
+let grow_depth = 2
+let shrink_idle = 50_000
+let scale_cooldown = 10_000
+let max_restarts = 1 (* replacement workers per seat *)
 
 (* One outstanding reply per worker seat, 8 seats max by default. *)
 let wreply_slots = 16
@@ -71,16 +84,10 @@ type config = {
       (* elastic floor: < [workers] lets the dispatcher park idle
          workers off their PEs (kernel scheduler required) and wake
          them again on queue depth. [= workers] is a static pool. *)
-  grow_depth : int; (* backlog per active worker that triggers a wake *)
-  shrink_idle : int; (* cycles a worker idles before it is parked *)
-  scale_cooldown : int; (* min cycles between two scale decisions *)
-  batch_max : int;
-  batch_threshold : int;
   queue_limit : int;
   fs_services : string list;
   files : int;
   watchdog : int;
-  max_restarts : int;
   gateway : Gateway.config option;
       (* front tier: per-client token buckets and per-seat circuit
          breakers. [None] keeps the request path bit-identical to a
@@ -103,16 +110,10 @@ let default_config ?(name = "pool") ?min_workers ~workers () =
     name;
     workers;
     min_workers = (match min_workers with Some m -> m | None -> workers);
-    grow_depth = 4;
-    shrink_idle = 50_000;
-    scale_cooldown = 20_000;
-    batch_max = 8;
-    batch_threshold = 2;
     queue_limit = 1_000_000;
     fs_services = [];
     files = 0;
     watchdog = 150_000;
-    max_restarts = 1;
     gateway = None;
     app = None;
     kv = None;
@@ -601,7 +602,7 @@ let dispatcher_body cfg stats (cenv : Env.t) =
     stats.p_retried <- stats.p_retried + List.length requeue;
     ignore (Syscalls.revoke cenv ~sel:w.w_vpe.Vpe_api.vpe_sel);
     w.w_gen <- w.w_gen + 1;
-    if w.w_restarts >= cfg.max_restarts then w.w_state <- W_dead
+    if w.w_restarts >= max_restarts then w.w_state <- W_dead
     else begin
       w.w_restarts <- w.w_restarts + 1;
       match spawn_worker w.w_idx with
@@ -679,7 +680,7 @@ let dispatcher_body cfg stats (cenv : Env.t) =
   in
   (* --- elastic scaling ------------------------------------------------ *)
   let elastic = cfg.min_workers < cfg.workers in
-  let last_scale = ref (-cfg.scale_cooldown) in
+  let last_scale = ref (-scale_cooldown) in
   let active_count () =
     Array.fold_left
       (fun a w -> match w.w_state with W_parked | W_dead -> a | _ -> a + 1)
@@ -690,10 +691,10 @@ let dispatcher_body cfg stats (cenv : Env.t) =
      optimistic: the worker's send gate stays parked until the kernel
      places it, and the first batch rides the parked endpoint. *)
   let try_scale progress =
-    if elastic && now () - !last_scale >= cfg.scale_cooldown then begin
+    if elastic && now () - !last_scale >= scale_cooldown then begin
       let active = active_count () in
       let backlog = Dq.length pending + !inflight in
-      if backlog > cfg.grow_depth * Stdlib.max 1 active then begin
+      if backlog > grow_depth * Stdlib.max 1 active then begin
         let parked = ref None in
         Array.iter
           (fun w -> if !parked = None && w.w_state = W_parked then parked := Some w)
@@ -721,7 +722,7 @@ let dispatcher_body cfg stats (cenv : Env.t) =
           (fun w ->
             match w.w_state with
             | W_idle
-              when now () - w.w_idle_since >= cfg.shrink_idle
+              when now () - w.w_idle_since >= shrink_idle
                    && not (seat_upgrading w) ->
               victim := Some w
             | _ -> ())
@@ -767,8 +768,8 @@ let dispatcher_body cfg stats (cenv : Env.t) =
           let depth = Dq.length pending in
           let bsz =
             if probe then 1 (* half-open: a single canary request *)
-            else if depth > cfg.batch_threshold then
-              Stdlib.min cfg.batch_max depth
+            else if depth > batch_threshold then
+              Stdlib.min batch_max depth
             else 1
           in
           let batch = take_fresh bsz in
@@ -1003,8 +1004,6 @@ type client_result = {
 
 let start env cfg =
   if cfg.workers < 1 then Error Errno.E_inv_args
-  else if cfg.batch_max < 1 || cfg.batch_max > max_batch then
-    Error Errno.E_inv_args
   else begin
     let stats = make_stats ~workers:cfg.workers in
     let* disp =

@@ -11,7 +11,7 @@
     The {e client} (the VPE that called {!start}) generates load; the
     {e dispatcher} runs on its own PE, admits or rejects each request
     against a bounded queue, coalesces queued requests into batches of
-    up to [batch_max] per DTU message, and feeds the {e workers} — one
+    up to 8 per DTU message, and feeds the {e workers} — one
     VPE per dedicated PE each serving one batch at a time.
 
     Flow control is pure DTU credits: every channel is
@@ -27,7 +27,7 @@
     [watchdog] cycles declares the worker dead, re-enqueues the batch
     at the front of the queue, revokes the worker's capabilities and
     starts a replacement on a spare PE (the crashed PE was
-    quarantined by the kernel), up to [max_restarts] times per seat.
+    quarantined by the kernel), once per seat.
     Without a plan the watchdog code never runs and the pool costs
     nothing extra.
 
@@ -57,17 +57,10 @@ type config = {
   workers : int;
   min_workers : int;
       (** floor of the elastic range; equal to [workers] (the default)
-          makes the pool static and the scaling code never runs *)
-  grow_depth : int;
-      (** grow when backlog (queued + in-flight) exceeds
-          [grow_depth * active workers] *)
-  shrink_idle : int;
-      (** cycles a worker must sit idle before it may be parked *)
-  scale_cooldown : int;  (** min cycles between scale decisions *)
-  batch_max : int;  (** max requests coalesced per worker message (1..13) *)
-  batch_threshold : int;
-      (** coalesce only when more than this many requests are queued;
-          below it requests dispatch singly for latency *)
+          makes the pool static and the scaling code never runs. An
+          elastic pool wakes a parked worker when the backlog exceeds
+          2 per active worker and parks one idle for 50k cycles, at
+          most one decision per 10k cycles. *)
   queue_limit : int;
       (** admission watermark: queued + in-flight + ringbuffer backlog
           at or above this rejects with [E_overload] *)
@@ -78,7 +71,6 @@ type config = {
   watchdog : int;
       (** cycles a batch may be outstanding before the worker is
           declared dead (armed only under a fault plan) *)
-  max_restarts : int;  (** replacement workers per seat *)
   gateway : Gateway.config option;
       (** front tier (buckets/breakers); [None] (the default) keeps
           the request path bit-identical to a pre-gateway pool *)

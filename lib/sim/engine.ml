@@ -1,22 +1,31 @@
+type local = ..
+
 type t = {
-  id : int;
   queue : (unit -> unit) Heap.t;
   mutable now : int;
   mutable processed : int;
   mutable running : bool;
+  mutable locals : local list;
 }
 
-(* Engine ids key registries that outlive a single simulation (the
-   m3fs server tables): a duplicated id would silently alias two
-   simulations' registry entries. *)
-let next_id = ref 0
-
 let create () =
-  let id = !next_id in
-  incr next_id;
-  { id; queue = Heap.create (); now = 0; processed = 0; running = false }
+  {
+    queue = Heap.create ();
+    now = 0;
+    processed = 0;
+    running = false;
+    locals = [];
+  }
 
-let id t = t.id
+let local t find create =
+  match List.find_map find t.locals with
+  | Some v -> v
+  | None -> (
+    let l = create () in
+    t.locals <- l :: t.locals;
+    match find l with
+    | Some v -> v
+    | None -> invalid_arg "Engine.local: [find] rejects what [create] made")
 
 let now t = t.now
 

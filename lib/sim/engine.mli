@@ -10,11 +10,17 @@ type t
 (** [create ()] is a fresh engine at cycle 0. *)
 val create : unit -> t
 
-(** [id t] is a process-unique identifier, assigned at creation in
-    increasing order. Registries that outlive a single simulation
-    (e.g. the m3fs server tables) key their entries by it so that
-    several engines in one process never alias each other's state. *)
-val id : t -> int
+(** Host-side state that belongs to one simulation (the program
+    registry, the m3fs and libm3 side tables). Each owner adds its own
+    constructor; the engine holds the values and drops them with
+    itself, so nothing one simulation registers outlives it or is seen
+    by another. *)
+type local = ..
+
+(** [local t find create] is [t]'s state of one kind: the first value
+    in [t]'s slot that [find] accepts, or else [create ()], which is
+    stored there first. [find] must accept what [create] makes. *)
+val local : t -> (local -> 'a option) -> (unit -> local) -> 'a
 
 (** [now t] is the current simulation time. *)
 val now : t -> int

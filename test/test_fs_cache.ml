@@ -176,7 +176,6 @@ let run ?platform_config ?(fs_instances = 1) ?(capture = false) ~seeds main =
   let sys = Bootstrap.start ?platform_config ?obs ~fs ~fs_instances engine in
   let exit = Bootstrap.launch sys ~name:"app" (fun env -> main sys env) in
   ignore (Engine.run engine);
-  M3fs.forget ~engine;
   let code = Option.value ~default:min_int (Process.Ivar.peek exit) in
   (code, Obs.Memory.to_string mem)
 
@@ -535,7 +534,6 @@ let test_crash_restart_recovery () =
         0)
   in
   ignore (Engine.run engine);
-  M3fs.forget ~engine;
   check_int "client recovered and finished" 0
     (Option.value ~default:min_int (Process.Ivar.peek exit));
   check_int "exactly one crash injected" 1 (Plan.crashes_injected plan);

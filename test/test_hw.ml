@@ -100,7 +100,6 @@ let test_platform_memory_is_sparse () =
         ignore (Engine.run engine);
         M3.Bootstrap.expect_exit sys exit)
   in
-  M3.M3fs.forget ~engine;
   check_bool
     (Printf.sprintf "boot plus one mounting client allocates under 4 MiB (got %.2f)"
        mib)

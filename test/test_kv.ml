@@ -226,7 +226,6 @@ let run_store ~config main =
         0)
   in
   ignore (Engine.run engine);
-  M3.M3fs.forget ~engine;
   Bootstrap.expect_exit sys exit
 
 let small_config =

@@ -558,9 +558,10 @@ let test_pipe_parent_writes_child_reads () =
 (* --- exec ------------------------------------------------------------------ *)
 
 let test_exec_from_filesystem () =
-  M3.Program.register ~name:"hello-prog" ~image_bytes:4096 (fun _env -> 42);
   ignore
     (run_app (fun _sys env ->
+         M3.Program.register env.Env.engine ~name:"hello-prog" ~image_bytes:4096
+           (fun _env -> 42);
          ok (Vfs.mount_root env);
          (* Install the "binary": a real file whose content names the
             program, like a shebang. *)

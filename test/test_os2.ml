@@ -348,11 +348,14 @@ let test_two_clients_share_m3fs () =
     | Error e -> Alcotest.failf "fsck: %s" e)
 
 let test_program_registry () =
-  Program.register ~name:"reg-test" ~image_bytes:1024 (fun _ -> 0);
-  check_bool "find" true (Program.find "reg-test" <> None);
-  check_bool "missing" true (Program.find "reg-missing" = None);
-  let n1 = Program.register_lambda ~image_bytes:1 (fun _ -> 1) in
-  let n2 = Program.register_lambda ~image_bytes:1 (fun _ -> 2) in
+  let engine = Engine.create () in
+  Program.register engine ~name:"reg-test" ~image_bytes:1024 (fun _ -> 0);
+  check_bool "find" true (Program.find engine "reg-test" <> None);
+  check_bool "missing" true (Program.find engine "reg-missing" = None);
+  check_bool "other engine's registry" true
+    (Program.find (Engine.create ()) "reg-test" = None);
+  let n1 = Program.register_lambda engine ~image_bytes:1 (fun _ -> 1) in
+  let n2 = Program.register_lambda engine ~image_bytes:1 (fun _ -> 2) in
   check_bool "lambda names unique" true (n1 <> n2);
   Alcotest.(check (option string))
     "shebang roundtrip" (Some "reg-test")

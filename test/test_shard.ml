@@ -3,8 +3,8 @@
    - the consistent-hash ring spreads realistic top-level directories
      over all shards (the original FNV-only hash put "i0".."i15" on
      one narrow arc and starved every shard but one),
-   - m3fs registry state is keyed by engine: two simulations in one
-     process never alias, and [forget] reclaims exactly one engine's
+   - m3fs instance state is kept per engine: two simulations in one
+     process never alias, and [forget] empties exactly one engine's
      entries,
    - the kernel rejects a second service under a taken name with
      [E_exists] instead of silently replacing it,
@@ -129,25 +129,15 @@ let test_two_engines_do_not_alias () =
   check_bool "engine A lacks B's seed" false (has image_a "/only-b");
   check_bool "engine B sees its seed" true (has image_b "/only-b");
   check_bool "engine B lacks A's seed" false (has image_b "/only-a");
-  (* Each engine's server is a program of its own, whose closure holds
-     the config and through it the system's DRAM. *)
-  let program engine =
-    M3.Program.find (Printf.sprintf "m3fs@e%d" (Engine.id engine))
-  in
-  check_bool "A's program is registered" true (program engine_a <> None);
-  check_bool "B's program is registered" true (program engine_b <> None);
-  (* [forget] reclaims one engine's entries and only that engine's. *)
+  (* [forget] empties one engine's entries and only that engine's. *)
   M3fs.forget ~engine:engine_a;
   check_bool "A's registry entries are gone" true
     (M3fs.current_image engine_a = None);
-  check_bool "A's program is gone" true (program engine_a = None);
   check_bool "B's survive A's forget" true
     (M3fs.current_image engine_b <> None);
-  check_bool "B's program survives A's forget" true (program engine_b <> None);
   M3fs.forget ~engine:engine_b;
   check_bool "B's registry entries are gone" true
-    (M3fs.current_image engine_b = None);
-  check_bool "B's program is gone" true (program engine_b = None)
+    (M3fs.current_image engine_b = None)
 
 let test_duplicate_service_name_is_e_exists () =
   let engine = Engine.create () in
@@ -233,8 +223,7 @@ let test_two_shards_partition_the_seed () =
   check_bool (da ^ " on shard 0") true (has img0 da);
   check_bool (db ^ " not on shard 0") false (has img0 db);
   check_bool (db ^ " on shard 1") true (has img1 db);
-  check_bool (da ^ " not on shard 1") false (has img1 da);
-  M3fs.forget ~engine
+  check_bool (da ^ " not on shard 1") false (has img1 da)
 
 (* --- singleton shard set is zero-cost ---------------------------------- *)
 
@@ -272,7 +261,6 @@ let logged_run ~sharded =
   in
   let final = Engine.run engine in
   Bootstrap.expect_exit sys exit;
-  M3fs.forget ~engine;
   (Obs.Memory.to_string mem, final)
 
 let test_singleton_shard_set_is_bit_identical () =
