@@ -72,47 +72,10 @@ let start ?platform_config ?fs ?(fs_instances = 1) ?(no_fs = false) ?obs
   in
   { engine; platform; kernel; fs_services }
 
-let launch t ~name ?account ?args ?on_vpe main =
+let launch t ~name ?account ?args main =
   let account = match account with Some a -> a | None -> Account.create () in
-  Kernel.launch t.kernel ~name ~account ?args ?on_vpe
+  Kernel.launch t.kernel ~name ~account ?args
     { Program.prog_main = main; prog_image_bytes = Program.default_image_bytes }
-
-(* Supervisor policy: relaunch a workload whose VPE was aborted (PE
-   crash), up to [max_restarts] times. The kernel quarantines the
-   failed PE, so the retry lands on a spare one. Voluntary exits —
-   success or failure — are final. *)
-let supervise t ~name ?account ?args ?(max_restarts = 1) main =
-  let result = Process.Ivar.create () in
-  ignore
-    (Process.spawn t.engine ~name:("supervise:" ^ name) (fun () ->
-         let rec attempt n =
-           let last = ref None in
-           let iv =
-             launch t ~name ?account ?args
-               ~on_vpe:(fun v -> last := Some v)
-               main
-           in
-           let code = Process.Ivar.read iv in
-           if code = Kernel.abort_exit_code && n < max_restarts then begin
-             (match !last with
-             | Some v ->
-               let obs = M3_noc.Fabric.obs (Platform.fabric t.platform) in
-               if M3_obs.Obs.enabled obs then
-                 M3_obs.Obs.emit obs
-                   (M3_obs.Event.Vpe_restart
-                      {
-                        vpe = v.Kdata.v_id;
-                        pe = v.Kdata.v_pe;
-                        name;
-                        attempt = n + 1;
-                      })
-             | None -> ());
-             attempt (n + 1)
-           end
-           else Process.Ivar.fill result code
-         in
-         attempt 0));
-  result
 
 let run_to_completion t = Engine.run t.engine
 

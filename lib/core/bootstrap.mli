@@ -57,22 +57,6 @@ val launch :
   name:string ->
   ?account:M3_sim.Account.t ->
   ?args:Bytes.t ->
-  ?on_vpe:(Kdata.vpe -> unit) ->
-  (Env.t -> int) ->
-  int M3_sim.Process.Ivar.ivar
-
-(** [supervise t ~name ?account ?args ?max_restarts main] is [launch]
-    under a supervisor: when the workload's VPE is aborted (its PE
-    crashed and was quarantined), it is relaunched on a spare PE, up
-    to [max_restarts] times (default 1), emitting a [vpe.restart]
-    event per retry. Voluntary exits are final. The returned ivar gets
-    the exit code of the last attempt. *)
-val supervise :
-  t ->
-  name:string ->
-  ?account:M3_sim.Account.t ->
-  ?args:Bytes.t ->
-  ?max_restarts:int ->
   (Env.t -> int) ->
   int M3_sim.Process.Ivar.ivar
 

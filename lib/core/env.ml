@@ -116,6 +116,32 @@ let alloc_spm t ~size =
   t.spm_top <- base + size;
   base
 
+(* The one client-side bound on a blocking round-trip (a syscall, a
+   service call, a pipe transfer). It must exceed the kernel's own
+   service watchdog, so that a nested kernel->service round-trip times
+   out at the kernel (which then replies E_timeout) before the client
+   gives up. *)
+let client_watchdog = 5_000_000
+
+(* Only a fault plan loses messages or kills PEs. Without one no wait
+   needs a timer, and arming one would add engine events to runs that
+   must stay bit-identical. *)
+let watchdog ?(bound = client_watchdog) fabric =
+  if M3_fault.Plan.enabled (Fabric.faults fabric) then
+    Some (Engine.now (Fabric.engine fabric) + bound)
+  else None
+
+let drop_stale fabric dtu ~ep =
+  if M3_fault.Plan.enabled (Fabric.faults fabric) then
+    let rec drain () =
+      match M3_dtu.Dtu.fetch dtu ~ep with
+      | Some (stale : M3_dtu.Endpoint.message) ->
+        M3_dtu.Dtu.ack dtu ~ep ~slot:stale.slot;
+        drain ()
+      | None -> ()
+    in
+    drain ()
+
 let msg_send_latency t ~dst ~bytes =
   Fabric.pure_latency t.fabric ~src:(Pe.id t.pe) ~dst
     ~bytes:(M3_dtu.Header.size + bytes)

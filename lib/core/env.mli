@@ -2,8 +2,9 @@
 
     Every VPE's program receives an [Env.t] when it starts. It wraps
     the PE's DTU, tracks capability selectors, multiplexes the eight
-    hardware endpoints among gates, bump-allocates SPM space, and
-    charges cycle costs into the benchmark account. Applications talk
+    hardware endpoints among gates, bump-allocates SPM space, charges
+    cycle costs into the benchmark account, and decides which blocking
+    waits get a watchdog (libm3's and the kernel's). Applications talk
     to the rest of the system exclusively through the DTU referenced
     here — there is no back-door into the kernel. *)
 
@@ -122,6 +123,29 @@ val alloc_sel : t -> int
 (** [alloc_spm t ~size] bump-allocates SPM space (8-byte aligned).
     @raise Errno.Error [E_no_space] when the scratchpad is full. *)
 val alloc_spm : t -> size:int -> int
+
+(** {1 Watchdogs} *)
+
+(** Cycles a client waits for the answer to a syscall, a service call
+    or a pipe transfer before it gives up (5 M). *)
+val client_watchdog : int
+
+(** [watchdog ?bound fabric] decides whether a blocking wait starting
+    now gets a watchdog, and returns its deadline for
+    {!M3_dtu.Dtu.wait}: [Some (now + bound)] when a fault plan is
+    attached to [fabric], where a lost message or a dead PE could
+    leave the wait hanging, and [None] (wait forever, at no cost)
+    otherwise. [bound] defaults to {!client_watchdog}; the kernel's
+    service forwarding passes its shorter bound, a serving pool's
+    client its longer one. *)
+val watchdog : ?bound:int -> M3_noc.Fabric.t -> int option
+
+(** [drop_stale fabric dtu ~ep] acks every message already waiting on
+    reply endpoint [ep] when a fault plan is attached: a round-trip
+    that timed out earlier may have left its late reply there, and it
+    must not answer the next request. Without a plan it does
+    nothing. *)
+val drop_stale : M3_noc.Fabric.t -> M3_dtu.Dtu.t -> ep:int -> unit
 
 (** [msg_send_latency t ~dst ~bytes] estimates the congestion-free NoC
     time of one message — used to split blocked time into transfer

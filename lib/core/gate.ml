@@ -56,28 +56,22 @@ let send ?(block = true) (env : Env.t) g payload ?reply () =
     | Error e -> Error (dtu_err e)
     | Ok () -> Ok ())
 
-let recv (env : Env.t) g =
-  let msg = Dtu.wait_msg env.dtu ~ep:g.rg_ep in
-  Env.charge env Account.Os Cost_model.wakeup;
-  Env.charge_marshal env (Bytes.length msg.payload);
-  msg
-
-let recv_for (env : Env.t) g ~timeout =
-  match Dtu.wait_msg_for env.dtu ~ep:g.rg_ep ~timeout with
-  | None -> None
+let recv ?deadline (env : Env.t) g =
+  match Dtu.wait ?deadline env.dtu ~eps:[ g.rg_ep ] with
+  | None -> raise (Errno.Error Errno.E_timeout)
   | Some msg ->
     Env.charge env Account.Os Cost_model.wakeup;
     Env.charge_marshal env (Bytes.length msg.payload);
-    Some msg
+    msg
 
 let recv_any (env : Env.t) gates =
   let eps = List.map (fun g -> g.rg_ep) gates in
-  let ep, msg = Dtu.wait_any env.dtu ~eps in
+  let msg = Dtu.wait_any env.dtu ~eps in
   Env.charge env Account.Os Cost_model.wakeup;
   Env.charge_marshal env (Bytes.length msg.payload);
   let rec index i = function
     | [] -> assert false
-    | g :: rest -> if g.rg_ep = ep then i else index (i + 1) rest
+    | g :: rest -> if g.rg_ep = msg.ep then i else index (i + 1) rest
   in
   (index 0 gates, msg)
 
@@ -93,10 +87,6 @@ let reply (env : Env.t) g ~slot payload =
 
 let ack (env : Env.t) g ~slot = Dtu.ack env.dtu ~ep:g.rg_ep ~slot
 
-(* Client-side watchdog on service calls, armed only when a fault plan
-   is attached (same rationale as Syscalls.syscall_watchdog). *)
-let call_watchdog = 5_000_000
-
 (* Request/response to a service: like a syscall, the blocked time is
    split into the two NoC crossings (Xfer) and the server's share (Os). *)
 let call (env : Env.t) g ~reply_gate payload =
@@ -104,32 +94,15 @@ let call (env : Env.t) g ~reply_gate payload =
   match send env g payload ~reply:(reply_gate, 0L) () with
   | Error e -> Error e
   | Ok () -> (
-    let plan = M3_noc.Fabric.faults env.fabric in
-    let reply_msg =
-      if M3_fault.Plan.enabled plan then
-        Dtu.wait_msg_for env.dtu ~ep:reply_gate.rg_ep ~timeout:call_watchdog
-      else Some (Dtu.wait_msg env.dtu ~ep:reply_gate.rg_ep)
-    in
-    match reply_msg with
+    match
+      Syscalls.await_reply env ~ep:reply_gate.rg_ep ~t0
+        ~sent:(Bytes.length payload)
+    with
     | None -> Error Errno.E_timeout
     | Some msg ->
-    let blocked = Engine.now env.engine - t0 in
-    (* Without knowing the receiver's PE here, approximate both
-       crossings with the kernel-distance estimate; services sit next
-       to the kernel on the mesh. *)
-    let xfer =
-      min blocked
-        (Env.msg_send_latency env ~dst:env.kernel_pe
-           ~bytes:(Bytes.length payload)
-        + Env.msg_send_latency env ~dst:env.kernel_pe
-            ~bytes:(Bytes.length msg.payload))
-    in
-    Env.charge_only env Account.Xfer xfer;
-    Env.charge_only env Account.Os (blocked - xfer);
-    Env.charge env Account.Os Cost_model.wakeup;
-    Env.charge_marshal env (Bytes.length msg.payload);
-    Dtu.ack env.dtu ~ep:reply_gate.rg_ep ~slot:msg.slot;
-    Ok msg.payload)
+      Env.charge env Account.Os Cost_model.wakeup;
+      Env.charge_marshal env (Bytes.length msg.payload);
+      Ok msg.payload)
 
 let mem_op env (g : mem_gate) ~off ~len ~f =
   if env.Env.spin_transfers then begin

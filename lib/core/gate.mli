@@ -53,18 +53,20 @@ val send :
 
 (** [call env g ~reply_gate payload] sends and blocks for the reply —
     the request/response idiom used with services. Books the NoC
-    crossings as transfer time like a syscall does. *)
+    crossings as transfer time like a syscall does, and shares the
+    syscall's reply wait ({!Syscalls.await_reply}): under a fault plan
+    it gives up with [E_timeout] after {!Env.client_watchdog}
+    cycles. *)
 val call : Env.t -> send_gate -> reply_gate:recv_gate -> Bytes.t -> Bytes.t result_
 
-(** [recv env g] blocks for the next message on a receive gate. The
-    slot stays occupied until [reply] or [ack]. *)
-val recv : Env.t -> recv_gate -> M3_dtu.Endpoint.message
-
-(** [recv_for env g ~timeout] is [recv] with a deadline: [None] after
-    [timeout] cycles of silence. Used by crash-aware callers (a dead
-    peer never sends). Charges wakeup/marshal costs only on success. *)
-val recv_for :
-  Env.t -> recv_gate -> timeout:int -> M3_dtu.Endpoint.message option
+(** [recv ?deadline env g] blocks for the next message on a receive
+    gate. The slot stays occupied until [reply] or [ack]. With a
+    [deadline] (an absolute cycle, usually from {!Env.watchdog}) a
+    crash-aware caller stops waiting for a peer that may be dead; the
+    wakeup and unmarshal costs are charged only for a message.
+    @raise Errno.Error [E_timeout] when the deadline passes first. *)
+val recv :
+  ?deadline:int -> Env.t -> recv_gate -> M3_dtu.Endpoint.message
 
 (** [recv_any env gates] waits on several receive gates at once;
     returns the index of the gate that got the message. *)

@@ -245,11 +245,10 @@ let poison_orphan_rgate t ~dead (rg : rgate_obj) =
     end
   end
 
-(* Watchdog on kernel->service round-trips (notifications here, and
-   [service_request] below), armed only when a fault plan is attached:
-   a dead or wedged service PE must not take the kernel loop down with
-   it. Kept below the client-side syscall watchdog so the kernel
-   answers E_timeout before clients give up. *)
+(* Bound on kernel->service round-trips (notifications here, and
+   [service_request] below): a dead or wedged service PE must not take
+   the kernel loop down with it. Kept below [Env.client_watchdog] so
+   the kernel answers E_timeout before clients give up. *)
 let service_watchdog = 2_000_000
 
 (* The notify channel needs two endpoints past the standard three; an
@@ -296,7 +295,8 @@ let notify_client_gone t (srv : srv_obj) ~ident =
             (M3_dtu.Dtu_error.to_string e))
     | Ok () -> (
       match
-        Dtu.wait_msg_for (kdtu t) ~ep:kep_notify_reply ~timeout:service_watchdog
+        Dtu.wait (kdtu t) ~eps:[ kep_notify_reply ]
+          ~deadline:(Engine.now t.engine + service_watchdog)
       with
       | Some msg -> Dtu.ack (kdtu t) ~ep:kep_notify_reply ~slot:msg.slot
       | None ->
@@ -1200,19 +1200,7 @@ let reentrant_syscall : (t -> Endpoint.message -> unit) ref =
 
 let service_request t (srv : srv_obj) ~payload =
   let rg = srv.srv_krgate in
-  let plan = M3_noc.Fabric.faults t.fabric in
-  (* A previous timed-out round-trip may have left its late reply in
-     the ringbuffer; drop it rather than let it answer this request. *)
-  if M3_fault.Plan.enabled plan then begin
-    let rec drain () =
-      match Dtu.fetch (kdtu t) ~ep:kep_reply with
-      | Some stale ->
-        Dtu.ack (kdtu t) ~ep:kep_reply ~slot:stale.slot;
-        drain ()
-      | None -> ()
-    in
-    drain ()
-  end;
+  Env.drop_stale t.fabric (kdtu t) ~ep:kep_reply;
   dtu_exn
     (Dtu.config_local (kdtu t) ~ep:kep_service
        (Endpoint.Send
@@ -1231,23 +1219,12 @@ let service_request t (srv : srv_obj) ~payload =
      it here breaks that circular wait. Every other syscall is
      deferred to the main loop in arrival order: its handler could
      nest another service round-trip, which this channel cannot. *)
-  let deadline = Engine.now t.engine + service_watchdog in
+  let deadline = Env.watchdog ~bound:service_watchdog t.fabric in
   let rec await () =
-    let hit =
-      if M3_fault.Plan.enabled plan then begin
-        let remaining = deadline - Engine.now t.engine in
-        if remaining <= 0 then None
-        else
-          Dtu.wait_any_for (kdtu t)
-            ~eps:[ kep_reply; kep_syscall ]
-            ~timeout:remaining
-      end
-      else Some (Dtu.wait_any (kdtu t) ~eps:[ kep_reply; kep_syscall ])
-    in
-    match hit with
+    match Dtu.wait ?deadline (kdtu t) ~eps:[ kep_reply; kep_syscall ] with
     | None -> None
-    | Some (ep, msg) when ep = kep_reply -> Some msg
-    | Some (_, msg) ->
+    | Some msg when msg.ep = kep_reply -> Some msg
+    | Some msg ->
       let is_activate =
         try
           Proto.opcode_of_int (R.u8 (R.of_bytes msg.payload))
@@ -1968,7 +1945,7 @@ let boot t =
     ignore (Pe.spawn t.pe ~name:"kernel:sched" (fun () -> sched_sweep t sched)));
   booted
 
-let launch t ~name ~account ?(args = Bytes.empty) ?on_vpe program =
+let launch t ~name ~account ?(args = Bytes.empty) program =
   let iv = Process.Ivar.create () in
   ignore
     (Process.spawn t.engine ~name:("kload:" ^ name) (fun () ->
@@ -1977,7 +1954,6 @@ let launch t ~name ~account ?(args = Bytes.empty) ?on_vpe program =
            Log.err (fun m -> m "launch %s: %s" name (Errno.to_string e));
            Process.Ivar.fill iv (-1)
          | Ok vpe -> (
-           (match on_vpe with Some f -> f vpe | None -> ());
            (match install_std_caps t vpe ~holder:None with
            | Ok () -> ()
            | Error e ->

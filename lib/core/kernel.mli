@@ -40,19 +40,16 @@ val create :
     NoC-level isolation. Returns an ivar filled once boot completes. *)
 val boot : t -> unit M3_sim.Process.Ivar.ivar
 
-(** [launch t ~name ~account ?args ?on_vpe program] starts [program]
-    in a fresh VPE named [name] on a free general-purpose PE
-    (boot-loader path, also used by the benchmark harness). The
-    program is passed by value and never registered, so nothing of it
-    outlives the simulation. Returns an ivar that receives the exit
-    code; [on_vpe] fires once the kernel object exists, giving
-    supervisors and tests a handle on the VPE. *)
+(** [launch t ~name ~account ?args program] starts [program] in a
+    fresh VPE named [name] on a free general-purpose PE (boot-loader
+    path, also used by the benchmark harness). The program is passed
+    by value and never registered, so nothing of it outlives the
+    simulation. Returns an ivar that receives the exit code. *)
 val launch :
   t ->
   name:string ->
   account:M3_sim.Account.t ->
   ?args:Bytes.t ->
-  ?on_vpe:(Kdata.vpe -> unit) ->
   Program.t ->
   int M3_sim.Process.Ivar.ivar
 

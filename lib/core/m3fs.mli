@@ -45,9 +45,8 @@ val program_name : string
 val program : config -> Program.t
 
 (** [main config env] is the server body itself — exported so tests
-    and the crash harness can run an instance under
-    {!Bootstrap.supervise} (restart-on-abort) instead of the
-    bootstrapper's fire-and-forget launch. *)
+    can launch an instance themselves and relaunch it after an abort,
+    instead of the bootstrapper's fire-and-forget launch. *)
 val main : config -> Env.t -> int
 
 (** [current_image engine] is the image of [engine]'s default

@@ -1,5 +1,4 @@
 module Account = M3_sim.Account
-module Process = M3_sim.Process
 module Endpoint = M3_dtu.Endpoint
 module Cost_model = M3_hw.Cost_model
 module Obs = M3_obs.Obs
@@ -120,24 +119,10 @@ let serve_reader env ~ring_size =
           r_eof = false;
         })
 
-(* The child publishes its send gate at a well-known selector; the
-   parent polls for it — obtain fails with E_no_sel until the child got
-   that far. *)
-let obtain_with_retry env ~vpe_sel ~own_sel ~other_sel =
-  let rec go tries =
-    match Syscalls.obtain env ~vpe_sel ~own_sel ~other_sel with
-    | Ok () -> Ok ()
-    | Error Errno.E_no_sel when tries > 0 ->
-      Process.wait 500;
-      go (tries - 1)
-    | Error e -> Error e
-  in
-  go 20_000
-
 let connect_writer_to_child env ~vpe_sel ~ring_size =
   let sgate_sel = Env.alloc_sel env in
   match
-    obtain_with_retry env ~vpe_sel ~own_sel:sgate_sel
+    Syscalls.obtain_published env ~vpe_sel ~own_sel:sgate_sel
       ~other_sel:handoff_sgate_sel
   with
   | Error e -> Error e
@@ -174,17 +159,11 @@ let connect_writer_to_child env ~vpe_sel ~ring_size =
    with it (send/transfer errors). All collapse into [E_pipe_broken];
    the clean [Ok 0] EOF stays reserved for an explicit close. *)
 
-let pipe_watchdog = 5_000_000
-
 let pipe_recv (env : Env.t) g =
-  let plan = M3_noc.Fabric.faults env.fabric in
-  try
-    if M3_fault.Plan.enabled plan then
-      match Gate.recv_for env g ~timeout:pipe_watchdog with
-      | Some msg -> Ok msg
-      | None -> Error Errno.E_pipe_broken
-    else Ok (Gate.recv env g)
-  with M3_dtu.Dtu_error.Error _ -> Error Errno.E_pipe_broken
+  match Gate.recv ?deadline:(Env.watchdog env.fabric) env g with
+  | msg -> Ok msg
+  | exception (M3_dtu.Dtu_error.Error _ | Errno.Error Errno.E_timeout) ->
+    Error Errno.E_pipe_broken
 
 (* Data-plane errors that mean "the other end took the capability with
    it into the grave": the selector is gone or the activated endpoint

@@ -68,6 +68,6 @@ val close_writer : Env.t -> writer -> unit result_
     [local]; returns the count, or [0] at end-of-stream. Blocks when
     the pipe is empty. A writer that died without closing yields
     [E_pipe_broken] instead of EOF: the kernel poisons the notify gate
-    when the last sender is gone, and under a fault plan a watchdog
-    covers the remaining windows. *)
+    when the last sender is gone, and under a fault plan the client
+    watchdog ({!Env.watchdog}) covers the remaining windows. *)
 val read : Env.t -> reader -> local:int -> len:int -> int result_

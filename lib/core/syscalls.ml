@@ -16,15 +16,35 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 let dtu_err e = Errno.E_dtu (M3_dtu.Dtu_error.to_string e)
 
-(* Client-side watchdog on the syscall round-trip, armed only when a
-   fault plan is attached. Must exceed the kernel's own service
-   watchdog so a nested kernel->service round-trip times out at the
-   kernel (which then replies E_timeout) before the client gives up. *)
-let syscall_watchdog = 5_000_000
+(* The client half of a request/response round-trip, shared by
+   syscalls and service calls: block for the reply on [ep] — under the
+   watchdog, unless the call is [idle] — then split the time blocked
+   since [t0] into the two NoC crossings (Xfer) and the server's share
+   (Os), and ack the reply slot. [None] when the watchdog expired. *)
+let await_reply ?(idle = false) (env : Env.t) ~ep ~t0 ~sent =
+  let deadline = if idle then None else Env.watchdog env.fabric in
+  match Dtu.wait ?deadline env.dtu ~eps:[ ep ] with
+  | None -> None
+  | Some msg ->
+    let blocked = Engine.now env.engine - t0 in
+    (* The kernel-distance estimate is exact for syscalls and close
+       for service calls: services sit next to the kernel on the
+       mesh. *)
+    let xfer =
+      min blocked
+        (Env.msg_send_latency env ~dst:env.kernel_pe ~bytes:sent
+        + Env.msg_send_latency env ~dst:env.kernel_pe
+            ~bytes:(Bytes.length msg.payload))
+    in
+    Env.charge_only env Account.Xfer xfer;
+    (* For calls that block until an external event (vpe_wait), the
+       waiting time is idle, not OS work. *)
+    if not idle then Env.charge_only env Account.Os (blocked - xfer);
+    Dtu.ack env.dtu ~ep ~slot:msg.slot;
+    Some msg
 
 (* Issues one syscall: marshal, send via EP 0, block for the reply on
-   EP 1, unmarshal. Splits the blocked time into the two NoC crossings
-   (Xfer) and the kernel's share (Os). *)
+   EP 1, unmarshal. *)
 let syscall ?(idle_wait = false) (env : Env.t) op fill =
   let obs = Fabric.obs env.fabric in
   let pe = M3_hw.Pe.id env.pe in
@@ -53,19 +73,7 @@ let syscall ?(idle_wait = false) (env : Env.t) op fill =
   Env.charge_marshal env (W.size w);
   Env.charge env Account.Os Cost_model.syscall_program_dtu;
   let payload = W.contents w in
-  let plan = Fabric.faults env.fabric in
-  (* Under faults a previous timed-out syscall may have left its late
-     reply in the ringbuffer; it must not answer this call. *)
-  if M3_fault.Plan.enabled plan then begin
-    let rec drain () =
-      match Dtu.fetch env.dtu ~ep:Env.ep_syscall_reply with
-      | Some stale ->
-        Dtu.ack env.dtu ~ep:Env.ep_syscall_reply ~slot:stale.slot;
-        drain ()
-      | None -> ()
-    in
-    drain ()
-  end;
+  Env.drop_stale env.fabric env.dtu ~ep:Env.ep_syscall_reply;
   let t0 = Engine.now env.engine in
   match
     Dtu.send env.dtu ~ep:Env.ep_syscall_send ~payload
@@ -75,31 +83,16 @@ let syscall ?(idle_wait = false) (env : Env.t) op fill =
   | Ok () -> (
     (* vpe_wait legitimately blocks for as long as the child runs, so
        the watchdog only guards calls the kernel answers promptly. *)
-    let reply_msg =
-      if M3_fault.Plan.enabled plan && not idle_wait then
-        Dtu.wait_msg_for env.dtu ~ep:Env.ep_syscall_reply
-          ~timeout:syscall_watchdog
-      else Some (Dtu.wait_msg env.dtu ~ep:Env.ep_syscall_reply)
-    in
-    match reply_msg with
+    match
+      await_reply ~idle:idle_wait env ~ep:Env.ep_syscall_reply ~t0
+        ~sent:(Bytes.length payload)
+    with
     | None ->
       Log.warn (fun m ->
           m "vpe%d: syscall %s timed out after %d cycles" env.vpe_id
-            (Proto.opcode_name op) syscall_watchdog);
+            (Proto.opcode_name op) Env.client_watchdog);
       finish false (Error Errno.E_timeout)
     | Some msg ->
-    let blocked = Engine.now env.engine - t0 in
-    let xfer =
-      min blocked
-        (Env.msg_send_latency env ~dst:env.kernel_pe ~bytes:(Bytes.length payload)
-        + Env.msg_send_latency env ~dst:env.kernel_pe
-            ~bytes:(Bytes.length msg.payload))
-    in
-    Env.charge_only env Account.Xfer xfer;
-    (* For calls that block until an external event (vpe_wait), the
-       waiting time is idle, not OS work. *)
-    if not idle_wait then Env.charge_only env Account.Os (blocked - xfer);
-    Dtu.ack env.dtu ~ep:Env.ep_syscall_reply ~slot:msg.slot;
     Env.charge env Account.Os (Cost_model.wakeup + Cost_model.syscall_unmarshal);
     Env.charge_marshal env (Bytes.length msg.payload);
     let r = R.of_bytes msg.payload in
@@ -238,6 +231,17 @@ let delegate env ~vpe_sel ~own_sel ~other_sel =
 
 let obtain env ~vpe_sel ~own_sel ~other_sel =
   exchange_ env ~vpe_sel ~own_sel ~other_sel ~obtain:true
+
+let obtain_published env ~vpe_sel ~own_sel ~other_sel =
+  let rec go tries =
+    match obtain env ~vpe_sel ~own_sel ~other_sel with
+    | Ok () -> Ok ()
+    | Error Errno.E_no_sel when tries > 0 ->
+      M3_sim.Process.wait 500;
+      go (tries - 1)
+    | Error e -> Error e
+  in
+  go 20_000
 
 let create_srv env ~name ~krgate_sel ~crgate_sel =
   let sel = Env.alloc_sel env in

@@ -8,6 +8,19 @@
 
 type 'a result_ = ('a, Errno.t) result
 
+(** [await_reply ?idle env ~ep ~t0 ~sent] is the client half of a
+    request/response round-trip, shared by syscalls and
+    {!Gate.call}: it blocks for the reply on receive endpoint [ep],
+    under the {!Env.watchdog} unless the call is [idle] (it blocks on
+    an external event, like [vpe_wait]). It then books the time
+    blocked since [t0] as the two NoC crossings of a [sent]-byte
+    request and its reply (transfer) plus the server's share (OS time,
+    unless [idle]), and acks the reply slot. [None] when the watchdog
+    expired. *)
+val await_reply :
+  ?idle:bool ->
+  Env.t -> ep:int -> t0:int -> sent:int -> M3_dtu.Endpoint.message option
+
 (** [noop env] performs the null syscall (the Fig. 3 micro-benchmark). *)
 val noop : Env.t -> unit result_
 
@@ -89,6 +102,14 @@ val delegate : Env.t -> vpe_sel:int -> own_sel:int -> other_sel:int -> unit resu
 (** [obtain env ~vpe_sel ~own_sel ~other_sel] requests the capability
     at the other VPE's [other_sel] into one's own [own_sel]. *)
 val obtain : Env.t -> vpe_sel:int -> own_sel:int -> other_sel:int -> unit result_
+
+(** [obtain_published env ~vpe_sel ~own_sel ~other_sel] is {!obtain}
+    for a capability the child publishes at the well-known selector
+    [other_sel] once its setup got that far: until then [obtain] fails
+    with [E_no_sel], so it retries every 500 cycles, up to 20 000
+    times. *)
+val obtain_published :
+  Env.t -> vpe_sel:int -> own_sel:int -> other_sel:int -> unit result_
 
 (** [create_srv env ~name ~krgate_sel ~crgate_sel] registers a service
     with its kernel channel and client channel; returns the service

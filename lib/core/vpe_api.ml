@@ -72,23 +72,22 @@ let sched_state env t =
   | Ok 2 -> Ok Parked
   | Ok _ -> Ok Queued
 
-let await_parked env t ?(poll = 500) () =
-  let rec go () =
-    match sched_state env t with
-    | Error e -> Error e
-    | Ok Parked -> Ok ()
-    | Ok _ ->
-      M3_sim.Process.wait poll;
-      go ()
-  in
-  go ()
+let rec await_parked env t =
+  match sched_state env t with
+  | Error e -> Error e
+  | Ok Parked -> Ok ()
+  | Ok _ ->
+    M3_sim.Process.wait 500;
+    await_parked env t
 
 (* Supervised child: create + run + wait, and when the wait reports
    [E_vpe_dead] (the child's PE crashed and the kernel aborted it),
-   drop the dead child's capabilities and retry on a fresh PE — the
-   kernel quarantined the crashed one, so [create] cannot pick it
+   drop the dead child's capabilities and retry once on a fresh PE —
+   the kernel quarantined the crashed one, so [create] cannot pick it
    again. *)
-let run_supervised (env : Env.t) ~name ~core ?args ?(max_restarts = 1) main =
+let max_restarts = 1
+
+let run_supervised (env : Env.t) ~name ~core ?args main =
   let rec attempt n =
     match create env ~name ~core with
     | Error e -> Error e

@@ -66,24 +66,23 @@ type sched_state =
     [Error E_inv_args] without a scheduler-enabled kernel. *)
 val sched_state : Env.t -> t -> sched_state result_
 
-(** [await_parked env t ?poll ()] polls until [sched_state] reports
-    [Parked] — the synchronisation a pool needs between issuing its
-    initial suspends and opening the doors to clients (a suspend only
-    completes at the child's next quiesce point). Polls every [poll]
-    cycles (default 500). Fails as [sched_state] does. *)
-val await_parked : Env.t -> t -> ?poll:int -> unit -> unit result_
+(** [await_parked env t] polls until [sched_state] reports [Parked] —
+    the synchronisation a pool needs between issuing its initial
+    suspends and opening the doors to clients (a suspend only
+    completes at the child's next quiesce point). Polls every 500
+    cycles. Fails as [sched_state] does. *)
+val await_parked : Env.t -> t -> unit result_
 
-(** [run_supervised env ~name ~core ?args ?max_restarts main] runs
-    [main] in a child VPE and retries — on a fresh PE, the crashed one
-    having been quarantined — when the child is aborted, up to
-    [max_restarts] times (default 1). Returns the last attempt's exit
-    code; voluntary exits are never retried. *)
+(** [run_supervised env ~name ~core ?args main] runs [main] in a child
+    VPE and retries once — on a fresh PE, the crashed one having been
+    quarantined — when the child is aborted, emitting a [vpe.restart]
+    event. Returns the last attempt's exit code; voluntary exits are
+    never retried. *)
 val run_supervised :
   Env.t ->
   name:string ->
   core:M3_hw.Core_type.t ->
   ?args:Bytes.t ->
-  ?max_restarts:int ->
   (Env.t -> int) ->
   int result_
 

@@ -645,7 +645,7 @@ let fetch t ~ep =
             ~addr:(slot_addr r pos + Header.size)
             ~len:header.length
         in
-        Some { Endpoint.slot = pos; header; payload }
+        Some { Endpoint.ep; slot = pos; header; payload }
       end
       else scan (tried + 1) ((pos + 1) mod r.r_slot_count)
     in
@@ -663,152 +663,71 @@ let buffered t ~ep =
 
 let is_recv t ep = match t.eps.(ep) with S_recv _ -> true | _ -> false
 
-(* A waiter woken on an EP that was a live receive EP when it parked
-   and is invalid now has been revoked out from under it (Invalidate /
-   Reset): re-parking would hang forever, so surface the revocation.
-   An EP that was already unconfigured keeps the old behavior — the
-   waiter polls again after the kernel's Config broadcast. *)
-let check_revoked t ~ep ~was_recv =
-  if was_recv && not (is_recv t ep) then raise (Dtu_error.Error Dtu_error.Invalid_ep)
+(* Bit [i] is set when the [i]-th of [eps] is a live receive EP. A
+   waiter woken on an EP that was one when it parked and is not now
+   has been revoked out from under it (Invalidate / Reset): re-parking
+   would hang forever, so the revocation surfaces. An EP that was
+   already unconfigured keeps the old behavior — the waiter polls
+   again after the kernel's Config broadcast. *)
+let rec recv_bits t i = function
+  | [] -> 0
+  | ep :: rest ->
+    (if is_recv t ep then 1 lsl i else 0) lor recv_bits t (i + 1) rest
 
-let rec wait_msg t ~ep =
-  let t = if suspendable_ep ep then quiesce_point t else t in
-  match fetch t ~ep with
-  | Some msg ->
+(* The first message waiting on [eps], in list order. *)
+let rec poll t = function
+  | [] -> None
+  | ep :: rest -> (
+    match fetch t ~ep with Some _ as hit -> hit | None -> poll t rest)
+
+(* Parks the caller until a delivery or reconfiguration on one of
+   [eps], or the [deadline], wakes it. Whichever fires first cancels
+   every other registration: an entry that outlived its wait would
+   absorb a later signal. A lone endpoint without a deadline needs no
+   cancelling and parks directly. *)
+let park t eps deadline =
+  match (eps, deadline) with
+  | [ ep ], None -> Process.Waitq.park t.ep_waiters.(ep)
+  | _ ->
+    Process.suspend (fun resume ->
+        let entries = ref [] in
+        let fire () =
+          List.iter Process.Waitq.cancel !entries;
+          resume ()
+        in
+        entries :=
+          List.map (fun ep -> Process.Waitq.register t.ep_waiters.(ep) fire) eps;
+        match deadline with
+        | Some d -> Engine.schedule t.engine ~delay:(d - Engine.now t.engine) fire
+        | None -> ())
+
+(* Each round starts at the quiesce point (when every watched EP is
+   application-level) and carries on with the DTU it resumed on: a VPE
+   migrated mid-wait polls its new PE, never the one it left. *)
+let rec wait ?deadline t ~eps =
+  let app = List.for_all suspendable_ep eps in
+  let t = if app then quiesce_point t else t in
+  match poll t eps with
+  | Some _ as hit ->
     t.idle_since <- None;
-    msg
-  | None ->
-    if suspendable_ep ep && t.idle_since = None then
-      t.idle_since <- Some (Engine.now t.engine);
-    let was_recv = is_recv t ep in
-    Process.Waitq.park t.ep_waiters.(ep);
-    check_revoked t ~ep ~was_recv;
-    wait_msg t ~ep
+    hit
+  | None -> (
+    match deadline with
+    | Some d when Engine.now t.engine >= d -> None
+    | _ ->
+      if app && t.idle_since = None then t.idle_since <- Some (Engine.now t.engine);
+      let live = recv_bits t 0 eps in
+      park t eps deadline;
+      if live land lnot (recv_bits t 0 eps) <> 0 then
+        raise (Dtu_error.Error Dtu_error.Invalid_ep);
+      wait ?deadline t ~eps)
+
+let wait_msg t ~ep = Option.get (wait t ~eps:[ ep ])
+let wait_any t ~eps = Option.get (wait t ~eps)
 
 let wait_reconfig t ~ep =
   check_ep t ep;
   Process.Waitq.park t.ep_waiters.(ep)
-
-let rec wait_any t ~eps =
-  let t =
-    if List.for_all suspendable_ep eps then quiesce_point t else t
-  in
-  let rec poll = function
-    | [] -> None
-    | ep :: rest -> (
-      match fetch t ~ep with
-      | Some msg -> Some (ep, msg)
-      | None -> poll rest)
-  in
-  match poll eps with
-  | Some hit ->
-    t.idle_since <- None;
-    hit
-  | None ->
-    if List.for_all suspendable_ep eps && t.idle_since = None then
-      t.idle_since <- Some (Engine.now t.engine);
-    let was_recv = List.map (fun ep -> (ep, is_recv t ep)) eps in
-    Process.suspend (fun resume ->
-        (* One registration per queue, all cancelled on the first
-           wakeup so no stale entry outlives the wait (they used to
-           accumulate and absorb later signals). *)
-        let entries = ref [] in
-        let fire v =
-          List.iter Process.Waitq.cancel !entries;
-          resume v
-        in
-        entries :=
-          List.map (fun ep -> Process.Waitq.register t.ep_waiters.(ep) fire) eps);
-    List.iter (fun (ep, was_recv) -> check_revoked t ~ep ~was_recv) was_recv;
-    wait_any t ~eps
-
-let wait_msg_for t ~ep ~timeout =
-  check_ep t ep;
-  if timeout <= 0 then invalid_arg "Dtu.wait_msg_for: timeout must be positive";
-  let deadline = Engine.now t.engine + timeout in
-  let rec loop () =
-    let t = if suspendable_ep ep then quiesce_point t else t in
-    match fetch t ~ep with
-    | Some msg ->
-      t.idle_since <- None;
-      Some msg
-    | None ->
-      let remaining = deadline - Engine.now t.engine in
-      if remaining <= 0 then None
-      else begin
-        if suspendable_ep ep && t.idle_since = None then
-          t.idle_since <- Some (Engine.now t.engine);
-        let was_recv = is_recv t ep in
-        let woke =
-          Process.suspend (fun resume ->
-              let entry =
-                Process.Waitq.register t.ep_waiters.(ep) (fun () ->
-                    resume `Signal)
-              in
-              Engine.schedule t.engine ~delay:remaining (fun () ->
-                  (* The entry must die with the timeout, or a later
-                     signal would be absorbed by a waiter that already
-                     gave up. *)
-                  Process.Waitq.cancel entry;
-                  resume `Timeout))
-        in
-        check_revoked t ~ep ~was_recv;
-        match woke with
-        | `Signal -> loop ()
-        | `Timeout -> fetch t ~ep
-      end
-  in
-  loop ()
-
-let wait_any_for t ~eps ~timeout =
-  List.iter (fun ep -> check_ep t ep) eps;
-  if timeout <= 0 then invalid_arg "Dtu.wait_any_for: timeout must be positive";
-  let deadline = Engine.now t.engine + timeout in
-  let rec poll = function
-    | [] -> None
-    | ep :: rest -> (
-      match fetch t ~ep with
-      | Some msg -> Some (ep, msg)
-      | None -> poll rest)
-  in
-  let rec loop () =
-    let t =
-      if List.for_all suspendable_ep eps then quiesce_point t else t
-    in
-    match poll eps with
-    | Some hit ->
-      t.idle_since <- None;
-      Some hit
-    | None ->
-      let remaining = deadline - Engine.now t.engine in
-      if remaining <= 0 then None
-      else begin
-        if List.for_all suspendable_ep eps && t.idle_since = None then
-          t.idle_since <- Some (Engine.now t.engine);
-        let was_recv = List.map (fun ep -> (ep, is_recv t ep)) eps in
-        let woke =
-          Process.suspend (fun resume ->
-              let entries = ref [] in
-              let fire v =
-                List.iter Process.Waitq.cancel !entries;
-                resume v
-              in
-              entries :=
-                List.map
-                  (fun ep ->
-                    Process.Waitq.register t.ep_waiters.(ep) (fun () ->
-                        fire `Signal))
-                  eps;
-              Engine.schedule t.engine ~delay:remaining (fun () ->
-                  fire `Timeout))
-        in
-        List.iter (fun (ep, was_recv) -> check_revoked t ~ep ~was_recv) was_recv;
-        match woke with
-        | `Signal -> loop ()
-        | `Timeout -> poll eps
-      end
-  in
-  loop ()
 
 let ack t ~ep ~slot =
   check_ep t ep;

@@ -82,36 +82,29 @@ val fetch : t -> ep:int -> Endpoint.message option
     as its queue depth. [0] for non-receive endpoints. *)
 val buffered : t -> ep:int -> int
 
-(** [wait_msg t ~ep] blocks the calling process until a message is
-    available on [ep], then fetches it.
+(** [wait ?deadline t ~eps] is the one blocking receive. It fetches
+    the oldest unread message of the first endpoint in [eps] that holds
+    one (the message's [ep] names it), and otherwise parks the calling
+    process until a delivery. With a [deadline] (an absolute cycle) it
+    returns [None] once the clock reaches the deadline with nothing
+    delivered — the building block for watchdogs on round-trips into
+    possibly-dead PEs; without one it never returns [None]. A wait on
+    application endpoints only (EP 2 and up) is a quiesce point: a VPE
+    suspended in it resumes the wait on the DTU it migrated to. Every
+    queue registration is released when the caller wakes, whatever
+    woke it.
     @raise Dtu_error.Error [Invalid_ep] if, while the caller is
-    blocked, the endpoint is revoked out from under it
+    parked, a watched receive endpoint is revoked out from under it
     ([ext_invalidate]/[ext_reset]) — the revocation must unblock the
     victim, not strand it. *)
+val wait : ?deadline:int -> t -> eps:int list -> Endpoint.message option
+
+(** [wait_msg t ~ep] is {!wait} on [ep] alone, without a deadline. *)
 val wait_msg : t -> ep:int -> Endpoint.message
 
-(** [wait_msg_for t ~ep ~timeout] is {!wait_msg} with a deadline:
-    [None] if no message arrives within [timeout > 0] cycles — the
-    building block for kernel watchdogs on round-trips into
-    possibly-dead PEs.
-    @raise Dtu_error.Error [Invalid_ep] as {!wait_msg}. *)
-val wait_msg_for : t -> ep:int -> timeout:int -> Endpoint.message option
-
-(** [wait_any t ~eps] blocks until any of the receive endpoints in
-    [eps] holds a message and returns [(ep, message)] — how a service
-    waits on its kernel channel and its client channel at once. All
-    queue registrations are released on wake-up.
-    @raise Dtu_error.Error [Invalid_ep] as {!wait_msg}, for any watched
-    endpoint. *)
-val wait_any : t -> eps:int list -> int * Endpoint.message
-
-(** [wait_any_for t ~eps ~timeout] is {!wait_any} with a deadline:
-    [None] if no watched endpoint receives a message within
-    [timeout > 0] cycles — lets the kernel watchdog a service
-    round-trip while staying responsive on its syscall channel.
-    @raise Dtu_error.Error [Invalid_ep] as {!wait_any}. *)
-val wait_any_for :
-  t -> eps:int list -> timeout:int -> (int * Endpoint.message) option
+(** [wait_any t ~eps] is {!wait} without a deadline — how a service
+    waits on its kernel channel and its client channel at once. *)
+val wait_any : t -> eps:int list -> Endpoint.message
 
 (** [wait_reconfig t ~ep] parks the calling process until endpoint
     [ep] is externally reconfigured or invalidated — how a device core
@@ -247,7 +240,7 @@ val idle_since : t -> int option
 
 (** [quiesce_point t] is the cooperative checkpoint: parks the caller
     when a suspension is pending and returns the DTU resumed on
-    (otherwise [t], for free). Called from DTU wait loops and from
+    (otherwise [t], for free). Called from {!wait} and from
     [Env.charge] compute checkpoints. *)
 val quiesce_point : t -> t
 

@@ -15,6 +15,6 @@ val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 
 (** Raised by blocking waits that cannot return an error value, e.g.
-    {!Dtu.wait_msg} when the kernel invalidates the endpoint under the
+    {!Dtu.wait} when the kernel invalidates the endpoint under the
     waiter. *)
 exception Error of t

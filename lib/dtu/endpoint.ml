@@ -24,6 +24,7 @@ type config =
     }
 
 type message = {
+  ep : int;
   slot : int;
   header : Header.t;
   payload : Bytes.t;

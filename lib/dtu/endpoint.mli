@@ -35,9 +35,11 @@ type config =
       perm : M3_mem.Perm.t;
     }
 
-(** A fetched message, as the software sees it: the slot to ack or
-    reply to, the trusted header, and a copy of the payload bytes. *)
+(** A fetched message, as the software sees it: the receive endpoint
+    it arrived on, the slot to ack or reply to, the trusted header, and
+    a copy of the payload bytes. *)
 type message = {
+  ep : int;
   slot : int;
   header : Header.t;
   payload : Bytes.t;

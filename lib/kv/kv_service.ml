@@ -1,5 +1,4 @@
 module Engine = M3_sim.Engine
-module Process = M3_sim.Process
 module Endpoint = M3_dtu.Endpoint
 module Core_type = M3_hw.Core_type
 module Env = M3.Env
@@ -18,19 +17,6 @@ let handoff_sel = 2100
 let slot_order = 11
 let slot_count = 4
 let credits = Endpoint.Credits 2
-
-(* Same publish-then-poll idiom as Pool/Pipe: the child publishes its
-   send gate at a well-known selector, the parent polls [obtain]. *)
-let obtain_with_retry env ~vpe_sel ~own_sel ~other_sel =
-  let rec go tries =
-    match Syscalls.obtain env ~vpe_sel ~own_sel ~other_sel with
-    | Ok () -> Ok ()
-    | Error Errno.E_no_sel when tries > 0 ->
-      Process.wait 500;
-      go (tries - 1)
-    | Error e -> Error e
-  in
-  go 20_000
 
 (* --- the service VPE ---------------------------------------------------- *)
 
@@ -95,7 +81,7 @@ let start env store ~fs_services =
     | Ok () -> (
       let sel = Env.alloc_sel env in
       match
-        obtain_with_retry env ~vpe_sel:vpe.Vpe_api.vpe_sel ~own_sel:sel
+        Syscalls.obtain_published env ~vpe_sel:vpe.Vpe_api.vpe_sel ~own_sel:sel
           ~other_sel:handoff_sel
       with
       | Error e -> Error e

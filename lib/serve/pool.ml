@@ -223,19 +223,6 @@ module Dq = struct
     !found
 end
 
-(* The partner publishes its send gate at a well-known selector; poll
-   until it got that far (same idiom as Pipe). *)
-let obtain_with_retry env ~vpe_sel ~own_sel ~other_sel =
-  let rec go tries =
-    match Syscalls.obtain env ~vpe_sel ~own_sel ~other_sel with
-    | Ok () -> Ok ()
-    | Error Errno.E_no_sel when tries > 0 ->
-      Process.wait 500;
-      go (tries - 1)
-    | Error e -> Error e
-  in
-  go 20_000
-
 (* --- worker ------------------------------------------------------------ *)
 
 let file_path cfg i =
@@ -367,7 +354,7 @@ let dispatcher_body cfg stats (cenv : Env.t) =
     let* () = Vpe_api.run cenv vpe (worker_body cfg ~widx:idx) in
     let sel = Env.alloc_sel cenv in
     let* () =
-      obtain_with_retry cenv ~vpe_sel:vpe.Vpe_api.vpe_sel ~own_sel:sel
+      Syscalls.obtain_published cenv ~vpe_sel:vpe.Vpe_api.vpe_sel ~own_sel:sel
         ~other_sel:handoff_worker_sel
     in
     Ok (vpe, Gate.send_gate_of_sel sel)
@@ -398,7 +385,7 @@ let dispatcher_body cfg stats (cenv : Env.t) =
         (* Block until the park lands: a suspend only completes at the
            worker's next quiesce point, and clients must not race the
            capture traffic. *)
-        match Vpe_api.await_parked cenv w.w_vpe () with
+        match Vpe_api.await_parked cenv w.w_vpe with
         | Ok () -> w.w_state <- W_parked
         | Error _ -> w.w_state <- W_parked)
       | Error _ -> ()
@@ -1022,7 +1009,7 @@ let start env cfg =
     let* () = Vpe_api.run env disp (dispatcher_body cfg stats) in
     let sel = Env.alloc_sel env in
     let* () =
-      obtain_with_retry env ~vpe_sel:disp.Vpe_api.vpe_sel ~own_sel:sel
+      Syscalls.obtain_published env ~vpe_sel:disp.Vpe_api.vpe_sel ~own_sel:sel
         ~other_sel:handoff_req_sel
     in
     Ok
@@ -1172,26 +1159,34 @@ let send_bp env t sess payload =
   in
   go 100_000
 
-let plan_enabled env =
-  M3_fault.Plan.enabled (M3_noc.Fabric.faults env.Env.fabric)
-
-(* Wait until every sent request is resolved. Under a fault plan the
-   wait polls with a deadline (a lost request must not hang the
-   client); without one it parks on the gates. *)
-let await_tail env t sess ~extra =
-  if plan_enabled env then begin
-    let deadline = Engine.now env.Env.engine + tail_deadline in
-    let unresolved () = sess.s_unresolved > 0 || extra () in
-    while unresolved () && Engine.now env.Env.engine < deadline do
-      drain_client env t sess;
-      if unresolved () then Process.wait client_poll
-    done
-  end
-  else
-    while sess.s_unresolved > 0 || extra () do
+(* The client loop: while [pending ()], take in verdicts and
+   completions, then let [step] act on them. Under a fault plan it
+   polls every [client_poll] cycles and gives up after [tail_deadline]
+   (a lost request must not hang the client); with [think] it polls
+   too, since no message marks the end of a user's think time.
+   Otherwise every state change arrives as a message, so it parks on
+   the two gates. *)
+let client_loop ?(think = false) env t sess ~pending ~step =
+  match Env.watchdog ~bound:tail_deadline env.Env.fabric with
+  | None when not think ->
+    while pending () do
       let i, msg = Gate.recv_any env [ t.t_resp; t.t_comp ] in
-      if i = 0 then handle_resp env t sess msg else handle_comp env t sess msg
+      if i = 0 then handle_resp env t sess msg else handle_comp env t sess msg;
+      step ()
     done
+  | deadline ->
+    let deadline = Option.value deadline ~default:max_int in
+    while pending () && Engine.now env.Env.engine < deadline do
+      drain_client env t sess;
+      step ();
+      if pending () then Process.wait client_poll
+    done
+
+(* Wait until every sent request is resolved. *)
+let await_tail env t sess ~extra =
+  client_loop env t sess
+    ~pending:(fun () -> sess.s_unresolved > 0 || extra ())
+    ~step:ignore
 
 let result_of sess =
   let clients =
@@ -1264,44 +1259,27 @@ let run_closed ?think env t ~clients ~total ~make =
   let clients = Stdlib.max 1 clients in
   let sess = make_session total in
   let next = ref 0 in
-  match think with
+  let pending () = !next < total || sess.s_unresolved > 0 in
+  let send_next () =
+    send_one env t sess { Wire.seq = !next; rk = make !next };
+    incr next
+  in
+  (match think with
   | None ->
-    (* Think-less users reissue the instant a slot frees, so the client
-       can park on the gates: every state change arrives as a message.
-       This arm is byte-identical to the pre-think implementation. *)
+    (* Think-less users send again the instant a slot frees. *)
     let pump () =
       while !next < total && sess.s_unresolved < clients do
-        send_one env t sess { Wire.seq = !next; rk = make !next };
-        incr next
+        send_next ()
       done
     in
     pump ();
-    if plan_enabled env then begin
-      let deadline = Engine.now env.Env.engine + tail_deadline in
-      while
-        (!next < total || sess.s_unresolved > 0)
-        && Engine.now env.Env.engine < deadline
-      do
-        drain_client env t sess;
-        pump ();
-        if !next < total || sess.s_unresolved > 0 then Process.wait client_poll
-      done
-    end
-    else
-      while !next < total || sess.s_unresolved > 0 do
-        let i, msg = Gate.recv_any env [ t.t_resp; t.t_comp ] in
-        if i = 0 then handle_resp env t sess msg else handle_comp env t sess msg;
-        pump ()
-      done;
-    result_of sess
+    client_loop env t sess ~pending ~step:pump
   | Some think ->
-    (* With think time a user may be neither waiting on the pool nor
-       ready to send — no message will wake the client — so this arm
-       polls on a quantum instead of parking (think times are
-       effectively quantized to [client_poll], which is fine: they are
-       orders of magnitude larger). [ready] holds the cycle each idle
-       user's think ends, sorted ascending; every resolution (complete,
-       fail or reject) returns its user to the thinking state. *)
+    (* [ready] holds the cycle each idle user's think ends, sorted
+       ascending; every resolution (complete, fail or reject) returns
+       its user to the thinking state. Think times are effectively
+       quantized to [client_poll], which is fine: they are orders of
+       magnitude larger. *)
     let t0 = Engine.now env.Env.engine in
     let ready = ref (List.init clients (fun _ -> t0)) in
     let insert at =
@@ -1329,28 +1307,17 @@ let run_closed ?think env t ~clients ~total ~make =
           match !ready with
           | at :: tl when at <= now ->
             ready := tl;
-            send_one env t sess { Wire.seq = !next; rk = make !next };
-            incr next;
+            send_next ();
             go ()
           | _ -> ()
       in
       go ()
     in
-    let deadline =
-      if plan_enabled env then Engine.now env.Env.engine + tail_deadline
-      else max_int
-    in
     pump ();
-    while
-      (!next < total || sess.s_unresolved > 0)
-      && Engine.now env.Env.engine < deadline
-    do
-      drain_client env t sess;
-      note_resolutions ();
-      pump ();
-      if !next < total || sess.s_unresolved > 0 then Process.wait client_poll
-    done;
-    result_of sess
+    client_loop ~think:true env t sess ~pending ~step:(fun () ->
+        note_resolutions ();
+        pump ()));
+  result_of sess
 
 let stop env t =
   let sess = make_session 0 in

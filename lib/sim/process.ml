@@ -138,7 +138,7 @@ end
 
 module Waitq = struct
   (* Entries carry a liveness flag so that waiting on several queues at
-     once (Dtu.wait_any) can cancel the losers after one queue fires:
+     once (Dtu.wait) can cancel the losers after one queue fires:
      a consumed or cancelled entry must neither count as a waiter nor
      absorb a signal (which would silently lose the wakeup). *)
   type 'a entry = {

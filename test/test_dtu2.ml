@@ -1,6 +1,6 @@
 (* DTU and kernel edge cases: reply-info one-shot use, invalidation
-   mid-flight, wait_any, deferred waits with multiple waiters, and
-   image re-attachment. *)
+   mid-flight, wait_any, the deadline-aware Dtu.wait, deferred waits
+   with multiple waiters, and image re-attachment. *)
 
 module Engine = M3_sim.Engine
 module Process = M3_sim.Process
@@ -70,7 +70,9 @@ let test_send_after_invalidate_fails () =
   check_bool "send on invalidated EP fails" true
     (!result = Error Dtu_error.Invalid_ep)
 
-let test_wait_any_two_sources () =
+(* [hub_start] cycles in, the hub takes two messages with [wait]; the
+   sources send at 0 and 500. *)
+let two_sources ~hub_start ~wait =
   let engine, platform = make_platform () in
   let hub = Platform.pe platform 0 in
   let s1 = Platform.pe platform 1 and s2 = Platform.pe platform 2 in
@@ -89,16 +91,48 @@ let test_wait_any_two_sources () =
          ok (Dtu.send (Pe.dtu s2) ~ep:2 ~payload:(Bytes.of_string "two") ())));
   ignore
     (Pe.spawn hub ~name:"hub" (fun () ->
+         Process.wait hub_start;
          for _ = 1 to 2 do
-           let ep, msg = Dtu.wait_any (Pe.dtu hub) ~eps:[ 1; 2 ] in
-           arrivals := (ep, Bytes.to_string msg.payload) :: !arrivals;
-           Dtu.ack (Pe.dtu hub) ~ep ~slot:msg.slot
+           let msg : Endpoint.message = wait (Pe.dtu hub) in
+           arrivals := (msg.ep, Bytes.to_string msg.payload) :: !arrivals;
+           Dtu.ack (Pe.dtu hub) ~ep:msg.ep ~slot:msg.slot
          done));
   ignore (Engine.run engine);
-  Alcotest.(check (list (pair int string)))
-    "both endpoints served in arrival order"
+  List.rev !arrivals
+
+let test_wait_any_two_sources () =
+  let check = Alcotest.(check (list (pair int string))) in
+  check "both endpoints served in arrival order"
     [ (1, "one"); (2, "two") ]
-    (List.rev !arrivals)
+    (two_sources ~hub_start:0 ~wait:(fun dtu -> Dtu.wait_any dtu ~eps:[ 1; 2 ]));
+  (* Once both rings hold a message, the first endpoint listed wins,
+     and a deadline long gone does not hide what is waiting. *)
+  check "first endpoint listed served first"
+    [ (2, "two"); (1, "one") ]
+    (two_sources ~hub_start:1_000 ~wait:(fun dtu ->
+         Option.get (Dtu.wait dtu ~eps:[ 2; 1 ] ~deadline:0)))
+
+(* A timed wait with nothing sent returns [None] exactly at its
+   deadline and leaves no registration on any watched EP. *)
+let test_wait_times_out_at_deadline () =
+  List.iter
+    (fun eps ->
+      let engine, platform = make_platform () in
+      let hub = Platform.pe platform 0 in
+      ok (Dtu.config_local (Pe.dtu hub) ~ep:1 (recv_cfg ~addr:0x100 ~slots:4));
+      ok (Dtu.config_local (Pe.dtu hub) ~ep:2 (recv_cfg ~addr:0x800 ~slots:4));
+      let outcome = ref None and at = ref (-1) in
+      ignore
+        (Pe.spawn hub ~name:"hub" (fun () ->
+             Process.wait 100;
+             outcome := Some (Dtu.wait (Pe.dtu hub) ~eps ~deadline:1_000);
+             at := Engine.now engine));
+      ignore (Engine.run engine);
+      check_bool "nothing delivered" true (!outcome = Some None);
+      check_int "returned at the deadline cycle" 1_000 !at;
+      check_int "no waiters on ep1" 0 (Dtu.waiters (Pe.dtu hub) ~ep:1);
+      check_int "no waiters on ep2" 0 (Dtu.waiters (Pe.dtu hub) ~ep:2))
+    [ [ 1 ]; [ 1; 2 ] ]
 
 let test_message_to_nonrecv_ep_dropped () =
   let engine, platform = make_platform () in
@@ -196,6 +230,11 @@ let suites =
         tc "send after remote invalidation fails" test_send_after_invalidate_fails;
         tc "wait_any serves two endpoints" test_wait_any_two_sources;
         tc "message to a non-receive EP drops" test_message_to_nonrecv_ep_dropped;
+      ] );
+    ( "dtu2.wait",
+      [
+        tc "timed wait returns None at its deadline"
+          test_wait_times_out_at_deadline;
       ] );
     ( "dtu2.kernel",
       [ tc "two waiters on one VPE exit" test_two_waiters_one_vpe ] );

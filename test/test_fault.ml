@@ -158,7 +158,7 @@ let test_waitq_cancel_and_sweep () =
   check_int "no stale registrations" 0 (Process.Waitq.waiters q);
   check_bool "signal with nobody waiting" false (Process.Waitq.signal q 2)
 
-let test_wait_any_leaves_no_stale_waiters () =
+let no_stale_waiters deadline =
   let engine, platform = make_platform () in
   let receiver = Platform.pe platform 0 and sender = Platform.pe platform 1 in
   ok
@@ -180,9 +180,9 @@ let test_wait_any_leaves_no_stale_waiters () =
   let woke_ep = ref (-1) in
   ignore
     (Pe.spawn receiver ~name:"r" (fun () ->
-         let ep, msg = Dtu.wait_any (Pe.dtu receiver) ~eps:[ 1; 3 ] in
-         woke_ep := ep;
-         Dtu.ack (Pe.dtu receiver) ~ep ~slot:msg.slot));
+         let msg = Option.get (Dtu.wait ?deadline (Pe.dtu receiver) ~eps:[ 1; 3 ]) in
+         woke_ep := msg.ep;
+         Dtu.ack (Pe.dtu receiver) ~ep:msg.ep ~slot:msg.slot));
   ignore
     (Pe.spawn sender ~name:"s" (fun () ->
          ok (Dtu.send (Pe.dtu sender) ~ep:2 ~payload:(Bytes.of_string "x") ())));
@@ -193,9 +193,14 @@ let test_wait_any_leaves_no_stale_waiters () =
   check_int "no waiters on ep1" 0 (Dtu.waiters (Pe.dtu receiver) ~ep:1);
   check_int "no waiters on ep3" 0 (Dtu.waiters (Pe.dtu receiver) ~ep:3)
 
+(* A timed wait, woken by the message long before its deadline, must
+   leave no registration behind either. *)
+let test_wait_any_leaves_no_stale_waiters () =
+  List.iter no_stale_waiters [ None; Some 100_000 ]
+
 (* --- bugfix 3: invalidation wakes blocked receivers ------------------- *)
 
-let wait_msg_outcome action =
+let wait_msg_outcome ?deadline action =
   let engine, platform = make_platform () in
   let kernel = Platform.pe platform 0 and app = Platform.pe platform 1 in
   ok
@@ -204,8 +209,8 @@ let wait_msg_outcome action =
   let outcome = ref `Pending in
   ignore
     (Pe.spawn app ~name:"app" (fun () ->
-         match Dtu.wait_msg (Pe.dtu app) ~ep:1 with
-         | _msg -> outcome := `Got_msg
+         match Dtu.wait ?deadline (Pe.dtu app) ~eps:[ 1 ] with
+         | _msg -> outcome := `Returned
          | exception Dtu_error.Error e -> outcome := `Error e));
   ignore
     (Pe.spawn kernel ~name:"kernel" (fun () ->
@@ -214,16 +219,21 @@ let wait_msg_outcome action =
   ignore (Engine.run engine);
   !outcome
 
-let check_invalid_ep name outcome =
-  check_bool name true (outcome = `Error Dtu_error.Invalid_ep)
+(* Untimed and timed waits alike. *)
+let check_invalid_ep name action =
+  List.iter
+    (fun deadline ->
+      check_bool name true
+        (wait_msg_outcome ?deadline action = `Error Dtu_error.Invalid_ep))
+    [ None; Some 100_000 ]
 
 let test_wait_msg_observes_invalidate () =
   check_invalid_ep "wait_msg raises Invalid_ep on ext_invalidate"
-    (wait_msg_outcome (fun kdtu -> Dtu.ext_invalidate kdtu ~target:1 ~ep:1))
+    (fun kdtu -> Dtu.ext_invalidate kdtu ~target:1 ~ep:1)
 
 let test_wait_msg_observes_reset () =
   check_invalid_ep "wait_msg raises Invalid_ep on ext_reset"
-    (wait_msg_outcome (fun kdtu -> Dtu.ext_reset kdtu ~target:1))
+    (fun kdtu -> Dtu.ext_reset kdtu ~target:1)
 
 (* --- zero-cost and determinism ---------------------------------------- *)
 

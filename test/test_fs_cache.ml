@@ -499,10 +499,9 @@ let test_crash_restart_recovery () =
   let fs_config =
     { (M3fs.default_config ~dram) with seed = [ seed ~size:8192 "/data" ] }
   in
-  (* Launch m3fs directly (not via Bootstrap.supervise, which defers
-     its launch into a spawned process) so its VPE deterministically
-     claims PE 1 — the PE the fault plan kills. A watcher relaunches
-     it once after the abort, on a spare PE. *)
+  (* Launch m3fs before the app so its VPE deterministically claims
+     PE 1 — the PE the fault plan kills. A watcher relaunches it once
+     after the abort, on a spare PE. *)
   let fs_restarts = ref 0 in
   let iv0 = Bootstrap.launch sys ~name:"m3fs" (M3fs.main fs_config) in
   ignore

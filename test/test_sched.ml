@@ -12,7 +12,10 @@
      behavior — same replies, same exit, zero captures and switches;
    - reclamation: suspend/resume leaks no capabilities or endpoint
      bookkeeping, and a crash-abort of a VPE parked off its PE still
-     tears everything down. *)
+     tears everything down;
+   - isolation: a VPE suspended inside a timed receive resumes that
+     wait on its new PE, never on the endpoints of the VPE placed on
+     the old one. *)
 
 module Engine = M3_sim.Engine
 module Process = M3_sim.Process
@@ -69,17 +72,6 @@ let child_body (cenv : M3.Env.t) =
   in
   loop ()
 
-let obtain_with_retry env ~vpe_sel ~own_sel ~other_sel =
-  let rec go tries =
-    match Syscalls.obtain env ~vpe_sel ~own_sel ~other_sel with
-    | Ok () -> Ok ()
-    | Error Errno.E_no_sel when tries > 0 ->
-      Process.wait 500;
-      go (tries - 1)
-    | Error e -> Error e
-  in
-  go 20_000
-
 type outcome = {
   o_replies : string;  (** hex of every reply payload, in order *)
   o_exit : int;
@@ -120,7 +112,7 @@ let run_scenario ~with_sched ~suspend_mid () =
         ok (Vpe_api.run env child child_body);
         let sel = M3.Env.alloc_sel env in
         ok
-          (obtain_with_retry env ~vpe_sel:child.Vpe_api.vpe_sel ~own_sel:sel
+          (Syscalls.obtain_published env ~vpe_sel:child.Vpe_api.vpe_sel ~own_sel:sel
              ~other_sel:child_sel);
         let sg = Gate.send_gate_of_sel sel in
         let rg = ok (Gate.create_recv env ~slot_order:6 ~slot_count:8) in
@@ -139,7 +131,7 @@ let run_scenario ~with_sched ~suspend_mid () =
         done;
         if suspend_mid then begin
           ok (Vpe_api.suspend env child);
-          ok (Vpe_api.await_parked env child ());
+          ok (Vpe_api.await_parked env child);
           parked_mid := Kernel.suspended_count k;
           ok (Vpe_api.resume env child)
         end;
@@ -256,10 +248,10 @@ let test_abort_of_suspended_vpe () =
         ok (Vpe_api.run env child child_body);
         let sel = M3.Env.alloc_sel env in
         ok
-          (obtain_with_retry env ~vpe_sel:child.Vpe_api.vpe_sel ~own_sel:sel
+          (Syscalls.obtain_published env ~vpe_sel:child.Vpe_api.vpe_sel ~own_sel:sel
              ~other_sel:child_sel);
         ok (Vpe_api.suspend env child);
-        ok (Vpe_api.await_parked env child ());
+        ok (Vpe_api.await_parked env child);
         check_int "image parked" 1 (Kernel.suspended_count k);
         let v = Option.get (Kernel.find_vpe k ~vpe_id:child.Vpe_api.vpe_id) in
         Kernel.abort k v ~reason:"test";
@@ -282,6 +274,106 @@ let test_abort_of_suspended_vpe () =
   check_int "no endpoint binding survived" 0
     (Kernel.ep_entries k ~vpe_id:!child_id)
 
+(* --- isolation across a migration mid-wait ----------------------------- *)
+
+(* A VPE suspended inside a timed receive must resume that wait on the
+   PE it migrated to. Under a quiet fault plan every client wait is
+   timed. Child C blocks on its gate; the parent parks C off its PE,
+   places VPE B on the freed PE and resumes C elsewhere. A wait that
+   went back to the PE it left would read B's endpoints: with [b_gate]
+   B creates a receive gate on the very endpoint C's gate had, and C
+   would take B's message as its own; without it C would park on the
+   old PE and sleep through its own message into the watchdog.
+   Exit codes: C returns the byte it received (1 on timeout), B the
+   byte its ring holds (0 when empty). *)
+
+let b_sel = 3001
+
+let isolation ~b_gate () =
+  let engine = Engine.create () in
+  let quiet =
+    M3_fault.Plan.create ~seed:5
+      ~config:
+        {
+          M3_fault.Plan.default_config with
+          drop_prob = 0.0;
+          link_fault_prob = 0.0;
+          corrupt_prob = 0.0;
+          stall_prob = 0.0;
+        }
+      ()
+  in
+  let sched = Sched.create () in
+  let sys = Bootstrap.start ~no_fs:true ~faults:quiet ~sched engine in
+  let k = sys.Bootstrap.kernel in
+  let recv_gate cenv ~sel =
+    let rg = ok (Gate.create_recv cenv ~slot_order:6 ~slot_count:8) in
+    ignore
+      (ok (Gate.create_send ~sel cenv rg ~label:0L ~credits:(Endpoint.Credits 2)));
+    rg
+  in
+  let c_body (cenv : M3.Env.t) =
+    let rg = recv_gate cenv ~sel:child_sel in
+    match Gate.recv ?deadline:(M3.Env.watchdog cenv.fabric) cenv rg with
+    | msg -> Bytes.get_uint8 msg.Endpoint.payload 0
+    | exception Errno.Error Errno.E_timeout -> 1
+  in
+  (* B holds the PE for up to a million cycles, polling its ring. *)
+  let b_body (cenv : M3.Env.t) =
+    let rg = if b_gate then Some (recv_gate cenv ~sel:b_sel) else None in
+    let rec poll n =
+      match Option.bind rg (Gate.fetch cenv) with
+      | Some msg -> Bytes.get_uint8 msg.Endpoint.payload 0
+      | None when n > 0 ->
+        Process.wait 1_000;
+        poll (n - 1)
+      | None -> 0
+    in
+    poll 1_000
+  in
+  let pes = ref (-1, -1, -1) in
+  let exits = ref (-1, -1) in
+  let exit =
+    Bootstrap.launch sys ~name:"parent" (fun env ->
+        let gp = M3_hw.Core_type.General_purpose in
+        let send_byte child ~other_sel c =
+          let sel = M3.Env.alloc_sel env in
+          ok
+            (Syscalls.obtain_published env ~vpe_sel:child.Vpe_api.vpe_sel
+               ~own_sel:sel ~other_sel);
+          fun () -> ok (Gate.send env (Gate.send_gate_of_sel sel) (Bytes.make 1 c) ())
+        in
+        let c = ok (Vpe_api.create env ~name:"C" ~core:gp) in
+        ok (Vpe_api.run env c c_body);
+        let send_c = send_byte c ~other_sel:child_sel 'C' in
+        ok (Vpe_api.suspend env c);
+        ok (Vpe_api.await_parked env c);
+        let b = ok (Vpe_api.create env ~name:"B" ~core:gp) in
+        ok (Vpe_api.run env b b_body);
+        let send_b = if b_gate then send_byte b ~other_sel:b_sel 'B' else ignore in
+        ok (Vpe_api.resume env c);
+        send_b ();
+        send_c ();
+        let v = Option.get (Kernel.find_vpe k ~vpe_id:c.Vpe_api.vpe_id) in
+        pes := (c.Vpe_api.pe_id, b.Vpe_api.pe_id, v.Kdata.v_pe);
+        let c_exit = ok (Vpe_api.wait env c) in
+        exits := (c_exit, ok (Vpe_api.wait env b));
+        0)
+  in
+  ignore (Engine.run engine);
+  Bootstrap.expect_exit sys exit;
+  let c_first, b_pe, c_then = !pes in
+  check_int "B took C's freed PE" c_first b_pe;
+  check_bool "C resumed on another PE" true (c_then >= 0 && c_then <> c_first);
+  !exits
+
+let test_migrated_wait_keeps_to_its_pe () =
+  let c_exit, b_exit = isolation ~b_gate:true () in
+  check_int "C received 'C'" (Char.code 'C') c_exit;
+  check_int "B's ring still holds 'B'" (Char.code 'B') b_exit;
+  let c_exit, _ = isolation ~b_gate:false () in
+  check_int "C received 'C' before its watchdog" (Char.code 'C') c_exit
+
 let tc name f = Alcotest.test_case name `Quick f
 
 let suites =
@@ -302,5 +394,10 @@ let suites =
       [
         tc "suspend/resume leaks nothing" test_suspend_resume_leaks_nothing;
         tc "abort of a parked VPE tears down" test_abort_of_suspended_vpe;
+      ] );
+    ( "sched.isolation",
+      [
+        tc "migrated timed wait keeps to its new PE"
+          test_migrated_wait_keeps_to_its_pe;
       ] );
   ]
