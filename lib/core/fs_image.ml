@@ -44,81 +44,126 @@ let write_u64 t ~off v = Store.write_i64 t.store ~addr:(addr t off) (Int64.of_in
 
 (* --- bitmaps --------------------------------------------------------- *)
 
+(* Bit [i] of a bitmap is bit [i mod 8] of its byte [i / 8], so the
+   little-endian 64-bit word [w] holds bits [64 w] to [64 w + 63], bit
+   [i] at position [i mod 64]. Single bits are read a byte at a time;
+   scans load a word at a time and ranges are set a byte at a time. *)
+
 let bit_get t ~off ~index =
   let byte = Store.read_u8 t.store ~addr:(addr t (off + (index / 8))) in
   byte land (1 lsl (index mod 8)) <> 0
 
-let bit_set t ~off ~index v =
-  let a = addr t (off + (index / 8)) in
-  let byte = Store.read_u8 t.store ~addr:a in
-  let byte' =
-    if v then byte lor (1 lsl (index mod 8))
-    else byte land lnot (1 lsl (index mod 8))
+let word t ~off w = Store.read_i64 t.store ~addr:(addr t (off + (w * 8)))
+
+(* Lowest set bit of a nonzero 32-bit value. *)
+let ctz32 x =
+  let n = ref 0 and x = ref x in
+  if !x land 0xffff = 0 then (n := 16; x := !x lsr 16);
+  if !x land 0xff = 0 then (n := !n + 8; x := !x lsr 8);
+  if !x land 0xf = 0 then (n := !n + 4; x := !x lsr 4);
+  if !x land 0x3 = 0 then (n := !n + 2; x := !x lsr 2);
+  if !x land 0x1 = 0 then incr n;
+  !n
+
+(* Lowest set bit of a nonzero word. *)
+let[@inline] ctz64 x =
+  let lo = Int64.to_int x land 0xffff_ffff in
+  if lo <> 0 then ctz32 lo
+  else 32 + ctz32 (Int64.to_int (Int64.shift_right_logical x 32))
+
+(* The first index in [from, until) whose bit is [v], or [until]. *)
+let find_bit t ~off ~v ~from ~until =
+  let rec go w skip =
+    let base = w * 64 in
+    if base >= until then until
+    else begin
+      let x = word t ~off w in
+      (* Set bits mark the sought value, from bit [skip] on. *)
+      let x = if v then x else Int64.lognot x in
+      let x = Int64.logand x (Int64.shift_left (-1L) skip) in
+      if Int64.equal x 0L then go (w + 1) 0 else min until (base + ctz64 x)
+    end
   in
-  Store.write_u8 t.store ~addr:a byte'
+  if from >= until then until else go (from / 64) (from mod 64)
+
+(* Sets bits [first, first + n) to [v]: the ragged ends by masking
+   their bytes, the whole bytes between them in one fill. *)
+let set_bits t ~off ~first ~n v =
+  let last = first + n in
+  let update byte mask =
+    let a = addr t (off + byte) in
+    let b = Store.read_u8 t.store ~addr:a in
+    Store.write_u8 t.store ~addr:a (if v then b lor mask else b land lnot mask)
+  in
+  (* Bits [lo, hi) of one byte, as a mask. *)
+  let mask lo hi = ((1 lsl (hi - lo)) - 1) lsl lo in
+  if n > 0 then begin
+    let b0 = first / 8 and b1 = (last - 1) / 8 in
+    if b0 = b1 then update b0 (mask (first mod 8) (((last - 1) mod 8) + 1))
+    else begin
+      update b0 (mask (first mod 8) 8);
+      update b1 (mask 0 (((last - 1) mod 8) + 1));
+      if b1 > b0 + 1 then
+        Store.fill t.store
+          ~addr:(addr t (off + b0 + 1))
+          ~len:(b1 - b0 - 1)
+          (if v then '\xff' else '\000')
+    end
+  end
 
 let ibmap_off t = t.ibmap_block * t.block_size
 let bbmap_off t = t.bbmap_block * t.block_size
 
 let block_used t b = bit_get t ~off:(bbmap_off t) ~index:b
-let set_block_used t b v = bit_set t ~off:(bbmap_off t) ~index:b v
+
+let set_blocks_used t ~start ~len v =
+  set_bits t ~off:(bbmap_off t) ~first:start ~n:len v
 
 let ino_used t i = bit_get t ~off:(ibmap_off t) ~index:i
-let set_ino_used t i v = bit_set t ~off:(ibmap_off t) ~index:i v
 
-(* Finds a run of free blocks: the longest run up to [want], starting
-   the search at the first data block (first-fit). *)
+let set_ino_used t i v = set_bits t ~off:(ibmap_off t) ~first:i ~n:1 v
+
+(* First fit over the free runs of the data blocks: the first run of
+   at least [want] blocks, cut to [want]; else the first of the
+   longest runs. A run's end is sought no further than [want] blocks. *)
 let find_free_run t ~want =
-  let best = ref None in
-  let run_start = ref (-1) in
-  let run_len = ref 0 in
-  let consider () =
-    if !run_len > 0 then begin
-      match !best with
-      | Some (_, len) when len >= !run_len -> ()
-      | Some _ | None -> best := Some (!run_start, !run_len)
+  let off = bbmap_off t and until = t.total_blocks in
+  let rec go from best best_len =
+    let start = find_bit t ~off ~v:false ~from ~until in
+    if start >= until then best
+    else begin
+      let stop =
+        find_bit t ~off ~v:true ~from:start
+          ~until:(min until (start + min want until))
+      in
+      let len = stop - start in
+      if len >= want then Some (start, want)
+      else if len > best_len then go stop (Some (start, len)) len
+      else go stop best best_len
     end
   in
-  let b = ref t.first_data_block in
-  let found = ref None in
-  while !found = None && !b < t.total_blocks do
-    if block_used t !b then begin
-      consider ();
-      run_start := -1;
-      run_len := 0
-    end
-    else begin
-      if !run_start < 0 then run_start := !b;
-      incr run_len;
-      if !run_len >= want then found := Some (!run_start, want)
-    end;
-    incr b
-  done;
-  consider ();
-  match !found with
-  | Some run -> Some run
-  | None -> !best
+  go t.first_data_block None 0
 
 let alloc_run t ~want =
   match find_free_run t ~want with
   | None -> None
   | Some (start, len) ->
-    for b = start to start + len - 1 do
-      set_block_used t b true
-    done;
+    set_blocks_used t ~start ~len true;
     Some { e_start = start; e_len = len }
 
-let free_run t ~start ~len =
-  for b = start to start + len - 1 do
-    set_block_used t b false
-  done
+let free_run t ~start ~len = set_blocks_used t ~start ~len false
 
 let free_blocks t =
-  let n = ref 0 in
-  for b = t.first_data_block to t.total_blocks - 1 do
-    if not (block_used t b) then incr n
-  done;
-  !n
+  let off = bbmap_off t and until = t.total_blocks in
+  let rec go from n =
+    let start = find_bit t ~off ~v:false ~from ~until in
+    if start >= until then n
+    else begin
+      let stop = find_bit t ~off ~v:true ~from:start ~until in
+      go stop (n + stop - start)
+    end
+  in
+  go t.first_data_block 0
 
 (* --- inodes ----------------------------------------------------------- *)
 
@@ -163,15 +208,14 @@ let extents t ~ino =
   List.init (inode_nextents t ino) (fun i -> get_extent t ino i)
 
 let alloc_ino t =
-  let rec go i =
-    if i >= t.inode_count then None
-    else if ino_used t i then go (i + 1)
-    else begin
-      set_ino_used t i true;
-      Some i
-    end
+  let i =
+    find_bit t ~off:(ibmap_off t) ~v:false ~from:0 ~until:t.inode_count
   in
-  go 0
+  if i >= t.inode_count then None
+  else begin
+    set_ino_used t i true;
+    Some i
+  end
 
 let init_inode t ino ~dir =
   set_inode_flags t ino (flag_used lor if dir then flag_dir else 0);
@@ -491,9 +535,7 @@ let format store ~base ~size ~block_size ~inode_count =
   write_u32 t ~off:16 t.itable_block;
   write_u32 t ~off:20 t.first_data_block;
   (* Metadata blocks are marked used in the block bitmap. *)
-  for b = 0 to t.first_data_block - 1 do
-    set_block_used t b true
-  done;
+  set_blocks_used t ~start:0 ~len:t.first_data_block true;
   (* Root directory. *)
   set_ino_used t 0 true;
   init_inode t 0 ~dir:true;

@@ -34,7 +34,16 @@ type recv_state = {
   mutable r_rpos : int;
   r_occupied : bool array;
   r_unread : bool array;
+  mutable r_unread_n : int; (* set entries of [r_unread] *)
 }
+
+(* Every change of [r_unread] goes through here, so that [r_unread_n]
+   makes an empty [fetch] and [buffered] O(1). *)
+let set_unread r slot v =
+  if r.r_unread.(slot) <> v then begin
+    r.r_unread.(slot) <- v;
+    r.r_unread_n <- (r.r_unread_n + if v then 1 else -1)
+  end
 
 type mem_state = {
   m_dst_pe : int;
@@ -148,6 +157,7 @@ let state_of_config = function
         r_rpos = 0;
         r_occupied = Array.make r.slot_count false;
         r_unread = Array.make r.slot_count false;
+        r_unread_n = 0;
       }
   | Endpoint.Memory m ->
     S_mem { m_dst_pe = m.dst_pe; m_base = m.base; m_size = m.size; m_perm = m.perm }
@@ -333,7 +343,7 @@ let deliver_message t ~dst_ep ~(header : Header.t) ~payload ~msg =
         Store.write_bytes t.spm ~addr:(addr + Header.size) payload ~pos:0
           ~len:(Bytes.length payload);
         r.r_occupied.(slot) <- true;
-        r.r_unread.(slot) <- true;
+        set_unread r slot true;
         r.r_wpos <- (slot + 1) mod r.r_slot_count;
         t.msgs_received <- t.msgs_received + 1;
         let obs = Fabric.obs t.fabric in
@@ -608,7 +618,7 @@ let reply t ~ep ~slot ~payload =
       in
       (* Replying acks the slot: the reply info must not be reusable. *)
       r.r_occupied.(slot) <- false;
-      r.r_unread.(slot) <- false;
+      set_unread r slot false;
       let obs = Fabric.obs t.fabric in
       let msg = Obs.next_msg obs in
       if Obs.enabled obs then
@@ -633,11 +643,11 @@ let reply t ~ep ~slot ~payload =
 let fetch t ~ep =
   check_ep t ep;
   match t.eps.(ep) with
-  | S_recv r ->
+  | S_recv r when r.r_unread_n > 0 ->
     let rec scan tried pos =
       if tried = r.r_slot_count then None
       else if r.r_unread.(pos) then begin
-        r.r_unread.(pos) <- false;
+        set_unread r pos false;
         r.r_rpos <- (pos + 1) mod r.r_slot_count;
         let header = Header.read t.spm ~addr:(slot_addr r pos) in
         let payload =
@@ -650,15 +660,12 @@ let fetch t ~ep =
       else scan (tried + 1) ((pos + 1) mod r.r_slot_count)
     in
     scan 0 r.r_rpos
-  | S_invalid | S_send _ | S_mem _ | S_park _ -> None
+  | S_recv _ | S_invalid | S_send _ | S_mem _ | S_park _ -> None
 
 let buffered t ~ep =
   check_ep t ep;
   match t.eps.(ep) with
-  | S_recv r ->
-    let n = ref 0 in
-    Array.iter (fun u -> if u then incr n) r.r_unread;
-    !n
+  | S_recv r -> r.r_unread_n
   | S_invalid | S_send _ | S_mem _ | S_park _ -> 0
 
 let is_recv t ep = match t.eps.(ep) with S_recv _ -> true | _ -> false
@@ -734,7 +741,7 @@ let ack t ~ep ~slot =
   match t.eps.(ep) with
   | S_recv r when slot >= 0 && slot < r.r_slot_count ->
     r.r_occupied.(slot) <- false;
-    r.r_unread.(slot) <- false
+    set_unread r slot false
   | S_recv _ | S_invalid | S_send _ | S_mem _ | S_park _ -> ()
 
 (* --- memory endpoints ------------------------------------------------ *)

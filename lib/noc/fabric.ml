@@ -3,6 +3,8 @@ module Obs = M3_obs.Obs
 module Event = M3_obs.Event
 
 type link = {
+  link_src : int;
+  link_dst : int;
   mutable free_at : int;
   mutable busy : int;
 }
@@ -30,6 +32,9 @@ type t = {
   topology : Topology.t;
   config : config;
   links : (int * int, link) Hashtbl.t;
+  (* The route from [src] to [dst] at [src * nodes + dst], built on
+     its first transfer; [[||]] until then. *)
+  routes : link array array;
   mutable packets : int;
   mutable bytes : int;
   (* Observability bus; the fabric is reachable from every layer, so
@@ -49,6 +54,9 @@ let create engine topology ~config =
     topology;
     config;
     links = Hashtbl.create 64;
+    routes =
+      (let n = Topology.node_count topology in
+       Array.make (n * n) [||]);
     packets = 0;
     bytes = 0;
     obs = Obs.null;
@@ -63,13 +71,31 @@ let set_obs t obs = t.obs <- obs
 let faults t = t.faults
 let set_faults t plan = t.faults <- plan
 
-let link t key =
+let link t ((link_src, link_dst) as key) =
   match Hashtbl.find_opt t.links key with
   | Some l -> l
   | None ->
-    let l = { free_at = 0; busy = 0 } in
+    let l = { link_src; link_dst; free_at = 0; busy = 0 } in
     Hashtbl.add t.links key l;
     l
+
+(* The links from [src] to [dst <> src], in path order. An
+   out-of-range node raises in [Topology.route]. *)
+let route t ~src ~dst =
+  let n = Topology.node_count t.topology in
+  let cached =
+    if src >= 0 && src < n && dst >= 0 && dst < n then
+      t.routes.((src * n) + dst)
+    else [||]
+  in
+  if Array.length cached > 0 then cached
+  else begin
+    let r =
+      Array.of_list (List.map (link t) (Topology.route t.topology ~src ~dst))
+    in
+    t.routes.((src * n) + dst) <- r;
+    r
+  end
 
 let serialization t bytes =
   max 1 ((bytes + t.config.bytes_per_cycle - 1) / t.config.bytes_per_cycle)
@@ -79,20 +105,19 @@ let serialization t bytes =
 let send_packet_store_forward t ~route ~bytes ~msg ~depart =
   let ser = serialization t (bytes + packet_header_bytes) in
   let head = ref depart in
-  List.iter
-    (fun ((link_src, link_dst) as hop) ->
-      let l = link t hop in
-      let ideal = !head + t.config.hop_latency in
-      let enter = max ideal l.free_at in
-      l.free_at <- enter + ser;
-      l.busy <- l.busy + ser;
-      if Obs.enabled t.obs then
-        Obs.emit_at t.obs ~at:enter
-          (Event.Noc_link
-             { link_src; link_dst; enter; leave = enter + ser;
-               queued = enter - ideal; msg });
-      head := enter)
-    route;
+  for i = 0 to Array.length route - 1 do
+    let l = route.(i) in
+    let ideal = !head + t.config.hop_latency in
+    let enter = max ideal l.free_at in
+    l.free_at <- enter + ser;
+    l.busy <- l.busy + ser;
+    if Obs.enabled t.obs then
+      Obs.emit_at t.obs ~at:enter
+        (Event.Noc_link
+           { link_src = l.link_src; link_dst = l.link_dst; enter;
+             leave = enter + ser; queued = enter - ideal; msg });
+    head := enter
+  done;
   !head + ser
 
 (* Wormhole switching: the head acquires links hop by hop (stalling on
@@ -103,28 +128,28 @@ let send_packet_store_forward t ~route ~bytes ~msg ~depart =
    of zero-buffer flit backpressure. *)
 let send_packet_wormhole t ~route ~bytes ~msg ~depart =
   let flits = serialization t (bytes + packet_header_bytes) in
+  let hops = Array.length route in
+  let enters = Array.make hops 0 and queued = Array.make hops 0 in
   let head = ref depart in
-  let acquired = ref [] in
-  List.iter
-    (fun ((link_src, link_dst) as hop) ->
-      let l = link t hop in
-      let ideal = !head + t.config.hop_latency in
-      let enter = max ideal l.free_at in
-      if Obs.enabled t.obs then
-        acquired := (l, link_src, link_dst, enter, enter - ideal) :: !acquired
-      else acquired := (l, link_src, link_dst, enter, 0) :: !acquired;
-      head := enter)
-    route;
+  for i = 0 to hops - 1 do
+    let ideal = !head + t.config.hop_latency in
+    let enter = max ideal route.(i).free_at in
+    enters.(i) <- enter;
+    queued.(i) <- enter - ideal;
+    head := enter
+  done;
   let tail_done = !head + flits in
-  List.iter
-    (fun (l, link_src, link_dst, enter, queued) ->
-      l.busy <- l.busy + (tail_done - max l.free_at depart);
-      l.free_at <- tail_done;
-      if Obs.enabled t.obs then
-        Obs.emit_at t.obs ~at:enter
-          (Event.Noc_link
-             { link_src; link_dst; enter; leave = tail_done; queued; msg }))
-    !acquired;
+  (* Released from the last link back to the first. *)
+  for i = hops - 1 downto 0 do
+    let l = route.(i) in
+    l.busy <- l.busy + (tail_done - max l.free_at depart);
+    l.free_at <- tail_done;
+    if Obs.enabled t.obs then
+      Obs.emit_at t.obs ~at:enters.(i)
+        (Event.Noc_link
+           { link_src = l.link_src; link_dst = l.link_dst; enter = enters.(i);
+             leave = tail_done; queued = queued.(i); msg })
+  done;
   tail_done
 
 let send_packet t ~route ~bytes ~msg ~depart =
@@ -174,7 +199,7 @@ let transfer ?(msg = 0) ?on_fault t ~src ~dst ~bytes ~on_deliver =
         M3_fault.Plan.xfer_outcome t.faults ~src ~dst ~bytes
       | _ -> M3_fault.Plan.Deliver
     in
-    let route = Topology.route t.topology ~src ~dst in
+    let route = route t ~src ~dst in
     let remaining = ref bytes and depart = ref now and arrival = ref now in
     (* A zero-byte message still occupies one header packet. *)
     let continue = ref true in

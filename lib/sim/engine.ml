@@ -10,7 +10,7 @@ type t = {
 
 let create () =
   {
-    queue = Heap.create ();
+    queue = Heap.create ~dummy:ignore ();
     now = 0;
     processed = 0;
     running = false;
@@ -45,27 +45,24 @@ let enter_run t f =
   t.running <- true;
   Fun.protect ~finally:(fun () -> t.running <- false) f
 
+(* Runs the earliest event; the queue must not be empty. *)
 let step t =
-  match Heap.pop t.queue with
-  | None -> false
-  | Some (time, f) ->
-    t.now <- time;
-    t.processed <- t.processed + 1;
-    f ();
-    true
+  t.now <- Heap.min_key t.queue;
+  let f = Heap.pop t.queue in
+  t.processed <- t.processed + 1;
+  f ()
 
 let run t =
   enter_run t (fun () ->
-      while step t do () done;
+      while not (Heap.is_empty t.queue) do
+        step t
+      done;
       t.now)
 
 let run_until t ~time =
   enter_run t (fun () ->
-      let continue = ref true in
-      while !continue do
-        match Heap.min_key t.queue with
-        | Some key when key <= time -> ignore (step t)
-        | Some _ | None -> continue := false
+      while (not (Heap.is_empty t.queue)) && Heap.min_key t.queue <= time do
+        step t
       done;
       if t.now < time then t.now <- time)
 

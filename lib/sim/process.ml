@@ -12,6 +12,7 @@ type t = {
   engine : Engine.t;
   mutable state : status;
   mutable kill_requested : bool;
+  handle : t option; (* [Some] of this record, made once at spawn *)
 }
 
 exception Killed
@@ -25,10 +26,20 @@ type _ Effect.t +=
    interleaving, so one global cell suffices. *)
 let current : t option ref = ref None
 
-let with_current p f =
+(* Runs [k] as [p] up to [p]'s next effect. A resume is one step of a
+   process, so it allocates nothing: [p.handle] is made once, and the
+   previous [current] is put back without a [Fun.protect] closure. *)
+let resume p k v =
   let saved = !current in
-  current := Some p;
-  Fun.protect ~finally:(fun () -> current := saved) f
+  current := p.handle;
+  match
+    if p.kill_requested then Effect.Deep.discontinue k Killed
+    else Effect.Deep.continue k v
+  with
+  | () -> current := saved
+  | exception e ->
+    current := saved;
+    raise e
 
 let self () =
   match !current with
@@ -38,7 +49,9 @@ let self () =
 let check_killed p = if p.kill_requested then raise Killed
 
 let spawn engine ~name f =
-  let p = { name; engine; state = Running; kill_requested = false } in
+  let rec p =
+    { name; engine; state = Running; kill_requested = false; handle = Some p }
+  in
   let finish () = if p.state = Running then p.state <- Finished in
   let fail e =
     Log.debug (fun m -> m "process %s failed: %s" name (Printexc.to_string e));
@@ -59,34 +72,28 @@ let spawn engine ~name f =
           | Wait (q, n) when q == p ->
             Some
               (fun (k : (a, unit) continuation) ->
-                Engine.schedule engine ~delay:n (fun () ->
-                    with_current p (fun () ->
-                        if p.kill_requested then discontinue k Killed
-                        else continue k ())))
+                Engine.schedule engine ~delay:n (fun () -> resume p k ()))
           | Suspend (q, register) when q == p ->
             Some
               (fun (k : (a, unit) continuation) ->
                 let resumed = ref false in
-                let resume v =
+                let wake v =
                   if not !resumed then begin
                     resumed := true;
-                    Engine.schedule engine ~delay:0 (fun () ->
-                        with_current p (fun () ->
-                            if p.kill_requested then discontinue k Killed
-                            else continue k v))
+                    Engine.schedule engine ~delay:0 (fun () -> resume p k v)
                   end
                 in
-                register resume)
+                register wake)
           | _ -> None);
     }
   in
-  Engine.schedule engine ~delay:0 (fun () ->
-      with_current p (fun () ->
-          match_with
-            (fun () ->
-              check_killed p;
-              f ())
-            () handler));
+  (* The body starts parked in a zero wait, so its first step is a
+     resume like every later one. *)
+  match_with
+    (fun () ->
+      Effect.perform (Wait (p, 0));
+      f ())
+    () handler;
   p
 
 let name p = p.name

@@ -4,7 +4,7 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create ~seed = { state = Int64.of_int seed }
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
             0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
@@ -36,7 +36,15 @@ let float t =
   let raw = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   raw /. 9007199254740992.0 (* 2^53 *)
 
+(* [len] successive [byte] draws, with the state kept unboxed in a
+   local for the whole loop: a draw through [t] boxes a fresh [int64]. *)
 let fill_bytes t buf ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length buf - len then
+    invalid_arg "Rng.fill_bytes: slice outside the buffer";
+  let state = ref t.state in
   for i = pos to pos + len - 1 do
-    Bytes.unsafe_set buf i (Char.unsafe_chr (byte t))
-  done
+    state := Int64.add !state golden_gamma;
+    let raw = Int64.to_int (Int64.shift_right_logical (mix !state) 2) in
+    Bytes.unsafe_set buf i (Char.unsafe_chr (raw land 0xff))
+  done;
+  t.state <- !state

@@ -29,5 +29,7 @@ val byte : t -> int
 (** [float t] is uniform in [0, 1). *)
 val float : t -> float
 
-(** [fill_bytes t buf ~pos ~len] fills a slice with random bytes. *)
+(** [fill_bytes t buf ~pos ~len] fills a slice with random bytes: those
+    of [len] successive [byte] draws, leaving [t] where they would.
+    @raise Invalid_argument if the slice does not lie within [buf]. *)
 val fill_bytes : t -> Bytes.t -> pos:int -> len:int -> unit

@@ -449,6 +449,80 @@ let qcheck_credit_invariant =
       && Dtu.msgs_dropped (Pe.dtu sender) = 0
       && Dtu.msgs_received (Pe.dtu receiver) = rounds)
 
+(* --- ring unread count ------------------------------------------------- *)
+
+(* Each receive EP counts its unread slots; [buffered] reads the count
+   and an empty [fetch] returns at once. Random mixes of deliveries,
+   fetches, acks (of read and unread slots), replies and a
+   capture/restore of the receiver must keep the count equal to what
+   [fetch] then returns. *)
+let qcheck_buffered_matches_fetch =
+  QCheck.Test.make ~name:"buffered equals what fetch returns" ~count:60
+    QCheck.(list_of_size Gen.(int_range 5 40) (int_bound 7))
+    (fun script ->
+      let engine, platform = make_platform () in
+      let receiver, sender =
+        setup_channel ~credits:Endpoint.Unlimited platform
+      in
+      ok
+        (Dtu.config_local (Pe.dtu sender) ~ep:3
+           (Endpoint.Receive
+              { buf_addr = 0x800; slot_order = 8; slot_count = 8 }));
+      let recv = Pe.dtu receiver and kernel = Pe.dtu (Platform.pe platform 2) in
+      let fetched = ref [] and agree = ref true in
+      let fetch () =
+        match Dtu.fetch recv ~ep:1 with
+        | Some m ->
+          fetched := m.Endpoint.slot :: !fetched;
+          true
+        | None -> false
+      in
+      let check () =
+        let n = Dtu.buffered recv ~ep:1 in
+        let rec drain k = if fetch () then drain (k + 1) else k in
+        if drain 0 <> n then agree := false
+      in
+      let take () =
+        match !fetched with
+        | slot :: rest ->
+          fetched := rest;
+          Some slot
+        | [] -> None
+      in
+      let driver =
+        Pe.spawn sender ~name:"driver" (fun () ->
+            List.iteri
+              (fun i op ->
+                (match op with
+                | 0 | 1 | 2 ->
+                  ok
+                    (Dtu.send (Pe.dtu sender) ~ep:2
+                       ~payload:(Bytes.of_string (string_of_int i))
+                       ~reply:(3, Int64.of_int i) ())
+                | 3 -> ignore (fetch ())
+                | 4 ->
+                  (* Any slot: read, unread or empty. *)
+                  let slot = i mod 8 in
+                  fetched := List.filter (( <> ) slot) !fetched;
+                  Dtu.ack recv ~ep:1 ~slot
+                | 5 -> (
+                  match take () with
+                  | Some slot ->
+                    ignore
+                      (Dtu.reply recv ~ep:1 ~slot
+                         ~payload:(Bytes.of_string "r"))
+                  | None -> ())
+                | 6 ->
+                  let snap = ok (Dtu.ext_capture kernel ~target:0) in
+                  ok (Dtu.ext_restore kernel ~target:0 snap)
+                | _ -> check ());
+                Process.wait 2000)
+              script;
+            check ())
+      in
+      ignore (Engine.run engine);
+      Process.status driver = Process.Finished && !agree)
+
 let tc name f = Alcotest.test_case name `Quick f
 
 let suites =
@@ -465,6 +539,7 @@ let suites =
         tc "message too big rejected" test_msg_too_big;
         tc "send on receive EP rejected" test_send_on_wrong_ep_kind;
         QCheck_alcotest.to_alcotest qcheck_credit_invariant;
+        QCheck_alcotest.to_alcotest qcheck_buffered_matches_fetch;
       ] );
     ( "dtu.memory",
       [

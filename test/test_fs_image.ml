@@ -257,6 +257,199 @@ let qcheck_truncate_frees_exactly =
       Fs.truncate fs ~ino ~size:(keep_blocks * 1024);
       Fs.free_blocks fs = free0 - keep_blocks && Fs.fsck fs = Ok ())
 
+(* --- first fit against a bit-by-bit model ------------------------- *)
+
+(* The model reads the image's bitmaps from the store one bit at a
+   time: the inode bitmap is block 1 of the image, the block bitmap
+   block 2, and the superblock holds the first data block at byte 20.
+   It picks blocks and inodes by the first-fit rule the allocator has
+   always used; the word-wise allocator must pick the same ones. *)
+module Model = struct
+  type t = {
+    store : Store.t;
+    base : int;
+    block_size : int;
+    total : int;
+    first_data : int;
+    inodes : int;
+  }
+
+  let bit m ~block i =
+    let a = m.base + (block * m.block_size) + (i / 8) in
+    Store.read_u8 m.store ~addr:a land (1 lsl (i mod 8)) <> 0
+
+  let blocks m = Array.init m.total (fun b -> bit m ~block:2 b)
+
+  let first_free_ino m =
+    let rec go i =
+      if i >= m.inodes then None
+      else if bit m ~block:1 i then go (i + 1)
+      else Some i
+    in
+    go 0
+
+  (* The allocator's original scan, one bit at a time: the first run
+     of at least [want] free blocks, cut to [want]; else the first of
+     the longest runs. *)
+  let first_fit m used ~want =
+    let best = ref None in
+    let run_start = ref (-1) in
+    let run_len = ref 0 in
+    let consider () =
+      if !run_len > 0 then
+        match !best with
+        | Some (_, len) when len >= !run_len -> ()
+        | Some _ | None -> best := Some (!run_start, !run_len)
+    in
+    let b = ref m.first_data in
+    let found = ref None in
+    while !found = None && !b < m.total do
+      if used.(!b) then begin
+        consider ();
+        run_start := -1;
+        run_len := 0
+      end
+      else begin
+        if !run_start < 0 then run_start := !b;
+        incr run_len;
+        if !run_len >= want then found := Some (!run_start, want)
+      end;
+      incr b
+    done;
+    consider ();
+    match !found with Some run -> Some run | None -> !best
+
+  let free m used =
+    let n = ref 0 in
+    for b = m.first_data to m.total - 1 do
+      if not used.(b) then incr n
+    done;
+    !n
+end
+
+(* Blocks that are used in [after] and were free in [before]. *)
+let newly_used before after =
+  List.filter
+    (fun b -> after.(b) && not before.(b))
+    (List.init (Array.length after) Fun.id)
+
+let with_used used b =
+  let used = Array.copy used in
+  used.(b) <- true;
+  used
+
+(* A block claimed besides an operation's own extent can only be the
+   one-block first fit taken before it (a directory or indirect-table
+   block); the extent is then the first fit after that block. *)
+let fits m before ~extra ~want ~extent =
+  match extra with
+  | [] -> Model.first_fit m before ~want = extent
+  | [ b ] ->
+    Model.first_fit m before ~want:1 = Some (b, 1)
+    && Model.first_fit m (with_used before b) ~want = extent
+  | _ -> false
+
+let qcheck_first_fit_model =
+  QCheck.Test.make ~name:"allocator picks the bit-by-bit first fit" ~count:80
+    QCheck.(
+      triple (int_bound 1_000_000)
+        (pair (int_range 64 700) (int_range 1 8))
+        (list_of_size Gen.(int_range 20 80) (int_bound 5)))
+    (fun (seed, (total, ino_eighths), script) ->
+      (* Most totals leave a ragged bitmap tail (not a multiple of 64
+         blocks), and the first data block (block 4 to 19 here) is
+         never 64-aligned. *)
+      let block_size = if seed mod 2 = 0 then 512 else 1024 in
+      let inodes = ino_eighths * 8 in
+      let store = Store.create ~name:"ff" ~size:((total + 1) * block_size) in
+      let base = block_size / 2 in
+      let fs =
+        Fs.format store ~base ~size:(total * block_size) ~block_size
+          ~inode_count:inodes
+      in
+      let m =
+        {
+          Model.store;
+          base;
+          block_size;
+          total;
+          first_data = Store.read_u32 store ~addr:(base + 20);
+          inodes;
+        }
+      in
+      let rng = Rng.create ~seed in
+      let live = ref [] and next = ref 0 in
+      let pick () = List.nth !live (Rng.int rng (List.length !live)) in
+      let step op =
+        let before = Model.blocks m in
+        let ok_op =
+          match op with
+          | 0 | 1 -> (
+            incr next;
+            let name = Printf.sprintf "/f%d" !next in
+            let expect = Model.first_free_ino m in
+            let fresh () = newly_used before (Model.blocks m) in
+            match Fs.create_file fs name with
+            | Ok ino -> (
+              live := (name, ino) :: !live;
+              Some ino = expect
+              &&
+              (* A full root directory grows by one block. *)
+              match fresh () with
+              | [] -> true
+              | [ b ] -> Model.first_fit m before ~want:1 = Some (b, 1)
+              | _ -> false)
+            | Error _ ->
+              fresh () = []
+              && (expect = None || Model.first_fit m before ~want:1 = None))
+          | 2 | 3 -> (
+            match !live with
+            | [] -> true
+            | _ -> (
+              let _, ino = pick () in
+              let want = 1 + Rng.int rng 48 in
+              match Fs.append_extent fs ~ino ~blocks:want with
+              | Ok e ->
+                let fresh = newly_used before (Model.blocks m) in
+                let own = List.init e.Fs.e_len (fun i -> e.Fs.e_start + i) in
+                let extra = List.filter (fun b -> not (List.mem b own)) fresh in
+                List.for_all (fun b -> List.mem b fresh) own
+                && fits m before ~extra ~want
+                     ~extent:(Some (e.Fs.e_start, e.Fs.e_len))
+              | Error _ -> (
+                match newly_used before (Model.blocks m) with
+                | [] -> true
+                | [ b ] -> Model.first_fit m before ~want:1 = Some (b, 1)
+                | _ -> false)))
+          | 4 -> (
+            match !live with
+            | [] -> true
+            | _ ->
+              let _, ino = pick () in
+              let blocks =
+                List.fold_left
+                  (fun n e -> n + e.Fs.e_len)
+                  0 (Fs.extents fs ~ino)
+              in
+              let bytes = blocks * block_size in
+              Fs.truncate fs ~ino ~size:(Rng.int rng (bytes + 1));
+              newly_used before (Model.blocks m) = [])
+          | _ -> (
+            match !live with
+            | [] -> true
+            | _ ->
+              let name, ino = pick () in
+              live := List.filter (fun (_, i) -> i <> ino) !live;
+              Fs.unlink fs name = Ok ()
+              && newly_used before (Model.blocks m) = []
+              && not (Model.bit m ~block:1 ino))
+        in
+        ok_op
+        && Fs.free_blocks fs = Model.free m (Model.blocks m)
+        && Fs.fsck fs = Ok ()
+      in
+      List.for_all step script)
+
 let tc name f = Alcotest.test_case name `Quick f
 
 let suites =
@@ -289,4 +482,6 @@ let suites =
       ] );
     ( "fs_image.random",
       [ QCheck_alcotest.to_alcotest qcheck_random_ops_fsck ] );
+    ( "fs_image.first_fit",
+      [ QCheck_alcotest.to_alcotest qcheck_first_fit_model ] );
   ]

@@ -1,0 +1,53 @@
+(* Golden digests: the MD5 of each paper figure's printed table and of
+   the results JSON of each quick sweep, as recorded before the host
+   fast paths (word-wise m3fs bitmaps, unboxed seeding, the flat event
+   heap, ring unread counts and cached routes) went in. Those are host
+   changes only, and every later refactor must keep these outputs too.
+   A change that means to alter an output updates its constant here
+   and says why in CHANGES.md. *)
+
+open M3_harness
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let printed print lazy_result =
+  Format.asprintf "%a" print (Lazy.force lazy_result)
+
+let fig6x_quick = lazy (Fig6x.run ~quick:true ())
+let figs2_quick = lazy (Figs2.run ~quick:true ())
+
+let golden =
+  [
+    ("fig3 table", "801ef2996b555ed29fdf2b31ea7b5a8d", fun () ->
+        printed Fig3.print Test_harness.fig3);
+    ("fig4 table", "517f1e74c1bccc45e471c11eacf8ca70", fun () ->
+        printed Fig4.print Test_harness.fig4);
+    ("fig5 table", "1b18060e61d959c2699c464704dd79b5", fun () ->
+        printed Fig5.print Test_harness.fig5);
+    ("fig6 table", "b6c5c96b0d694fc22d253bac03f9a589", fun () ->
+        printed Fig6.print Test_harness.fig6);
+    ("fig7 table", "9e400cda82643159a2fef449f1a3b17e", fun () ->
+        printed Fig7.print Test_harness.fig7);
+    ("T1 table", "55ac2a48838b76e0fc157c0d1a6b7e7a", fun () ->
+        printed Tables.print_t1 Test_harness.t1);
+    ("T2 table", "d91f48093ab057a3bf2426a6b1c2ffe8", fun () ->
+        printed Tables.print_t2 Test_harness.t2);
+    ("fig6x --quick JSON", "570d75d1cdaeb904120cb259ff9488bd", fun () ->
+        Fig6x.to_json (Lazy.force fig6x_quick));
+    ("figS --quick JSON", "394cecbb527e8d67ece4a85199d7b739", fun () ->
+        Figs.to_json (Lazy.force Test_serve.figs_quick));
+    ("figS2 --quick JSON", "71ead41236aa34f022db871e8a8be04b", fun () ->
+        Figs2.to_json (Lazy.force figs2_quick));
+  ]
+
+let suites =
+  [
+    ( "golden",
+      List.map
+        (fun (name, digest, output) ->
+          Alcotest.test_case name `Quick (fun () ->
+              Alcotest.(check string)
+                (name ^ " digest") digest
+                (md5 (output ()))))
+        golden );
+  ]

@@ -125,10 +125,12 @@ let test_fig5_sqlite () =
   check_bool "compute dominates" true
     (r.Fig5.m3.Runner.m_app * 2 > r.Fig5.m3.Runner.m_cycles)
 
-(* --- Figure 6 (reduced instance counts to keep the test quick) ---------------- *)
+(* --- Figure 6 ------------------------------------------------------------------ *)
+
+let fig6 = lazy (Fig6.run ())
 
 let test_fig6_shape () =
-  let curves = Fig6.run ~counts:[ 1; 4; 8 ] () in
+  let curves = Lazy.force fig6 in
   let norm bench n =
     let c = List.find (fun c -> c.Fig6.bench = bench) curves in
     (List.find (fun p -> p.Fig6.instances = n) c.Fig6.points).Fig6.normalized
@@ -241,8 +243,7 @@ let test_fig6x_warm_find () =
 (* --- reproduction summary ------------------------------------------------ *)
 
 (* The claims [m3_repro run] prints, fed from the results the tests
-   above already computed: every one must hold. Fig. 6's claim needs
-   the 16-instance point, which only the full sweep runs. *)
+   above already computed: every one must hold. *)
 let test_report_verdicts () =
   let verdicts =
     List.concat
@@ -250,12 +251,13 @@ let test_report_verdicts () =
         Report.fig3_verdicts (Lazy.force fig3);
         Report.fig4_verdicts (Lazy.force fig4);
         Report.fig5_verdicts (Lazy.force fig5);
+        Report.fig6_verdicts (Lazy.force fig6);
         Report.fig7_verdicts (Lazy.force fig7);
         Report.t1_verdicts (Lazy.force t1);
         Report.t2_verdicts (Lazy.force t2);
       ]
   in
-  Alcotest.(check int) "claims checked" 13 (List.length verdicts);
+  Alcotest.(check int) "claims checked" 14 (List.length verdicts);
   List.iter
     (fun v ->
       check_bool
@@ -264,7 +266,6 @@ let test_report_verdicts () =
     verdicts
 
 let tc name f = Alcotest.test_case name `Quick f
-let slow name f = Alcotest.test_case name `Slow f
 
 let suites =
   [
@@ -283,7 +284,7 @@ let suites =
         tc "find slightly slower" test_fig5_find;
         tc "sqlite compute-bound" test_fig5_sqlite;
       ] );
-    ("repro.fig6", [ slow "scalability shape" test_fig6_shape ]);
+    ("repro.fig6", [ tc "scalability shape" test_fig6_shape ]);
     ("repro.fig7", [ tc "accelerator chain" test_fig7_shape ]);
     ( "repro.extensions",
       [ tc "multiple m3fs instances scale" test_multi_instance_m3fs ] );

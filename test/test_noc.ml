@@ -133,6 +133,28 @@ let test_zero_byte_message () =
   ignore (Engine.run engine);
   check_bool "delivered" true !arrived
 
+(* Routes are cached per (src, dst) pair in a flat table, where an
+   out-of-range pair such as (0, 16) would alias the slot of (1, 0):
+   it must raise, whatever routes are already cached. *)
+let test_out_of_range_raises () =
+  let engine, fabric = make_fabric () in
+  List.iter
+    (fun (src, dst) ->
+      Fabric.transfer fabric ~src ~dst ~bytes:8 ~on_deliver:ignore)
+    [ (1, 0); (0, 15); (15, 0); (3, 4) ];
+  ignore (Engine.run engine);
+  List.iter
+    (fun (src, dst) ->
+      check_bool
+        (Printf.sprintf "%d -> %d raises" src dst)
+        true
+        (match
+           Fabric.transfer fabric ~src ~dst ~bytes:8 ~on_deliver:ignore
+         with
+        | () -> false
+        | exception Invalid_argument _ -> true))
+    [ (0, 16); (0, -1); (-1, 0); (16, 0); (3, 100); (-1, 17) ]
+
 let wormhole_config = { Fabric.default_config with mode = `Wormhole }
 
 let test_wormhole_uncontended_matches_packet () =
@@ -225,6 +247,7 @@ let suites =
         tc "disjoint paths run in parallel" test_disjoint_paths_parallel;
         tc "statistics counters" test_stats_counters;
         tc "zero-byte message" test_zero_byte_message;
+        tc "out-of-range node raises" test_out_of_range_raises;
         tc "wormhole matches packet when uncontended"
           test_wormhole_uncontended_matches_packet;
         tc "wormhole tree saturation" test_wormhole_tree_saturation;

@@ -12,34 +12,43 @@ let check_bool = Alcotest.(check bool)
 
 (* --- heap --- *)
 
+(* [pop] as an option of (key, value), [None] when empty. *)
+let pop h =
+  if Heap.is_empty h then None
+  else
+    let k = Heap.min_key h in
+    Some (k, Heap.pop h)
+
+let min_key h = if Heap.is_empty h then None else Some (Heap.min_key h)
+
 let test_heap_order () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:0 () in
   List.iter (fun k -> Heap.push h ~key:k k) [ 5; 1; 4; 1; 3; 9; 2 ];
   let rec drain acc =
-    match Heap.pop h with
+    match pop h with
     | None -> List.rev acc
     | Some (_, v) -> drain (v :: acc)
   in
   Alcotest.(check (list int)) "sorted" [ 1; 1; 2; 3; 4; 5; 9 ] (drain [])
 
 let test_heap_fifo_ties () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:(0, "") () in
   List.iteri (fun i name -> Heap.push h ~key:7 (i, name)) [ "a"; "b"; "c" ];
   let order =
     List.init 3 (fun _ ->
-        match Heap.pop h with Some (_, (_, n)) -> n | None -> "?")
+        match pop h with Some (_, (_, n)) -> n | None -> "?")
   in
   Alcotest.(check (list string)) "FIFO among equal keys" [ "a"; "b"; "c" ] order
 
 let test_heap_interleaved () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:0 () in
   for i = 0 to 999 do
     Heap.push h ~key:(i * 7 mod 101) i
   done;
   let prev = ref (-1) in
   let ok = ref true in
   let rec drain () =
-    match Heap.pop h with
+    match pop h with
     | None -> ()
     | Some (k, _) ->
       if k < !prev then ok := false;
@@ -324,10 +333,10 @@ let qcheck_heap_sorts =
   QCheck.Test.make ~name:"heap drains keys in sorted order" ~count:200
     QCheck.(list small_int)
     (fun keys ->
-      let h = Heap.create () in
+      let h = Heap.create ~dummy:0 () in
       List.iter (fun k -> Heap.push h ~key:k k) keys;
       let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some (k, _) -> drain (k :: acc)
+        match pop h with None -> List.rev acc | Some (k, _) -> drain (k :: acc)
       in
       drain [] = List.sort compare keys)
 
@@ -341,19 +350,40 @@ let[@inline never] push_pop_cycle h =
   let w = Weak.create 1 in
   Weak.set w 0 (Some payload);
   Heap.push h ~key:1 payload;
-  (match Heap.pop h with
+  (match pop h with
   | Some (_, v) -> assert (v == payload)
   | None -> assert false);
   w
 
 let test_heap_no_pinning () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:[||] () in
   (* A surviving entry, so the heap stays allocated across the pop. *)
   Heap.push h ~key:5 (Array.make 1 0);
   let w = push_pop_cycle h in
   Gc.full_major ();
   check_bool "drained slot holds no reference to the popped entry" true
     (Weak.get w 0 = None)
+
+(* The entry moved from the last slot into the root's hole must not
+   stay behind in the last slot either, and a drained heap holds
+   nothing it once held. *)
+let[@inline never] push_pop_all h =
+  let a = Array.make 1024 0 and b = Array.make 1024 1 in
+  let w = Weak.create 2 in
+  Weak.set w 0 (Some a);
+  Weak.set w 1 (Some b);
+  Heap.push h ~key:1 a;
+  Heap.push h ~key:2 b;
+  assert (Heap.pop h == a && Heap.pop h == b);
+  w
+
+let test_heap_drained_holds_nothing () =
+  let h = Heap.create ~dummy:[||] () in
+  let w = push_pop_all h in
+  Gc.full_major ();
+  check_bool "no popped entry stays referenced" true
+    (Weak.get w 0 = None && Weak.get w 1 = None);
+  check_int "heap still live and empty" 0 (Heap.length (Sys.opaque_identity h))
 
 (* --- heap: property test against a sorted-list oracle ---------------- *)
 
@@ -364,7 +394,7 @@ let qcheck_heap_oracle =
     ~count:300
     QCheck.(list (option (int_bound 30)))
     (fun ops ->
-      let h = Heap.create () in
+      let h = Heap.create ~dummy:0 () in
       let oracle = ref [] in
       let seq = ref 0 in
       List.for_all
@@ -379,14 +409,29 @@ let qcheck_heap_oracle =
             oracle := ins !oracle;
             incr seq;
             Heap.length h = List.length !oracle
-            && Heap.min_key h = Option.map fst (List.nth_opt !oracle 0)
+            && min_key h = Option.map fst (List.nth_opt !oracle 0)
           | None -> (
             match !oracle with
-            | [] -> Heap.pop h = None
+            | [] -> pop h = None
             | entry :: rest ->
               oracle := rest;
-              Heap.pop h = Some entry))
+              pop h = Some entry))
         ops)
+
+(* --- rng: fill_bytes is successive byte draws ------------------------ *)
+
+let qcheck_fill_bytes_draws =
+  QCheck.Test.make ~name:"fill_bytes equals successive byte draws" ~count:300
+    QCheck.(triple (int_bound 1_000_000) (int_bound 64) (int_bound 300))
+    (fun (seed, pos, len) ->
+      let buf = Bytes.make (pos + len + 8) 'z' in
+      let fast = Rng.create ~seed and slow = Rng.create ~seed in
+      Rng.fill_bytes fast buf ~pos ~len;
+      let expect =
+        String.init (Bytes.length buf) (fun i ->
+            if i < pos || i >= pos + len then 'z' else Char.chr (Rng.byte slow))
+      in
+      Bytes.to_string buf = expect && Rng.bits64 fast = Rng.bits64 slow)
 
 let qcheck_alloc_roundtrip =
   QCheck.Test.make ~name:"process wait sums delays" ~count:100
@@ -410,6 +455,7 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_heap_sorts;
         Alcotest.test_case "heap: popped slots are cleared" `Quick
           test_heap_no_pinning;
+        tc "drained heap holds no popped entry" test_heap_drained_holds_nothing;
         QCheck_alcotest.to_alcotest qcheck_heap_oracle;
       ] );
     ( "sim.engine",
@@ -438,6 +484,7 @@ let suites =
         tc "bounds respected" test_rng_bounds;
         tc "split gives independent stream" test_rng_split_independent;
         tc "fill_bytes stays in slice" test_rng_fill_bytes;
+        QCheck_alcotest.to_alcotest qcheck_fill_bytes_draws;
       ] );
     ( "sim.accounting",
       [
