@@ -160,7 +160,11 @@ let send_packet t ~route ~bytes ~msg ~depart =
   | `Wormhole -> send_packet_wormhole t ~route ~bytes ~msg ~depart
 
 let pure_latency t ~src ~dst ~bytes =
-  if src = dst then 1
+  if src = dst then begin
+    (* No route to take, so nothing else checks the node. *)
+    Topology.check t.topology src;
+    1
+  end
   else begin
     let hops = Topology.hops t.topology ~src ~dst in
     let packets =
@@ -187,7 +191,10 @@ type fault =
 let transfer ?(msg = 0) ?on_fault t ~src ~dst ~bytes ~on_deliver =
   if bytes < 0 then invalid_arg "Fabric.transfer: negative size";
   let now = Engine.now t.engine in
-  if src = dst then Engine.schedule t.engine ~delay:1 on_deliver
+  if src = dst then begin
+    Topology.check t.topology src;
+    Engine.schedule t.engine ~delay:1 on_deliver
+  end
   else begin
     (* Faults are drawn only for transfers whose issuer can react to
        them ([on_fault] given, i.e. the DTU message path) and only when

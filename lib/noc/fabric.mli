@@ -76,13 +76,15 @@ type fault =
     called at the (would-be) arrival cycle {e instead of} [on_deliver].
     Transfers without [on_fault] — and all transfers when no plan is
     attached — follow the exact unfaulted path.
-    @raise Invalid_argument on a negative byte count. *)
+    @raise Invalid_argument on a negative byte count or a node out of
+    the topology's range. *)
 val transfer :
   ?msg:int -> ?on_fault:(fault -> unit) -> t -> src:int -> dst:int ->
   bytes:int -> on_deliver:(unit -> unit) -> unit
 
 (** [pure_latency t ~src ~dst ~bytes] is the congestion-free transfer
-    time in cycles — useful for calibration and tests. *)
+    time in cycles — useful for calibration and tests.
+    @raise Invalid_argument on a node out of the topology's range. *)
 val pure_latency : t -> src:int -> dst:int -> bytes:int -> int
 
 (** Cumulative statistics. *)

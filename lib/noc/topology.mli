@@ -16,6 +16,10 @@ val cols : t -> int
 val rows : t -> int
 val node_count : t -> int
 
+(** [check t id] returns when [id] is a node of [t].
+    @raise Invalid_argument otherwise. *)
+val check : t -> int -> unit
+
 (** [coords t id] is the [(x, y)] position of node [id]. *)
 val coords : t -> int -> int * int
 

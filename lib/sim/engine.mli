@@ -33,6 +33,20 @@ val schedule : t -> delay:int -> (unit -> unit) -> unit
     must not lie in the past. *)
 val schedule_at : t -> time:int -> (unit -> unit) -> unit
 
+(** [advance t ~delay] takes, in place, the step of an event at cycle
+    [now t + delay] when that event would be the next one the current
+    run pops: only while [t] runs, when [now t + delay] is within the
+    run's limit ([time] under {!run_until}, none under {!run}), and
+    when every queued event lies strictly later (one queued at the
+    same cycle runs first). It then moves the clock to
+    [now t + delay], counts one event in {!processed} and returns
+    [true]; otherwise it changes nothing and returns [false], and the
+    caller schedules the event. {!Process.wait} passes each wait
+    through here, so a wait that no queued event precedes costs no
+    heap operation and no process switch.
+    @raise Invalid_argument if [delay < 0]. *)
+val advance : t -> delay:int -> bool
+
 (** [run t] processes events until the queue is empty and returns the
     final simulation time. *)
 val run : t -> int
@@ -44,5 +58,6 @@ val run_until : t -> time:int -> unit
 (** [pending t] is the number of queued events. *)
 val pending : t -> int
 
-(** [processed t] is the total number of events executed so far. *)
+(** [processed t] is the total number of events executed so far,
+    counting each step {!advance} took in place as one event. *)
 val processed : t -> int

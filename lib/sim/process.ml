@@ -102,11 +102,14 @@ let status p = p.state
 
 let kill p = if p.state = Running then p.kill_requested <- true
 
+(* A wait whose resume would be the engine's next event runs on in
+   place: no other event can run in between, so a [kill] cannot land
+   there either. *)
 let wait n =
   if n < 0 then invalid_arg "Process.wait: negative duration";
   let p = self () in
   check_killed p;
-  if n = 0 then Effect.perform (Wait (p, 0)) else Effect.perform (Wait (p, n))
+  if not (Engine.advance p.engine ~delay:n) then Effect.perform (Wait (p, n))
 
 let suspend register =
   let p = self () in

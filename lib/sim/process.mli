@@ -34,7 +34,10 @@ val kill : t -> unit
 
 (** [wait n] — call from inside a process — advances the process's
     local time by [n >= 0] cycles. [wait 0] yields to other events at
-    the current cycle. *)
+    the current cycle. Other events run in between exactly as if the
+    wait's end were one more queued event; when none would, the
+    process runs on without leaving the engine's current step
+    ({!Engine.advance}). *)
 val wait : int -> unit
 
 (** [suspend register] parks the calling process. [register] receives a

@@ -1,12 +1,16 @@
 (* Golden digests: the MD5 of each paper figure's printed table and of
    the results JSON of each quick sweep, as recorded before the host
    fast paths (word-wise m3fs bitmaps, unboxed seeding, the flat event
-   heap, ring unread counts and cached routes) went in. Those are host
-   changes only, and every later refactor must keep these outputs too.
-   A change that means to alter an output updates its constant here
-   and says why in CHANGES.md. *)
+   heap, ring unread counts and cached routes) went in; and the MD5 of
+   the obs event logs of every system that fig3 and the quick fig6x
+   and figS runs boot, as recorded before the engine fast-forwarded
+   waits (Engine.advance). Those are host changes only, and every
+   later refactor must keep these outputs too. A change that means to
+   alter an output updates its constant here and says why in
+   CHANGES.md. *)
 
 open M3_harness
+module Obs = M3_obs.Obs
 
 let md5 s = Digest.to_hex (Digest.string s)
 
@@ -40,6 +44,49 @@ let golden =
         Figs2.to_json (Lazy.force figs2_quick));
   ]
 
+(* [event_logs run] is "<n> systems, <m> events, <md5>" over the obs
+   event log of every system [run] boots: the MD5 of the systems' log
+   MD5s, in boot order. Frames run their systems one after another, so
+   a system's log is complete when the next one boots, and only one
+   log is held at a time. *)
+let event_logs run =
+  let systems = ref 0 and events = ref 0 and digests = ref [] in
+  let current = ref None in
+  let close () =
+    Option.iter
+      (fun m ->
+        events := !events + Obs.Memory.count m;
+        digests := Digest.string (Obs.Memory.to_string m) :: !digests)
+      !current;
+    current := None
+  in
+  let prev = !Runner.observer in
+  Runner.observer :=
+    Some
+      (fun o ->
+        close ();
+        incr systems;
+        let m = Obs.Memory.create () in
+        Obs.attach o (Obs.Memory.sink m);
+        current := Some m);
+  Fun.protect ~finally:(fun () -> Runner.observer := prev) run;
+  close ();
+  Printf.sprintf "%d systems, %d events, %s" !systems !events
+    (md5 (String.concat "" (List.rev !digests)))
+
+let golden_logs =
+  [
+    ( "fig3 event logs",
+      "6 systems, 86574 events, 75364e81cfd3b56298f6b6725cb0482a",
+      fun () -> ignore (Fig3.run ()) );
+    ( "fig6x --quick event logs",
+      "6 systems, 11453 events, 82763ce70a0d7bf9efda28b63b78243c",
+      fun () -> ignore (Fig6x.run ~quick:true ()) );
+    ( "figS --quick event logs",
+      "21 systems, 191954 events, 45345530dee30e8f7530f80c97ef8204",
+      fun () -> ignore (Figs.run ~quick:true ()) );
+  ]
+
 let suites =
   [
     ( "golden",
@@ -49,5 +96,10 @@ let suites =
               Alcotest.(check string)
                 (name ^ " digest") digest
                 (md5 (output ()))))
-        golden );
+        golden
+      @ List.map
+          (fun (name, expected, run) ->
+            Alcotest.test_case name `Quick (fun () ->
+                Alcotest.(check string) name expected (event_logs run)))
+          golden_logs );
   ]

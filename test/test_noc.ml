@@ -135,7 +135,8 @@ let test_zero_byte_message () =
 
 (* Routes are cached per (src, dst) pair in a flat table, where an
    out-of-range pair such as (0, 16) would alias the slot of (1, 0):
-   it must raise, whatever routes are already cached. *)
+   it must raise, whatever routes are already cached. A pair within
+   one node takes no route and must raise all the same. *)
 let test_out_of_range_raises () =
   let engine, fabric = make_fabric () in
   List.iter
@@ -143,17 +144,23 @@ let test_out_of_range_raises () =
       Fabric.transfer fabric ~src ~dst ~bytes:8 ~on_deliver:ignore)
     [ (1, 0); (0, 15); (15, 0); (3, 4) ];
   ignore (Engine.run engine);
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
   List.iter
     (fun (src, dst) ->
       check_bool
         (Printf.sprintf "%d -> %d raises" src dst)
         true
-        (match
-           Fabric.transfer fabric ~src ~dst ~bytes:8 ~on_deliver:ignore
-         with
-        | () -> false
-        | exception Invalid_argument _ -> true))
-    [ (0, 16); (0, -1); (-1, 0); (16, 0); (3, 100); (-1, 17) ]
+        (raises (fun () ->
+             Fabric.transfer fabric ~src ~dst ~bytes:8 ~on_deliver:ignore));
+      check_bool
+        (Printf.sprintf "%d -> %d latency raises" src dst)
+        true
+        (raises (fun () -> Fabric.pure_latency fabric ~src ~dst ~bytes:8)))
+    [ (0, 16); (0, -1); (-1, 0); (16, 0); (3, 100); (-1, 17); (99, 99) ];
+  check_int "an in-range node to itself takes 1 cycle" 1
+    (Fabric.pure_latency fabric ~src:5 ~dst:5 ~bytes:8)
 
 let wormhole_config = { Fabric.default_config with mode = `Wormhole }
 

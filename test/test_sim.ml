@@ -236,6 +236,164 @@ let test_two_processes_interleave () =
     ]
     (List.rev !log)
 
+(* --- processes: fast-forwarded waits -------------------------------- *)
+
+let test_wait_after_queued_event () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note what = log := (what, Engine.now e) :: !log in
+  Engine.schedule e ~delay:5 (fun () -> note "event");
+  ignore
+    (Process.spawn e ~name:"w" (fun () ->
+         Process.wait 5;
+         note "wait"));
+  let final = Engine.run e in
+  Alcotest.(check (list (pair string int)))
+    "the event queued for cycle 5 runs first"
+    [ ("event", 5); ("wait", 5) ]
+    (List.rev !log);
+  check_int "spawn, event and resume" 3 (Engine.processed e);
+  check_int "final clock" 5 final
+
+let test_run_until_stops_fast_forward () =
+  let e = Engine.create () in
+  let seen = ref [] in
+  ignore
+    (Process.spawn e ~name:"w" (fun () ->
+         for _ = 1 to 4 do
+           Process.wait 10;
+           seen := Engine.now e :: !seen
+         done));
+  Engine.run_until e ~time:25;
+  Alcotest.(check (list int))
+    "steps up to the limit" [ 10; 20 ] (List.rev !seen);
+  check_int "clock at the limit" 25 (Engine.now e);
+  check_int "spawn and two resumes" 3 (Engine.processed e);
+  let final = Engine.run e in
+  Alcotest.(check (list int))
+    "run resumes it on time" [ 10; 20; 30; 40 ] (List.rev !seen);
+  check_int "final clock" 40 final;
+  check_int "spawn and four resumes" 5 (Engine.processed e)
+
+(* One step of a process script; [Park] and [Signal] name one of two
+   wait queues. *)
+type step =
+  | Wait of int
+  | Park of int
+  | Signal of int
+
+(* Each process's script, plain events by delay, and the sorted
+   [run_until] windows taken before the final [run]. *)
+type scripted = {
+  scripts : step list list;
+  events : int list;
+  windows : int list;
+}
+
+(* [scripted_run setup r] runs [r] on a fresh engine, [setup] starting
+   its scripts, and returns the log of (cycle, who, step) — who is -1
+   for a plain event and -2 for the end of a window — with
+   [Engine.processed] and the final clock. *)
+let scripted_run setup r =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note who i = log := (Engine.now e, who, i) :: !log in
+  setup e note;
+  List.iteri
+    (fun i d -> Engine.schedule e ~delay:d (fun () -> note (-1) i))
+    r.events;
+  List.iteri
+    (fun i time ->
+      Engine.run_until e ~time;
+      note (-2) i)
+    r.windows;
+  let final = Engine.run e in
+  (List.rev !log, Engine.processed e, final)
+
+let run_processes r =
+  scripted_run
+    (fun e note ->
+      let qs = Array.init 2 (fun _ -> Process.Waitq.create ()) in
+      List.iteri
+        (fun who script ->
+          ignore
+            (Process.spawn e ~name:"p" (fun () ->
+                 List.iteri
+                   (fun i step ->
+                     (match step with
+                     | Wait d -> Process.wait d
+                     | Park q -> Process.Waitq.park qs.(q)
+                     | Signal q -> ignore (Process.Waitq.signal qs.(q) ()));
+                     note who i)
+                   script)))
+        r.scripts)
+    r
+
+(* The model: the same scripts in continuation-passing style, every
+   step an [Engine.schedule] thunk. A wait is one event at its end, a
+   wake one delay-0 event and a spawn one delay-0 event. *)
+let run_model r =
+  scripted_run
+    (fun e note ->
+      let qs = Array.init 2 (fun _ -> Queue.create ()) in
+      let rec go who i = function
+        | [] -> ()
+        | step :: rest -> (
+          let next () =
+            note who i;
+            go who (i + 1) rest
+          in
+          match step with
+          | Wait d -> Engine.schedule e ~delay:d next
+          | Park q -> Queue.push next qs.(q)
+          | Signal q ->
+            Option.iter
+              (fun wake -> Engine.schedule e ~delay:0 wake)
+              (Queue.take_opt qs.(q));
+            next ())
+      in
+      List.iteri
+        (fun who script ->
+          Engine.schedule e ~delay:0 (fun () -> go who 0 script))
+        r.scripts)
+    r
+
+let arb_scripted =
+  let open QCheck.Gen in
+  let step =
+    frequency
+      [
+        (4, map (fun d -> Wait d) (int_bound 8));
+        (1, map (fun q -> Park q) (int_bound 1));
+        (1, map (fun q -> Signal q) (int_bound 1));
+      ]
+  in
+  let gen =
+    map3
+      (fun scripts events windows ->
+        { scripts; events; windows = List.sort compare windows })
+      (list_size (int_range 1 4) (list_size (int_bound 20) step))
+      (list_size (int_bound 4) (int_bound 60))
+      (list_size (int_bound 3) (int_bound 80))
+  in
+  let print r =
+    let step = function
+      | Wait d -> Printf.sprintf "w%d" d
+      | Park q -> Printf.sprintf "p%d" q
+      | Signal q -> Printf.sprintf "s%d" q
+    in
+    let ints l = String.concat " " (List.map string_of_int l) in
+    Printf.sprintf "scripts [%s] events [%s] windows [%s]"
+      (String.concat "; "
+         (List.map (fun sc -> String.concat " " (List.map step sc)) r.scripts))
+      (ints r.events) (ints r.windows)
+  in
+  QCheck.make ~print gen
+
+let qcheck_fast_forward_order =
+  QCheck.Test.make ~name:"fast-forwarded waits keep the heap's event order"
+    ~count:1000 arb_scripted (fun r -> run_processes r = run_model r)
+
 (* --- rng --- *)
 
 let test_rng_deterministic () =
@@ -343,26 +501,30 @@ let qcheck_heap_sorts =
 (* --- heap: popped slots must not pin their entries ------------------- *)
 
 (* Kept out of the test body so the payload cannot stay live in the
-   caller's frame: once this returns, only the heap's backing array
-   could still reference it. *)
+   caller's frame: once this returns, only the heap's backing arrays
+   could still reference it. The payload, keyed 9, moves into the
+   root's hole when key 1 pops and then pops itself; the survivor,
+   pushed last, takes slot 0. A heap that skips the slot clear would
+   still hold the payload in slot 1. *)
 let[@inline never] push_pop_cycle h =
   let payload = Array.make 1024 0 in
   let w = Weak.create 1 in
   Weak.set w 0 (Some payload);
-  Heap.push h ~key:1 payload;
-  (match pop h with
-  | Some (_, v) -> assert (v == payload)
-  | None -> assert false);
+  Heap.push h ~key:1 (Array.make 1 0);
+  Heap.push h ~key:9 payload;
+  ignore (Heap.pop h);
+  assert (Heap.pop h == payload);
+  Heap.push h ~key:7 (Array.make 1 0);
   w
 
 let test_heap_no_pinning () =
   let h = Heap.create ~dummy:[||] () in
-  (* A surviving entry, so the heap stays allocated across the pop. *)
-  Heap.push h ~key:5 (Array.make 1 0);
   let w = push_pop_cycle h in
   Gc.full_major ();
-  check_bool "drained slot holds no reference to the popped entry" true
-    (Weak.get w 0 = None)
+  check_bool "popped slot holds no reference to the popped entry" true
+    (Weak.get w 0 = None);
+  check_int "heap still live, survivor queued" 1
+    (Heap.length (Sys.opaque_identity h))
 
 (* The entry moved from the last slot into the root's hole must not
    stay behind in the last slot either, and a drained heap holds
@@ -385,37 +547,39 @@ let test_heap_drained_holds_nothing () =
     (Weak.get w 0 = None && Weak.get w 1 = None);
   check_int "heap still live and empty" 0 (Heap.length (Sys.opaque_identity h))
 
-(* --- heap: property test against a sorted-list oracle ---------------- *)
+(* --- heap: property test against a per-key FIFO oracle --------------- *)
 
-(* [Some k] pushes with key [k], [None] pops; the oracle is a stable
-   sorted association list, so FIFO-among-equal-keys is checked too. *)
+(* [Some k] pushes with key [k], [None] pops. The oracle keeps one FIFO
+   of sequence numbers per key and a size, so each operation costs
+   O(1) and FIFO-among-equal-keys is checked too. *)
 let qcheck_heap_oracle =
-  QCheck.Test.make ~name:"heap matches a sorted-list oracle under push/pop"
+  QCheck.Test.make ~name:"heap matches a per-key FIFO oracle under push/pop"
     ~count:300
     QCheck.(list (option (int_bound 30)))
     (fun ops ->
       let h = Heap.create ~dummy:0 () in
-      let oracle = ref [] in
-      let seq = ref 0 in
+      let fifos = Array.init 31 (fun _ -> Queue.create ()) in
+      let size = ref 0 and seq = ref 0 in
+      let rec oracle_min k =
+        if k > 30 then None
+        else if Queue.is_empty fifos.(k) then oracle_min (k + 1)
+        else Some k
+      in
       List.for_all
         (fun op ->
           match op with
           | Some k ->
             Heap.push h ~key:k !seq;
-            let rec ins = function
-              | (k', v) :: rest when k' <= k -> (k', v) :: ins rest
-              | rest -> (k, !seq) :: rest
-            in
-            oracle := ins !oracle;
+            Queue.push !seq fifos.(k);
+            incr size;
             incr seq;
-            Heap.length h = List.length !oracle
-            && min_key h = Option.map fst (List.nth_opt !oracle 0)
+            Heap.length h = !size && min_key h = oracle_min 0
           | None -> (
-            match !oracle with
-            | [] -> pop h = None
-            | entry :: rest ->
-              oracle := rest;
-              pop h = Some entry))
+            match oracle_min 0 with
+            | None -> pop h = None
+            | Some k ->
+              decr size;
+              pop h = Some (k, Queue.pop fifos.(k))))
         ops)
 
 (* --- rng: fill_bytes is successive byte draws ------------------------ *)
@@ -477,6 +641,11 @@ let suites =
         tc "two processes interleave deterministically"
           test_two_processes_interleave;
         QCheck_alcotest.to_alcotest qcheck_alloc_roundtrip;
+        tc "wait ending at a queued event's cycle runs after it"
+          test_wait_after_queued_event;
+        tc "run_until stops a fast-forwarding process at its limit"
+          test_run_until_stops_fast_forward;
+        QCheck_alcotest.to_alcotest qcheck_fast_forward_order;
       ] );
     ( "sim.rng",
       [
