@@ -28,6 +28,8 @@ let direct_extents = 8
 let dirent_bytes = 32
 let name_max = 26
 
+let store t = t.store
+let base t = t.base
 let block_size t = t.block_size
 let total_blocks t = t.total_blocks
 let block_addr t b = b * t.block_size
@@ -296,36 +298,54 @@ let free_inode t ino =
 (* --- directories ------------------------------------------------------- *)
 
 (* A directory's data (via its extents) is an array of 32-byte entries:
-   u32 ino, u8 used, u8 namelen, name bytes. *)
+   u32 ino, u8 used, u8 namelen, name bytes. A request walks the
+   extent list once and reads entries in place. *)
 
-let dirent_addr t ~dir ~index =
+(* The first entry slot of [dir], in index order, at whose address
+   [stop] holds: [Ok (index, addr)], or [Error capacity] when none
+   does. *)
+let find_dirent t ~dir stop =
   let per_block = t.block_size / dirent_bytes in
-  let blk_index = index / per_block in
-  let rec find i covered =
-    if i >= inode_nextents t dir then None
+  let n = inode_nextents t dir in
+  let rec extent i index =
+    if i >= n then Error index
     else begin
       let e = get_extent t dir i in
-      if blk_index < covered + e.e_len then
-        Some
-          (baddr t (e.e_start + blk_index - covered)
-          + (index mod per_block * dirent_bytes))
-      else find (i + 1) (covered + e.e_len)
+      let rec block b index =
+        if b >= e.e_len then extent (i + 1) index
+        else begin
+          let base = baddr t (e.e_start + b) in
+          let rec slot k =
+            if k >= per_block then block (b + 1) (index + per_block)
+            else begin
+              let a = base + (k * dirent_bytes) in
+              if stop a then Ok (index + k, a) else slot (k + 1)
+            end
+          in
+          slot 0
+        end
+      in
+      block 0 index
     end
   in
-  find 0 0
+  extent 0 0
 
-let dir_capacity t ~dir =
-  let blocks =
-    List.fold_left (fun acc e -> acc + e.e_len) 0 (extents t ~ino:dir)
+let dirent_used t addr = Store.read_u8 t.store ~addr:(addr + 4) = 1
+let dirent_ino t addr = Store.read_u32 t.store ~addr
+
+let dirent_name t addr =
+  Store.read_string t.store ~addr:(addr + 6)
+    ~len:(Store.read_u8 t.store ~addr:(addr + 5))
+
+(* Is the entry at [addr] a live one called [name]? Compared in place. *)
+let dirent_is t addr name =
+  let len = String.length name in
+  let rec same k =
+    k >= len
+    || Store.read_u8 t.store ~addr:(addr + 6 + k) = Char.code name.[k]
+       && same (k + 1)
   in
-  blocks * (t.block_size / dirent_bytes)
-
-let dirent_read t addr =
-  let ino = Store.read_u32 t.store ~addr in
-  let used = Store.read_u8 t.store ~addr:(addr + 4) = 1 in
-  let len = Store.read_u8 t.store ~addr:(addr + 5) in
-  let name = Store.read_string t.store ~addr:(addr + 6) ~len in
-  (used, name, ino)
+  dirent_used t addr && Store.read_u8 t.store ~addr:(addr + 5) = len && same 0
 
 let dirent_write t addr ~used ~name ~ino =
   Store.write_u32 t.store ~addr ino;
@@ -335,44 +355,25 @@ let dirent_write t addr ~used ~name ~ino =
 
 (* Scans a directory; returns (result, entries scanned). *)
 let dir_find t ~dir ~name =
-  let cap = dir_capacity t ~dir in
-  let rec go i =
-    if i >= cap then (None, i)
-    else
-      match dirent_addr t ~dir ~index:i with
-      | None -> (None, i)
-      | Some a ->
-        let used, n, ino = dirent_read t a in
-        if used && n = name then (Some (ino, a), i + 1) else go (i + 1)
-  in
-  go 0
+  match find_dirent t ~dir (fun a -> dirent_is t a name) with
+  | Ok (i, a) -> (Some (dirent_ino t a, a), i + 1)
+  | Error cap -> (None, cap)
 
 let dir_add t ~dir ~name ~ino =
   if String.length name > name_max || name = "" then Error Errno.E_inv_args
   else begin
-    let cap = dir_capacity t ~dir in
-    let rec free_slot i =
-      if i >= cap then None
-      else
-        match dirent_addr t ~dir ~index:i with
-        | None -> None
-        | Some a ->
-          let used, _, _ = dirent_read t a in
-          if used then free_slot (i + 1) else Some a
-    in
     let slot =
-      match free_slot 0 with
-      | Some a -> Ok a
-      | None -> (
+      match find_dirent t ~dir (fun a -> not (dirent_used t a)) with
+      | Ok (_, a) -> Ok a
+      | Error cap -> (
         (* Grow the directory by one block. *)
         match append_extent t ~ino:dir ~blocks:1 with
         | Error e -> Error e
         | Ok e ->
           Store.fill t.store ~addr:(baddr t e.e_start) ~len:t.block_size '\000';
-          set_file_size t ~ino:dir (dir_capacity t ~dir * dirent_bytes);
-          (match dirent_addr t ~dir ~index:cap with
-          | Some a -> Ok a
-          | None -> Error Errno.E_no_space))
+          set_file_size t ~ino:dir
+            ((cap + (e.e_len * (t.block_size / dirent_bytes))) * dirent_bytes);
+          Ok (baddr t e.e_start))
     in
     match slot with
     | Error e -> Error e
@@ -381,20 +382,27 @@ let dir_add t ~dir ~name ~ino =
       Ok ()
   end
 
-let dir_live_entries t ~dir =
-  let cap = dir_capacity t ~dir in
-  let rec go i acc =
-    if i >= cap then List.rev acc
-    else
-      match dirent_addr t ~dir ~index:i with
-      | None -> List.rev acc
-      | Some a ->
-        let used, name, ino = dirent_read t a in
-        go (i + 1) (if used then (name, ino) :: acc else acc)
+(* Up to [max] live entries, from the [index]-th on, in one walk. *)
+let readdir_batch t ~dir ~index ~max =
+  let skip = ref index and taken = ref 0 and acc = ref [] in
+  let take a =
+    if dirent_used t a then
+      if !skip > 0 then decr skip
+      else begin
+        acc := (dirent_name t a, dirent_ino t a) :: !acc;
+        incr taken
+      end;
+    !taken >= max
   in
-  go 0 []
+  if index >= 0 && max > 0 then ignore (find_dirent t ~dir take);
+  List.rev !acc
 
-let readdir t ~dir ~index = List.nth_opt (dir_live_entries t ~dir) index
+let readdir t ~dir ~index =
+  match readdir_batch t ~dir ~index ~max:1 with [ e ] -> Some e | _ -> None
+
+let dir_live_entries t ~dir = readdir_batch t ~dir ~index:0 ~max:max_int
+
+let dir_is_empty t ~dir = Result.is_error (find_dirent t ~dir (dirent_used t))
 
 (* --- paths -------------------------------------------------------------- *)
 
@@ -455,7 +463,7 @@ let unlink t path =
     match dir_find t ~dir:parent ~name with
     | None, _ -> Error Errno.E_not_found
     | Some (ino, slot_addr), _ ->
-      if is_dir t ~ino && dir_live_entries t ~dir:ino <> [] then
+      if is_dir t ~ino && not (dir_is_empty t ~dir:ino) then
         Error Errno.E_not_empty
       else begin
         dirent_write t slot_addr ~used:false ~name:"" ~ino:0;
@@ -589,10 +597,9 @@ let seed_file t ~path ~size ~blocks_per_extent ~rng =
           match append_extent t ~ino ~blocks:want with
           | Error e -> Error e
           | Ok e ->
-            let buf = Bytes.create (e.e_len * t.block_size) in
-            M3_sim.Rng.fill_bytes rng buf ~pos:0 ~len:(Bytes.length buf);
-            Store.write_bytes t.store ~addr:(baddr t e.e_start) buf ~pos:0
-              ~len:(Bytes.length buf);
+            let len = e.e_len * t.block_size in
+            Store.defer t.store ~addr:(baddr t e.e_start) ~len
+              (M3_sim.Rng.defer_bytes rng ~len);
             fill (remaining - e.e_len)
         end
       in

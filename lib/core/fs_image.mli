@@ -32,6 +32,12 @@ val format :
     bad magic number. *)
 val attach : M3_mem.Store.t -> base:int -> (t, string) result
 
+(** [store t] and [base t] are the store holding the image and the
+    image's address in it: block [b] lies at
+    [base t + block_addr t b]. *)
+val store : t -> M3_mem.Store.t
+val base : t -> int
+
 val block_size : t -> int
 val total_blocks : t -> int
 val free_blocks : t -> int
@@ -57,8 +63,14 @@ val unlink : t -> string -> (unit, Errno.t) result
     directories, [E_exists] if [dst] already exists. *)
 val rename : t -> src:string -> dst:string -> (int, Errno.t) result
 
-(** [readdir t ~dir ~index] is the [index]-th live entry. *)
+(** [readdir t ~dir ~index] is the [index]-th live entry; [None] for
+    a negative [index]. *)
 val readdir : t -> dir:int -> index:int -> (string * int) option
+
+(** [readdir_batch t ~dir ~index ~max] is up to [max] live entries from
+    the [index]-th on, in directory order, taken in one walk of the
+    directory; [\[\]] for a negative [index]. *)
+val readdir_batch : t -> dir:int -> index:int -> max:int -> (string * int) list
 
 (** {1 Inodes} *)
 
@@ -84,9 +96,16 @@ val truncate : t -> ino:int -> size:int -> unit
 
 (** [seed_file t ~path ~size ~blocks_per_extent ~rng] creates a file
     laid out in extents of exactly [blocks_per_extent] blocks and
-    fills it with deterministic pseudo-random bytes. Used to prepare
+    fills its extents with deterministic pseudo-random bytes: those of
+    an [Rng.fill_bytes] over them, in file order. Used to prepare
     benchmark inputs (including Fig. 4's controlled fragmentation)
-    before the simulation starts. *)
+    before the simulation starts.
+
+    The inode, directory entry, extents and bitmap bits are written
+    at once. The bytes are deferred ({!M3_mem.Store.defer}): a data
+    page is generated when it is first accessed, so seed data no
+    client reads is never generated. [rng] is left where the
+    [fill_bytes] would have left it. *)
 val seed_file :
   t -> path:string -> size:int -> blocks_per_extent:int -> rng:M3_sim.Rng.t ->
   (int, Errno.t) result

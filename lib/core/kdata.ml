@@ -63,6 +63,8 @@ and cap = {
   c_obj : obj;
   mutable c_parent : cap option;
   mutable c_children : cap list;
+  mutable c_live : int;
+  mutable c_stale : int;
   mutable c_activated : int list;
   mutable c_valid : bool;
 }
@@ -89,12 +91,16 @@ let insert vpe ~sel obj ~parent =
         c_obj = obj;
         c_parent = parent;
         c_children = [];
+        c_live = 0;
+        c_stale = 0;
         c_activated = [];
         c_valid = true;
       }
     in
     (match parent with
-    | Some p -> p.c_children <- cap :: p.c_children
+    | Some p ->
+      p.c_children <- cap :: p.c_children;
+      p.c_live <- p.c_live + 1
     | None -> ());
     Hashtbl.add vpe.v_caps sel cap;
     Ok cap
@@ -107,17 +113,31 @@ let get vpe ~sel =
 
 let derive_to ~cap ~dst ~dst_sel obj = insert dst ~sel:dst_sel obj ~parent:(Some cap)
 
+(* A revoked child stays in its parent's [c_children] until the stale
+   entries outnumber the live ones; then one pass sweeps them all. An
+   unlink is thus O(1) amortised, however many siblings it has (an m3fs
+   image capability collects every client's extent capabilities), and
+   a parent left without live children holds an empty list. *)
+let unlink p =
+  p.c_live <- p.c_live - 1;
+  p.c_stale <- p.c_stale + 1;
+  if p.c_stale > p.c_live then begin
+    p.c_children <- List.filter (fun c -> c.c_valid) p.c_children;
+    p.c_stale <- 0
+  end
+
 let rec revoke cap ~on_drop =
   if cap.c_valid then begin
-    (* Depth-first: children go first, so a service's derived client
-       capabilities disappear before the service capability itself. *)
+    (* Depth-first: children go first, newest first, so a service's
+       derived client capabilities disappear before the service
+       capability itself. *)
     List.iter (fun child -> revoke child ~on_drop) cap.c_children;
     cap.c_children <- [];
+    cap.c_live <- 0;
+    cap.c_stale <- 0;
     cap.c_valid <- false;
     Hashtbl.remove cap.c_owner.v_caps cap.c_sel;
-    (match cap.c_parent with
-    | Some p -> p.c_children <- List.filter (fun c -> c != cap) p.c_children
-    | None -> ());
+    Option.iter unlink cap.c_parent;
     on_drop cap
   end
 

@@ -77,8 +77,13 @@ and cap = {
   c_obj : obj;
   mutable c_parent : cap option;
   mutable c_children : cap list;
-  (** endpoints of the owner's DTU currently configured from this cap *)
+      (** derived capabilities, newest first. Revoked ones linger
+          until they outnumber the live ones ([c_valid] tells them
+          apart); with no live child the list is empty. *)
+  mutable c_live : int;   (** live entries of [c_children] *)
+  mutable c_stale : int;  (** revoked entries of [c_children] *)
   mutable c_activated : int list;
+      (** endpoints of the owner's DTU currently configured from this cap *)
   mutable c_valid : bool;
 }
 
@@ -101,7 +106,9 @@ val derive_to :
 
 (** [revoke cap ~on_drop] removes [cap] and every capability derived
     from it, in all tables; [on_drop] runs for each removed capability
-    (deepest first) so the kernel can invalidate endpoints etc. *)
+    (depth-first, a capability's newest child first, each child before
+    its parent) so the kernel can invalidate endpoints etc. Unlinking
+    [cap] from its parent is O(1) amortised. *)
 val revoke : cap -> on_drop:(cap -> unit) -> unit
 
 (** [obj_name o] is a short tag for logs and tests. *)

@@ -357,14 +357,9 @@ let h_readdir t r =
     if not (Fs_image.is_dir t.fs ~ino) then reply_err Errno.E_not_dir
     else begin
       (* getdents-style batching: several entries per message. *)
-      let rec collect i acc =
-        if i >= Fs_proto.readdir_batch then List.rev acc
-        else
-          match Fs_image.readdir t.fs ~dir:ino ~index:(index + i) with
-          | None -> List.rev acc
-          | Some entry -> collect (i + 1) (entry :: acc)
-      in
-      match collect 0 [] with
+      match
+        Fs_image.readdir_batch t.fs ~dir:ino ~index ~max:Fs_proto.readdir_batch
+      with
       | [] -> reply_err Errno.E_not_found
       | entries ->
         reply_ok (fun w ->

@@ -1,26 +1,46 @@
 (* A store is sparse: a default platform gives every system 64 MiB of
    DRAM, of which a run touches a few MiB. The bytes live in fixed
-   4 KiB pages. Every untouched slot of [pages] aliases [zero_page],
-   which is never written; a page is committed on its first write, so
-   reads of untouched memory return zeros and allocate nothing.
-   [zero_page] is shared by all stores, but only read. *)
+   4 KiB pages, and every slot of [pages] is in one of three states:
+
+   - untouched: it aliases [zero_page], which is never written, so
+     reads return zeros and allocate nothing;
+   - deferred: it aliases [deferred_page], and [deferred] holds the
+     generator that writes its bytes and the page's offset in the
+     generator's range;
+   - committed: it holds a page of its own.
+
+   An untouched page is committed on its first write, a deferred one
+   on its first access of any kind. [zero_page] and [deferred_page]
+   are shared by all stores; neither is ever handed to a caller, and
+   [deferred_page] is empty, so an access that missed the check would
+   fail rather than read a wrong byte. *)
 
 let page_bits = 12
 let page_size = 1 lsl page_bits
 let page_mask = page_size - 1
 let zero_page = Bytes.make page_size '\000'
+let deferred_page = Bytes.create 0
+
+type gen = off:int -> Bytes.t -> pos:int -> len:int -> unit
 
 type t = {
   name : string;
   size : int;
   pages : Bytes.t array;
+  mutable deferred : (int, gen * int) Hashtbl.t option;
+      (* created by the first [defer] *)
 }
 
 exception Fault of string
 
 let create ~name ~size =
   if size <= 0 then invalid_arg "Store.create: size must be positive";
-  { name; size; pages = Array.make ((size + page_mask) lsr page_bits) zero_page }
+  {
+    name;
+    size;
+    pages = Array.make ((size + page_mask) lsr page_bits) zero_page;
+    deferred = None;
+  }
 
 let name t = t.name
 
@@ -38,18 +58,34 @@ let fault t ~addr ~len =
 let[@inline] check t ~addr ~len =
   if addr < 0 || len < 0 || addr + len > t.size then fault t ~addr ~len
 
-let[@inline] page t addr = t.pages.(addr lsr page_bits)
-
+(* Page [i] committed: a deferred page gets its generator's bytes, an
+   untouched one zeros. *)
 let commit t i =
-  let p = Bytes.make page_size '\000' in
+  let p =
+    if t.pages.(i) != deferred_page then Bytes.make page_size '\000'
+    else begin
+      let gens = Option.get t.deferred in
+      let gen, off = Hashtbl.find gens i in
+      Hashtbl.remove gens i;
+      let p = Bytes.create page_size in
+      gen ~off p ~pos:0 ~len:page_size;
+      p
+    end
+  in
   t.pages.(i) <- p;
   p
+
+(* The page holding [addr], for reading. *)
+let[@inline] page t addr =
+  let i = addr lsr page_bits in
+  let p = t.pages.(i) in
+  if p != deferred_page then p else commit t i
 
 (* The page holding [addr], committed for writing. *)
 let[@inline] writable t addr =
   let i = addr lsr page_bits in
   let p = t.pages.(i) in
-  if p != zero_page then p else commit t i
+  if p != zero_page && p != deferred_page then p else commit t i
 
 (* True when [len > 0] bytes at [addr] lie in one page: the fast path
    of one page lookup and one [Bytes] operation. A zero-length access
@@ -182,7 +218,7 @@ let rec fill_pages t ~addr ~len c =
   if len > 0 then begin
     let off = addr land page_mask in
     let n = min len (page_size - off) in
-    if c <> '\000' || page t addr != zero_page then
+    if c <> '\000' || t.pages.(addr lsr page_bits) != zero_page then
       Bytes.fill (writable t addr) off n c;
     fill_pages t ~addr:(addr + n) ~len:(len - n) c
   end
@@ -190,6 +226,34 @@ let rec fill_pages t ~addr ~len c =
 let fill t ~addr ~len c =
   check t ~addr ~len;
   fill_pages t ~addr ~len c
+
+(* Whole pages that are untouched or deferred take the generator;
+   every other piece is written through it now. *)
+let rec defer_pages t ~addr ~len ~off gen =
+  if off < len then begin
+    let a = addr + off in
+    let i = a lsr page_bits and po = a land page_mask in
+    let n = min (len - off) (page_size - po) in
+    let p = t.pages.(i) in
+    if n = page_size && (p == zero_page || p == deferred_page) then begin
+      let gens =
+        match t.deferred with
+        | Some gens -> gens
+        | None ->
+          let gens = Hashtbl.create 64 in
+          t.deferred <- Some gens;
+          gens
+      in
+      Hashtbl.replace gens i (gen, off);
+      t.pages.(i) <- deferred_page
+    end
+    else gen ~off (writable t a) ~pos:po ~len:n;
+    defer_pages t ~addr ~len ~off:(off + n) gen
+  end
+
+let defer t ~addr ~len gen =
+  check t ~addr ~len;
+  defer_pages t ~addr ~len ~off:0 gen
 
 let read_string t ~addr ~len =
   Bytes.unsafe_to_string (read_bytes t ~addr ~len)

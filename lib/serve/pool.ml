@@ -1244,9 +1244,22 @@ let run_open ?(actions = []) env t ~schedule =
   (* Arrival times are relative to the start of the run, not to boot —
      the schedule is drawn before the simulation exists. *)
   let t0 = Engine.now env.Env.engine in
+  (* Actions in arrival order, equal indices in list order, fired from
+     a cursor; an index outside the schedule never fires. *)
+  let pending =
+    ref (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) actions)
+  in
+  let rec fire i =
+    match !pending with
+    | (at, act) :: rest when at <= i ->
+      pending := rest;
+      if at = i then act ();
+      fire i
+    | _ -> ()
+  in
   for i = 0 to n - 1 do
     let a = schedule.(i) in
-    List.iter (fun (at, act) -> if at = i then act ()) actions;
+    fire i;
     drain_client env t sess;
     let now = Engine.now env.Env.engine in
     if now < t0 + a.Load.at then Process.wait (t0 + a.Load.at - now);

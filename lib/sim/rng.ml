@@ -48,3 +48,17 @@ let fill_bytes t buf ~pos ~len =
     Bytes.unsafe_set buf i (Char.unsafe_chr (raw land 0xff))
   done;
   t.state <- !state
+
+(* splitmix64 draws by adding [golden_gamma] to the state, so the state
+   after [k] draws is [state + k * golden_gamma] (modulo 2^64) and any
+   byte of a [fill_bytes] can be drawn on its own. *)
+let skip state k = Int64.add state (Int64.mul (Int64.of_int k) golden_gamma)
+
+let defer_bytes t ~len =
+  if len < 0 then invalid_arg "Rng.defer_bytes: negative length";
+  let start = t.state in
+  t.state <- skip start len;
+  fun ~off buf ~pos ~len:n ->
+    if off < 0 || n < 0 || off > len - n then
+      invalid_arg "Rng.defer_bytes: piece outside the range";
+    fill_bytes { state = skip start off } buf ~pos ~len:n

@@ -33,3 +33,14 @@ val float : t -> float
     of [len] successive [byte] draws, leaving [t] where they would.
     @raise Invalid_argument if the slice does not lie within [buf]. *)
 val fill_bytes : t -> Bytes.t -> pos:int -> len:int -> unit
+
+(** [defer_bytes t ~len] is [fill_bytes] for the next [len] byte draws,
+    taken in any order: [t] moves past those draws at once, and the
+    returned [gen ~off buf ~pos ~len:n] writes the bytes of draws
+    [\[off, off + n)] of them into [buf] at [pos], exactly as a
+    [fill_bytes] of all [len] would have. Each call is independent of
+    the others and of [t].
+    @raise Invalid_argument if [len < 0], or, from [gen], if the piece
+    does not lie within the [len] draws or the slice within [buf]. *)
+val defer_bytes :
+  t -> len:int -> (off:int -> Bytes.t -> pos:int -> len:int -> unit)

@@ -450,6 +450,263 @@ let qcheck_first_fit_model =
       in
       List.for_all step script)
 
+(* The directory functions as the image had them before a request
+   walked a directory once: every slot found by re-walking the extent
+   list from its start, every name read into a string, [readdir] the
+   [index]-th of [dir_live_entries]. Written against the public
+   interface, they are the reference for the one-walk versions. *)
+module Ref_dir = struct
+  let dirent_bytes = 32
+
+  let per_block fs = Fs.block_size fs / dirent_bytes
+  let baddr fs b = Fs.base fs + Fs.block_addr fs b
+
+  let dirent_addr fs ~dir ~index =
+    let blk_index = index / per_block fs in
+    let rec find exts covered =
+      match exts with
+      | [] -> None
+      | (e : Fs.extent) :: rest ->
+        if blk_index < covered + e.e_len then
+          Some
+            (baddr fs (e.e_start + blk_index - covered)
+            + (index mod per_block fs * dirent_bytes))
+        else find rest (covered + e.e_len)
+    in
+    find (Fs.extents fs ~ino:dir) 0
+
+  let dir_capacity fs ~dir =
+    List.fold_left (fun acc (e : Fs.extent) -> acc + e.e_len) 0 (Fs.extents fs ~ino:dir)
+    * per_block fs
+
+  let dirent_read fs addr =
+    let store = Fs.store fs in
+    let ino = Store.read_u32 store ~addr in
+    let used = Store.read_u8 store ~addr:(addr + 4) = 1 in
+    let len = Store.read_u8 store ~addr:(addr + 5) in
+    (used, Store.read_string store ~addr:(addr + 6) ~len, ino)
+
+  let dir_find fs ~dir ~name =
+    let cap = dir_capacity fs ~dir in
+    let rec go i =
+      if i >= cap then (None, i)
+      else
+        match dirent_addr fs ~dir ~index:i with
+        | None -> (None, i)
+        | Some a ->
+          let used, n, ino = dirent_read fs a in
+          if used && n = name then (Some (ino, a), i + 1) else go (i + 1)
+    in
+    go 0
+
+  (* [dir_add]'s choice: [Some addr] of the first free slot, or [None]
+     when the directory must grow. *)
+  let free_slot fs ~dir =
+    let cap = dir_capacity fs ~dir in
+    let rec go i =
+      if i >= cap then None
+      else
+        match dirent_addr fs ~dir ~index:i with
+        | None -> None
+        | Some a ->
+          let used, _, _ = dirent_read fs a in
+          if used then go (i + 1) else Some a
+    in
+    go 0
+
+  let dir_live_entries fs ~dir =
+    let cap = dir_capacity fs ~dir in
+    let rec go i acc =
+      if i >= cap then List.rev acc
+      else
+        match dirent_addr fs ~dir ~index:i with
+        | None -> List.rev acc
+        | Some a ->
+          let used, name, ino = dirent_read fs a in
+          go (i + 1) (if used then (name, ino) :: acc else acc)
+    in
+    go 0 []
+
+  let lookup fs path =
+    let rec walk ino scanned = function
+      | [] -> Ok (ino, scanned)
+      | name :: rest ->
+        if not (Fs.is_dir fs ~ino) then Error Errno.E_not_dir
+        else (
+          match dir_find fs ~dir:ino ~name with
+          | Some (child, _), n -> walk child (scanned + n) rest
+          | None, _ -> Error Errno.E_not_found)
+    in
+    walk 0 0 (List.filter (fun c -> c <> "") (String.split_on_char '/' path))
+end
+
+type dir_op =
+  | Mkdir of string
+  | Create of string
+  | Unlink of string
+  | Rename of string * string
+
+let show_dir_op = function
+  | Mkdir p -> "mkdir " ^ p
+  | Create p -> "create " ^ p
+  | Unlink p -> "unlink " ^ p
+  | Rename (a, b) -> Printf.sprintf "rename %s %s" a b
+
+(* Parents that may or may not exist (or be files), and names that
+   share prefixes and lengths, fill several directory blocks, and
+   reach and pass the 26-byte name limit. *)
+let dir_parents = [ ""; "/d0"; "/d1"; "/d0/d2"; "/f0" ]
+
+let dir_names =
+  [ "d0"; "d1"; "d2"; "f0"; "f1"; "fa"; "f"; "ff";
+    String.make 26 'n'; String.make 27 'n' ]
+  @ List.init 14 (Printf.sprintf "g%d")
+
+let dir_op_gen =
+  let open QCheck.Gen in
+  (* The root half the time, so that it spans several blocks. *)
+  let path =
+    map2 (fun p n -> p ^ "/" ^ n)
+      (frequency [ (4, return ""); (1, oneofl (List.tl dir_parents)) ])
+      (oneofl dir_names)
+  in
+  frequency
+    [
+      (2, map (fun p -> Mkdir p) path);
+      (6, map (fun p -> Create p) path);
+      (3, map (fun p -> Unlink p) path);
+      (2, map2 (fun a b -> Rename (a, b)) path path);
+    ]
+
+let split_parent path =
+  let i = String.rindex path '/' in
+  (String.sub path 0 i, String.sub path (i + 1) (String.length path - i - 1))
+
+(* Random mkdir/create/unlink/rename scripts on 512-byte blocks (16
+   entries each). After every step the one-walk functions must agree
+   with [Ref_dir]: [lookup]'s (ino, scanned) for every live path, the
+   parents and the step's own paths; every directory's entries through
+   [readdir] and [readdir_batch]; the slot [dir_add] fills (or the
+   block it grows by); and the slot [unlink] and [rename] clear. *)
+let qcheck_dirs_match_reference =
+  QCheck.Test.make ~name:"one-walk directories match the re-walking reference"
+    ~count:60
+    (QCheck.make
+       ~print:(fun ops -> String.concat "\n" (List.map show_dir_op ops))
+       QCheck.Gen.(list_size (int_range 1 100) dir_op_gen))
+    (fun script ->
+      let fs = make ~size:(256 * 1024) ~block_size:512 () in
+      let store = Fs.store fs in
+      let fail step op fmt =
+        Printf.ksprintf
+          (fun m -> QCheck.Test.fail_reportf "step %d (%s): %s" step (show_dir_op op) m)
+          fmt
+      in
+      let dir_of path =
+        match Ref_dir.lookup fs (if path = "" then "/" else path) with
+        | Ok (ino, _) when Fs.is_dir fs ~ino -> Some ino
+        | Ok _ | Error _ -> None
+      in
+      (* The slot [dir_add] will fill for [path], if the add can happen:
+         [`Slot a] or [`Grow cap]. *)
+      let add_slot path =
+        let parent, name = split_parent path in
+        match dir_of parent with
+        | Some dir
+          when name <> "" && String.length name <= 26
+               && fst (Ref_dir.dir_find fs ~dir ~name) = None -> (
+          match Ref_dir.free_slot fs ~dir with
+          | Some a -> Some (dir, name, `Slot a)
+          | None -> Some (dir, name, `Grow (Ref_dir.dir_capacity fs ~dir)))
+        | Some _ | None -> None
+      in
+      let found_slot path =
+        let parent, name = split_parent path in
+        Option.bind (dir_of parent) (fun dir ->
+            Option.map snd (fst (Ref_dir.dir_find fs ~dir ~name)))
+      in
+      let check_added step op expect result =
+        match (expect, result) with
+        | Some (dir, name, want), Ok _ -> (
+          let got = Option.map snd (fst (Ref_dir.dir_find fs ~dir ~name)) in
+          match want with
+          | `Slot a -> if got <> Some a then fail step op "not added at the free slot"
+          | `Grow cap ->
+            if Ref_dir.dir_capacity fs ~dir <> cap + Ref_dir.per_block fs
+               || got <> Ref_dir.dirent_addr fs ~dir ~index:cap
+               || Fs.file_size fs ~ino:dir <> Ref_dir.dir_capacity fs ~dir * 32
+            then fail step op "growth differs")
+        | Some _, Error _ | None, (Ok _ | Error _) -> ()
+      in
+      let check_cleared step op slot result =
+        match (slot, result) with
+        | Some a, Ok _ ->
+          if Store.read_u8 store ~addr:(a + 4) = 1 then fail step op "slot not cleared"
+        | Some _, Error _ | None, (Ok _ | Error _) -> ()
+      in
+      let ok_unit = function Ok () -> Ok 0 | Error e -> Error e in
+      List.iteri
+        (fun step op ->
+          (match op with
+          | Mkdir p ->
+            let expect = add_slot p in
+            check_added step op expect (ok_unit (Fs.mkdir fs p))
+          | Create p ->
+            let expect = add_slot p in
+            check_added step op expect (Fs.create_file fs p)
+          | Unlink p ->
+            let slot = found_slot p in
+            check_cleared step op slot (ok_unit (Fs.unlink fs p))
+          | Rename (a, b) ->
+            let slot = found_slot a and expect = add_slot b in
+            let r = Fs.rename fs ~src:a ~dst:b in
+            check_added step op expect r;
+            check_cleared step op slot r);
+          let live_paths =
+            List.concat_map
+              (fun parent ->
+                match dir_of parent with
+                | None -> []
+                | Some dir ->
+                  List.map (fun (name, _) -> parent ^ "/" ^ name)
+                    (Ref_dir.dir_live_entries fs ~dir))
+              dir_parents
+          in
+          let op_paths =
+            match op with
+            | Mkdir p | Create p | Unlink p -> [ p ]
+            | Rename (a, b) -> [ a; b ]
+          in
+          List.iter
+            (fun p ->
+              if Fs.lookup fs p <> Ref_dir.lookup fs p then
+                fail step op "lookup %s differs" p)
+            (("/" :: dir_parents) @ op_paths @ live_paths);
+          List.iter
+            (fun parent ->
+              Option.iter
+                (fun dir ->
+                  let live = Ref_dir.dir_live_entries fs ~dir in
+                  for index = 0 to List.length live + 1 do
+                    if Fs.readdir fs ~dir ~index <> List.nth_opt live index then
+                      fail step op "readdir %s %d differs" parent index;
+                    List.iter
+                      (fun max ->
+                        let want =
+                          List.filteri (fun i _ -> i >= index && i < index + max) live
+                        in
+                        if Fs.readdir_batch fs ~dir ~index ~max <> want then
+                          fail step op "readdir_batch %s %d %d differs" parent index max)
+                      [ 1; 3; 8 ]
+                  done)
+                (dir_of parent))
+            dir_parents;
+          match Fs.fsck fs with
+          | Ok () -> ()
+          | Error e -> fail step op "fsck: %s" e)
+        script;
+      true)
+
 let tc name f = Alcotest.test_case name `Quick f
 
 let suites =
@@ -479,6 +736,7 @@ let suites =
       [
         tc "readdir order across blocks" test_readdir_order_and_growth;
         tc "dirent slot reuse" test_dirent_slot_reuse;
+        QCheck_alcotest.to_alcotest qcheck_dirs_match_reference;
       ] );
     ( "fs_image.random",
       [ QCheck_alcotest.to_alcotest qcheck_random_ops_fsck ] );

@@ -4,10 +4,12 @@
    heap, ring unread counts and cached routes) went in; and the MD5 of
    the obs event logs of every system that fig3 and the quick fig6x
    and figS runs boot, as recorded before the engine fast-forwarded
-   waits (Engine.advance). Those are host changes only, and every
-   later refactor must keep these outputs too. A change that means to
-   alter an output updates its constant here and says why in
-   CHANGES.md. *)
+   waits (Engine.advance); and the MD5 of the seeded bytes of the
+   Fig. 4 images and the 16-instance Fig. 6 untar image, as recorded
+   before seed data was generated on first access (Store.defer).
+   Those are host changes only, and every later refactor must keep
+   these outputs too. A change that means to alter an output updates
+   its constant here and says why in CHANGES.md. *)
 
 open M3_harness
 module Obs = M3_obs.Obs
@@ -87,6 +89,74 @@ let golden_logs =
       fun () -> ignore (Figs.run ~quick:true ()) );
   ]
 
+(* [seeded_bytes systems] boots each system in turn, each handing
+   back its engine and m3fs seed list, and is "<n> files, <m> bytes,
+   <md5>" over every seeded file's extents, in boot and seed order:
+   the MD5 of their per-file MD5s. The bytes are read straight from
+   the DRAM store in chunks of at most 4 KiB, so this pins the seeded
+   image itself, not what a client's transfers make of it. *)
+let seeded_bytes systems =
+  let files = ref 0 and bytes = ref 0 and digests = ref [] in
+  let image (engine, seeds) =
+    let fs = Option.get (M3.M3fs.current_image engine) in
+    let store = M3.Fs_image.store fs and bs = M3.Fs_image.block_size fs in
+    let file (sd : M3.M3fs.seed) =
+      let ino, _ = M3.Errno.ok_exn (M3.Fs_image.lookup fs sd.sd_path) in
+      let buf = Buffer.create sd.sd_size in
+      List.iter
+        (fun (e : M3.Fs_image.extent) ->
+          let addr = M3.Fs_image.base fs + M3.Fs_image.block_addr fs e.e_start in
+          let len = e.e_len * bs in
+          let rec chunk off =
+            if off < len then begin
+              let n = min 4096 (len - off) in
+              Buffer.add_bytes buf
+                (M3_mem.Store.read_bytes store ~addr:(addr + off) ~len:n);
+              chunk (off + n)
+            end
+          in
+          chunk 0)
+        (M3.Fs_image.extents fs ~ino);
+      incr files;
+      bytes := !bytes + Buffer.length buf;
+      digests := Digest.string (Buffer.contents buf) :: !digests
+    in
+    List.iter (fun (sd : M3.M3fs.seed) -> if not sd.sd_dir then file sd) seeds
+  in
+  List.iter (fun boot -> image (boot ())) systems;
+  Printf.sprintf "%d files, %d bytes, %s" !files !bytes
+    (md5 (String.concat "" (List.rev !digests)))
+
+(* The Fig. 4 read images, one 2 MiB file per fragmentation. *)
+let fig4_image bpe () =
+  let seeds =
+    [ { M3.M3fs.sd_path = "/frag.dat"; sd_size = Fig3.total_bytes;
+        sd_blocks_per_extent = bpe; sd_dir = false } ]
+  in
+  let engine = ref None in
+  ignore (Runner.run_m3 ~seeds (fun env ~measured:_ -> engine := Some env.M3.Env.engine));
+  (Option.get !engine, seeds)
+
+(* The 16-instance, one-shard Fig. 6 untar image. *)
+let fig6_untar_image () =
+  let pes_per_instance, seeds_of, _ = List.assoc "untar" (Fig6.benches ()) in
+  let engine = ref None in
+  ignore
+    (Fig6.run_multi ~instances:16 ~pes_per_instance ~seeds_of
+       ~body:(fun ~instance:_ env ~measured:_ -> engine := Some env.M3.Env.engine)
+       ());
+  (Option.get !engine, List.concat_map seeds_of (List.init 16 Fun.id))
+
+let golden_images =
+  [
+    ( "fig4 seeded images",
+      "8 files, 16777216 bytes, 9f8444f7245036acb7c66e53c3a2b007",
+      List.map fig4_image Fig4.sweep );
+    ( "fig6 untar x16 seeded image",
+      "16 files, 20692992 bytes, 3a1449f976bbeae72228165b28abbfb8",
+      [ fig6_untar_image ] );
+  ]
+
 let suites =
   [
     ( "golden",
@@ -101,5 +171,10 @@ let suites =
           (fun (name, expected, run) ->
             Alcotest.test_case name `Quick (fun () ->
                 Alcotest.(check string) name expected (event_logs run)))
-          golden_logs );
+          golden_logs
+      @ List.map
+          (fun (name, expected, systems) ->
+            Alcotest.test_case name `Quick (fun () ->
+                Alcotest.(check string) name expected (seeded_bytes systems)))
+          golden_images );
   ]

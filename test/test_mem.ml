@@ -65,7 +65,11 @@ let test_store_faults () =
 (* Random operation sequences run on two stores and on two flat
    buffers with the semantics of a flat store. Each operation acts on
    store A or B; a blit copies from that store into itself or into the
-   other one. *)
+   other one. The oracle writes a deferred range's bytes at once.
+   Each store is compared whole with its oracle after every step until
+   it defers a range; from then on only at [Check] steps and at the
+   end, since a whole-store read commits every deferred page and the
+   first access to one must come from every kind of accessor. *)
 type op =
   | Write_u8 of int * int
   | Read_u8 of int
@@ -78,6 +82,8 @@ type op =
   | Read_string of int * int
   | Fill of int * int * char
   | Blit of int * bool * int * int (* src_addr, into the other, dst_addr, len *)
+  | Defer of int * int * int (* addr, len, generator seed *)
+  | Check
 
 type outcome = Fault | Done | Int of int | Int64 of int64 | Str of string
 
@@ -95,6 +101,8 @@ let show_op = function
   | Blit (a, other, d, n) ->
     Printf.sprintf "blit %d -> %s %d len %d" a
       (if other then "other" else "same") d n
+  | Defer (a, n, g) -> Printf.sprintf "defer %d len %d gen %d" a n g
+  | Check -> "check"
 
 let show_outcome = function
   | Fault -> "Fault"
@@ -107,6 +115,20 @@ let show_outcome = function
 let source len = Bytes.init (max 0 (len + 3)) (fun i -> Char.chr ((i * 31 + 7) land 0xff))
 
 let page = 4096
+
+(* Byte [off] of generator [g]'s range: it depends on the offset, so a
+   piece generated at the wrong offset reads differently. *)
+let gen_byte g off = Char.chr ((g + (off * 167) + (off lsr 7)) land 0xff)
+
+(* The generator [Store.defer] receives; it rejects a piece outside its
+   range, as a page deferred past the range's end would ask for. *)
+let generator g ~range ~off buf ~pos ~len =
+  if off < 0 || len < 0 || off + len > range then
+    invalid_arg
+      (Printf.sprintf "generator %d: piece [%d, %d) of %d" g off (off + len) range);
+  for k = 0 to len - 1 do
+    Bytes.set buf (pos + k) (gen_byte g (off + k))
+  done
 
 (* Addresses near page boundaries and the end of the store, plus a few
    anywhere and a few negative. *)
@@ -168,6 +190,20 @@ let op_gen ~size ~other_size =
               [ (2, map (fun d -> src + d) (int_range (-n - 2) (n + 2))); (1, addr) ]
         in
         return (Blit (src, other, dst, n)) );
+      ( 6,
+        let* a, n =
+          (* Often whole pages, so that the next accesses find deferred
+             pages and re-deferring a range replaces a generator. *)
+          frequency
+            [
+              (2, span);
+              ( 3,
+                map2 (fun k m -> (k * page, m * page))
+                  (int_bound ((size / page) + 1)) (int_range 1 3) );
+            ]
+        in
+        map (fun g -> Defer (a, n, g)) (int_bound 255) );
+      (1, return Check);
     ]
 
 let model_gen =
@@ -216,6 +252,13 @@ let oracle_step o o' op =
     guard src_addr len (fun () ->
         if fits d dst_addr len then (Bytes.blit o src_addr d dst_addr len; Done)
         else Fault)
+  | Defer (addr, len, g) ->
+    guard addr len (fun () ->
+        for k = 0 to len - 1 do
+          Bytes.set o (addr + k) (gen_byte g k)
+        done;
+        Done)
+  | Check -> Done
 
 let store_step s s' op =
   match
@@ -235,35 +278,81 @@ let store_step s s' op =
     | Blit (src_addr, other, dst_addr, len) ->
       Store.blit ~src:s ~src_addr ~dst:(if other then s' else s) ~dst_addr ~len;
       Done
+    | Defer (addr, len, g) ->
+      Store.defer s ~addr ~len (generator g ~range:len);
+      Done
+    | Check -> Done
   with
   | r -> r
   | exception Store.Fault _ -> Fault
 
+(* Runs a script on two stores and their flat oracles (see [op]). *)
+let agrees_with_flat ((size_a, size_b), ops) =
+  let a = Store.create ~name:"a" ~size:size_a
+  and b = Store.create ~name:"b" ~size:size_b in
+  let oa = Bytes.make size_a '\000' and ob = Bytes.make size_b '\000' in
+  (* [deferring.(k)]: store k may hold deferred pages, so only a
+     [Check] or the end of the script reads it whole. *)
+  let deferring = [| false; false |] in
+  let compare ~all after =
+    List.iteri
+      (fun k (s, o) ->
+        if all || not deferring.(k) then begin
+          deferring.(k) <- false;
+          if Store.read_string s ~addr:0 ~len:(Bytes.length o) <> Bytes.to_string o
+          then QCheck.Test.fail_reportf "%s: store %s diverged" after (Store.name s)
+        end)
+      [ (a, oa); (b, ob) ]
+  in
+  List.iteri
+    (fun i (on_b, op) ->
+      let s, s', o, o' = if on_b then (b, a, ob, oa) else (a, b, oa, ob) in
+      let want = oracle_step o o' op in
+      let got = store_step s s' op in
+      if got <> want then
+        QCheck.Test.fail_reportf "op %d (%s): store gave %s, oracle %s" i
+          (show_op op) (show_outcome got) (show_outcome want);
+      (match op with Defer _ -> deferring.(Bool.to_int on_b) <- true | _ -> ());
+      compare ~all:(op = Check) (Printf.sprintf "op %d (%s)" i (show_op op)))
+    ops;
+  compare ~all:true "end of script";
+  true
+
 let qcheck_store_matches_flat =
-  QCheck.Test.make ~name:"paged store matches a flat buffer" ~count:300
+  QCheck.Test.make ~name:"paged store matches a flat buffer" ~count:1000
     (QCheck.make ~print:print_model model_gen)
-    (fun ((size_a, size_b), ops) ->
-      let a = Store.create ~name:"a" ~size:size_a
-      and b = Store.create ~name:"b" ~size:size_b in
-      let oa = Bytes.make size_a '\000' and ob = Bytes.make size_b '\000' in
-      List.iteri
-        (fun i (on_b, op) ->
-          let s, s', o, o' = if on_b then (b, a, ob, oa) else (a, b, oa, ob) in
-          let want = oracle_step o o' op in
-          let got = store_step s s' op in
-          if got <> want then
-            QCheck.Test.fail_reportf "op %d (%s): store gave %s, oracle %s" i
-              (show_op op) (show_outcome got) (show_outcome want);
-          List.iter
-            (fun (s, o) ->
-              if Store.read_string s ~addr:0 ~len:(Bytes.length o)
-                 <> Bytes.to_string o
-              then
-                QCheck.Test.fail_reportf "op %d (%s): store %s diverged" i
-                  (show_op op) (Store.name s))
-            [ (a, oa); (b, ob) ])
-        ops;
-      true)
+    agrees_with_flat
+
+(* The first access to a deferred page by each kind of accessor, within
+   one page and across two: store A deferred but for 5 bytes at either
+   end (so its middle page alone is deferred), store B whole, then one
+   access to either store and a whole-store check. *)
+let test_store_first_access_to_deferred () =
+  let size = 3 * page in
+  let defer_both = [ (false, Defer (5, size - 10, 7)); (true, Defer (0, size, 9)) ] in
+  let accesses at =
+    [
+      Read_u8 at; Write_u8 (at, 5); Read_u32 at; Write_u32 (at, 7);
+      Read_i64 at; Write_i64 (at, 9L); Read_bytes (at, 10);
+      Read_string (at, 10); Write_bytes (at, 3, 10); Fill (at, 10, '\000');
+      Fill (at, 10, 'x'); Blit (at, true, at + 5, 10); Blit (at, false, at + 4, 10);
+      Blit (at + 4, false, at, 10);
+    ]
+  in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun on_b ->
+          try
+            ignore
+              (agrees_with_flat
+                 ((size, size), defer_both @ [ (on_b, op); (on_b, Check) ]))
+          with QCheck.Test.Test_fail (_, msgs) ->
+            Alcotest.failf "%s %s: %s" (if on_b then "B" else "A") (show_op op)
+              (String.concat "; " msgs))
+        [ false; true ])
+    (accesses (page + 100) @ accesses (page - 3)
+    @ [ Fill (page, page, '\000'); Blit (page - 3, true, page - 3, page + 6) ])
 
 (* --- alloc --- *)
 
@@ -344,6 +433,7 @@ let suites =
         tc "blit between stores" test_store_blit_between_stores;
         tc "faults on out-of-bounds" test_store_faults;
         QCheck_alcotest.to_alcotest qcheck_store_matches_flat;
+        tc "first access to a deferred page" test_store_first_access_to_deferred;
       ] );
     ( "mem.alloc",
       [

@@ -415,6 +415,19 @@ let test_fs_big_file_write_then_read () =
     | Ok () -> ()
     | Error e -> Alcotest.failf "fsck: %s" e)
 
+(* A readdir index is client input: a negative one (an index of 2^63
+   or more on the wire) is no entry, and m3fs keeps serving. *)
+let test_fs_readdir_negative_index () =
+  ignore
+    (run_app (fun _sys env ->
+         ok (Vfs.mount_root env);
+         let flags = Fs_proto.o_write lor Fs_proto.o_create in
+         ok (File.close env (ok (Vfs.open_ env "/a" ~flags)));
+         let before = ok (Vfs.readdir env "/" ~index:(-1)) in
+         match (before, ok (Vfs.readdir env "/" ~index:0)) with
+         | None, Some ("a", _) -> 0
+         | _ -> 1))
+
 let test_fs_seek () =
   ignore
     (run_app (fun _sys env ->
@@ -610,6 +623,7 @@ let suites =
         tc "meta operations and errors" test_fs_meta_ops;
         tc "256 KiB file, extents, truncate" test_fs_big_file_write_then_read;
         tc "seek" test_fs_seek;
+        tc "readdir with a negative index" test_fs_readdir_negative_index;
       ] );
     ( "os.pipe",
       [

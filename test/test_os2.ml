@@ -145,6 +145,111 @@ let qcheck_kdata_revoke_root_empties_everything =
       Kdata.revoke root ~on_drop:(fun _ -> ());
       Array.for_all (fun v -> Kdata.count_caps v = 0) vpes)
 
+(* The derivation tree as [Kdata] kept it with a list filter per
+   unlink: the reference for the O(1) amortised unlink. *)
+module Ref_tree = struct
+  type node = {
+    id : int;
+    owner : int;
+    parent : node option;
+    mutable children : node list;
+    mutable valid : bool;
+  }
+
+  let make ~id ~owner parent =
+    let n = { id; owner; parent; children = []; valid = true } in
+    Option.iter (fun p -> p.children <- n :: p.children) parent;
+    n
+
+  let rec revoke n ~on_drop =
+    if n.valid then begin
+      List.iter (fun c -> revoke c ~on_drop) n.children;
+      n.children <- [];
+      n.valid <- false;
+      (match n.parent with
+      | Some p -> p.children <- List.filter (fun c -> c != n) p.children
+      | None -> ());
+      on_drop n
+    end
+end
+
+(* Random scripts of root inserts, derives from live capabilities and
+   revokes, on [Kdata] and on the reference. Capability [i] has
+   selector [i]. After every step: the same [on_drop] order, and for
+   every capability the same liveness and live children, newest first;
+   revoked entries never outnumber a capability's live children. *)
+let qcheck_kdata_unlink_matches_list =
+  QCheck.Test.make ~name:"revoke matches the list-filter derivation tree" ~count:300
+    QCheck.(
+      list_of_size Gen.(int_range 1 60)
+        (triple (int_bound 9) (int_bound 2) (int_bound 1000)))
+    (fun script ->
+      let vpes = Array.init 3 (fun i -> Kdata.make_vpe ~id:i ~name:"v" ~pe:i) in
+      let caps = ref [||] and nodes = ref [||] in
+      let add cap node =
+        caps := Array.append !caps [| cap |];
+        nodes := Array.append !nodes [| node |]
+      in
+      let pick k = k mod Array.length !caps in
+      List.iteri
+        (fun step (kind, v, k) ->
+          let id = Array.length !caps in
+          let dropped = ref [] and ref_dropped = ref [] in
+          (if kind = 0 || id = 0 then
+             add
+               (Result.get_ok (Kdata.insert vpes.(v) ~sel:id (mem_obj id) ~parent:None))
+               (Ref_tree.make ~id ~owner:v None)
+           else if kind <= 5 then begin
+             let i = pick k in
+             if !nodes.(i).Ref_tree.valid then
+               add
+                 (Result.get_ok
+                    (Kdata.derive_to ~cap:!caps.(i) ~dst:vpes.(v) ~dst_sel:id
+                       (mem_obj id)))
+                 (Ref_tree.make ~id ~owner:v (Some !nodes.(i)))
+           end
+           else begin
+             let i = pick k in
+             Kdata.revoke !caps.(i) ~on_drop:(fun c ->
+                 dropped := c.Kdata.c_sel :: !dropped);
+             Ref_tree.revoke !nodes.(i) ~on_drop:(fun n ->
+                 ref_dropped := n.Ref_tree.id :: !ref_dropped)
+           end);
+          if !dropped <> !ref_dropped then
+            QCheck.Test.fail_reportf "step %d: on_drop order differs" step;
+          Array.iteri
+            (fun i (cap : Kdata.cap) ->
+              let node = !nodes.(i) in
+              let live =
+                List.filter_map
+                  (fun (c : Kdata.cap) -> if c.c_valid then Some c.c_sel else None)
+                  cap.c_children
+              in
+              if cap.c_valid <> node.valid
+                 || live <> List.map (fun n -> n.Ref_tree.id) node.children
+              then QCheck.Test.fail_reportf "step %d: capability %d differs" step i;
+              if cap.c_live <> List.length live
+                 || cap.c_stale <> List.length cap.c_children - cap.c_live
+                 || cap.c_stale > cap.c_live
+              then
+                QCheck.Test.fail_reportf "step %d: capability %d keeps %d of %d stale"
+                  step i cap.c_stale (List.length cap.c_children))
+            !caps;
+          Array.iteri
+            (fun v vpe ->
+              let held =
+                Array.fold_left
+                  (fun n (node : Ref_tree.node) ->
+                    if node.valid && node.owner = v then n + 1 else n)
+                  0 !nodes
+              in
+              if Kdata.count_caps vpe <> held then
+                QCheck.Test.fail_reportf "step %d: VPE %d holds %d, not %d" step v
+                  (Kdata.count_caps vpe) held)
+            vpes)
+        script;
+      true)
+
 (* --- endpoint multiplexing ----------------------------------------------- *)
 
 let test_epmux_eviction_round_robin () =
@@ -378,6 +483,7 @@ let suites =
         tc "subtree revoke leaves the rest" test_kdata_revoke_subtree_only;
         tc "selector collisions rejected" test_kdata_selector_collision;
         QCheck_alcotest.to_alcotest qcheck_kdata_revoke_root_empties_everything;
+        QCheck_alcotest.to_alcotest qcheck_kdata_unlink_matches_list;
       ] );
     ( "os2.epmux",
       [

@@ -329,6 +329,38 @@ let test_open_loop_completes () =
   check_int "pool service samples" 60 (Stats.count (Pool.service_latency st));
   check_bool "latencies are positive" true (Stats.mean cr.Pool.cr_latency > 0.0)
 
+(* Actions fire at their arrival, before it is sent, in list order for
+   equal indices; indices outside the schedule never fire. Arrivals a
+   million cycles apart tell the arrival from the cycle an action
+   fires at. *)
+let test_open_loop_actions_fire_at_their_arrival () =
+  let gap = 1_000_000 in
+  let sched =
+    Array.init 6 (fun i ->
+        { Load.at = (i + 1) * gap; client = 0;
+          req = { Wire.seq = i; rk = Wire.Echo 100 } })
+  in
+  let fired = ref [] in
+  run_app (fun env ->
+      let pool =
+        ok (Pool.start env (Pool.default_config ~name:"t" ~workers:2 ()))
+      in
+      let t0 = Engine.now env.M3.Env.engine in
+      let act name () =
+        fired := (name, (Engine.now env.M3.Env.engine - t0) / gap) :: !fired
+      in
+      let actions =
+        [ (4, act "d"); (1, act "a"); (-1, act "neg"); (4, act "e"); (0, act "z");
+          (6, act "past"); (1, act "b"); (5, act "last"); (99, act "far") ]
+      in
+      let cr = Pool.run_open ~actions env pool ~schedule:sched in
+      ok (Pool.stop env pool);
+      if cr.Pool.cr_completed = 6 then 0 else 1);
+  Alcotest.(check (list (pair string int)))
+    "action, arrival it fired before"
+    [ ("z", 0); ("a", 1); ("b", 1); ("d", 4); ("e", 4); ("last", 5) ]
+    (List.rev !fired)
+
 let test_closed_loop_completes () =
   let out = ref None in
   run_app (fun env ->
@@ -745,6 +777,8 @@ let suites =
     ( "serve.pool",
       [
         tc "open loop completes" test_open_loop_completes;
+        tc "open-loop actions fire at their arrival"
+          test_open_loop_actions_fire_at_their_arrival;
         tc "closed loop completes" test_closed_loop_completes;
         tc "admission rejects overload" test_admission_rejects_overload;
         tc "trip recovery is exactly-once" test_trip_recovery_is_exactly_once;

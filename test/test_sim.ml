@@ -597,6 +597,42 @@ let qcheck_fill_bytes_draws =
       in
       Bytes.to_string buf = expect && Rng.bits64 fast = Rng.bits64 slow)
 
+(* After [skip] draws, the bytes a deferred generator yields, asked for
+   in pieces taken in any order, are those of [fill_bytes] over the
+   same draws; both leave the generator at the same next draw. *)
+let qcheck_defer_bytes_draws =
+  QCheck.Test.make ~name:"defer_bytes equals fill_bytes after the same draws"
+    ~count:300
+    QCheck.(
+      quad (int_bound 1_000_000) (int_bound 40) (int_bound 600)
+        (small_list (int_bound 1000)))
+    (fun (seed, skip, len, cuts) ->
+      let eager = Rng.create ~seed and lazy_ = Rng.create ~seed in
+      for _ = 1 to skip do
+        ignore (Rng.bits64 eager);
+        ignore (Rng.bits64 lazy_)
+      done;
+      let expect = Bytes.make len 'z' in
+      Rng.fill_bytes eager expect ~pos:0 ~len;
+      let gen = Rng.defer_bytes lazy_ ~len in
+      (* Pieces between sorted cut points, generated last to first into
+         a buffer offset by 5 bytes. *)
+      let cuts = List.sort_uniq compare (List.map (fun c -> c mod (len + 1)) cuts) in
+      let bounds = List.sort_uniq compare ((0 :: cuts) @ [ len ]) in
+      let rec pieces = function
+        | a :: (b :: _ as rest) -> (a, b) :: pieces rest
+        | [ _ ] | [] -> []
+      in
+      let got = Bytes.make (len + 5) 'z' in
+      List.iter
+        (fun (a, b) -> gen ~off:a got ~pos:(5 + a) ~len:(b - a))
+        (List.rev (pieces bounds));
+      Bytes.sub got 5 len = expect
+      && Rng.bits64 eager = Rng.bits64 lazy_
+      && (match gen ~off:len got ~pos:0 ~len:1 with
+         | exception Invalid_argument _ -> true
+         | () -> false))
+
 let qcheck_alloc_roundtrip =
   QCheck.Test.make ~name:"process wait sums delays" ~count:100
     QCheck.(list (int_bound 50))
@@ -654,6 +690,7 @@ let suites =
         tc "split gives independent stream" test_rng_split_independent;
         tc "fill_bytes stays in slice" test_rng_fill_bytes;
         QCheck_alcotest.to_alcotest qcheck_fill_bytes_draws;
+        QCheck_alcotest.to_alcotest qcheck_defer_bytes_draws;
       ] );
     ( "sim.accounting",
       [
