@@ -77,8 +77,6 @@ let launch t ~name ?account ?args main =
   Kernel.launch t.kernel ~name ~account ?args
     { Program.prog_main = main; prog_image_bytes = Program.default_image_bytes }
 
-let run_to_completion t = Engine.run t.engine
-
 let expect_exit _t ivar =
   match Process.Ivar.peek ivar with
   | None -> failwith "VPE did not exit (deadlock or starvation?)"

@@ -60,10 +60,6 @@ val launch :
   (Env.t -> int) ->
   int M3_sim.Process.Ivar.ivar
 
-(** [run_to_completion t] drives the engine until idle and returns the
-    final cycle. *)
-val run_to_completion : t -> int
-
 (** [expect_exit t ivar] reads a filled exit ivar after the run;
     raises if the VPE never exited or exited non-zero. *)
 val expect_exit : t -> int M3_sim.Process.Ivar.ivar -> unit

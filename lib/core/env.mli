@@ -27,7 +27,6 @@ val sel_vpe : int
 val sel_mem : int
 (** selector 1: memory capability for the VPE's own SPM *)
 
-val first_free_sel : int
 
 (** SPM address of the syscall-reply ringbuffer. *)
 val reply_buf_addr : int

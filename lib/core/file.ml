@@ -278,8 +278,6 @@ let enable_cache ?config (env : Env.t) m =
           m.m_cache <- Some c;
           Ok ())))
 
-let cache_enabled m = m.m_cache <> None
-
 (* --- crash recovery ------------------------------------------------------ *)
 
 (* A dead service PE surfaces as a DTU failure or a watchdog timeout;

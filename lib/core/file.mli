@@ -37,8 +37,6 @@ val set_loc_batch : mount -> int -> unit
     default) every path is byte-identical to the uncached client. *)
 val enable_cache : ?config:Fs_cache.config -> Env.t -> mount -> unit result_
 
-val cache_enabled : mount -> bool
-
 (** Cache counters of this mount; [None] with caching off. *)
 val cache_stats : mount -> Fs_cache.stats option
 

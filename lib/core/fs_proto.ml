@@ -99,12 +99,6 @@ let inval_kind_to_int = function
   | Inval_path -> 1
   | Inval_both -> 2
 
-let inval_kind_of_int = function
-  | 0 -> Some Inval_ino
-  | 1 -> Some Inval_path
-  | 2 -> Some Inval_both
-  | _ -> None
-
 let inval_kind_name = function
   | Inval_ino -> "ino"
   | Inval_path -> "path"

@@ -83,7 +83,6 @@ type inval_kind =
   | Inval_both  (** entry removed/renamed away: ino and path valid *)
 
 val inval_kind_to_int : inval_kind -> int
-val inval_kind_of_int : int -> inval_kind option
 
 (** Stable short name ("ino", "path", "both") for tracing/metrics. *)
 val inval_kind_name : inval_kind -> string

@@ -141,13 +141,4 @@ let rec revoke cap ~on_drop =
     on_drop cap
   end
 
-let obj_name = function
-  | O_vpe v -> "vpe:" ^ v.v_name
-  | O_mem _ -> "mem"
-  | O_rgate _ -> "rgate"
-  | O_sgate _ -> "sgate"
-  | O_srv s -> "srv:" ^ s.srv_name
-  | O_sess _ -> "sess"
-  | O_irq i -> Printf.sprintf "irq:pe%d" i.irq_pe
-
 let count_caps vpe = Hashtbl.length vpe.v_caps

@@ -111,8 +111,5 @@ val derive_to :
     [cap] from its parent is O(1) amortised. *)
 val revoke : cap -> on_drop:(cap -> unit) -> unit
 
-(** [obj_name o] is a short tag for logs and tests. *)
-val obj_name : obj -> string
-
 (** [count_caps vpe] is the number of live capabilities in the table. *)
 val count_caps : vpe -> int

@@ -11,17 +11,6 @@
 
 type t
 
-(** Kernel endpoint numbers (on the kernel's own DTU). *)
-
-val kep_syscall : int
-val kep_reply : int
-val kep_service : int
-
-val kep_notify_send : int
-(** kernel-initiated service notifications (client-gone) *)
-
-val kep_notify_reply : int
-
 val abort_exit_code : int
 (** exit code recorded for aborted VPEs: [-(Errno.to_int E_vpe_dead)].
     Supervisors key restart decisions on it. *)

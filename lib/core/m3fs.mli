@@ -37,9 +37,6 @@ type config = {
 
 val default_config : dram:M3_mem.Store.t -> config
 
-(** Default service name ("m3fs"). *)
-val program_name : string
-
 (** [program config] is the server with this configuration, for
     {!Kernel.launch}; it serves under [config.srv_name]. *)
 val program : config -> Program.t

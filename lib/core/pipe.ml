@@ -16,8 +16,6 @@ type 'a result_ = ('a, Errno.t) result
 let handoff_sgate_sel = 1000
 let handoff_ring_sel = 1001
 
-let default_ring_size = 256 * 1024
-
 (* Notify messages are 16 bytes + header; 8 outstanding notifications
    match the 8 ringbuffer slots and the sender credits. *)
 let notify_order = 6

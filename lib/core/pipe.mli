@@ -17,9 +17,6 @@ type 'a result_ = ('a, Errno.t) result
 val handoff_sgate_sel : int
 val handoff_ring_sel : int
 
-val default_ring_size : int
-(** 256 KiB: "by using the DRAM, large ringbuffers can be used" *)
-
 type reader
 type writer
 

@@ -54,23 +54,12 @@ val resume : Env.t -> t -> unit result_
     (slice preemption and yield-on-block). *)
 val sched_join : Env.t -> unit result_
 
-(** The child's position in the suspend/resume life cycle, as the
-    kernel scheduler sees it. *)
-type sched_state =
-  | Placed  (** running on a PE *)
-  | Suspending  (** suspension requested, quiesce or capture pending *)
-  | Parked  (** state captured, image held until [resume] *)
-  | Queued  (** runnable, waiting for a free PE *)
-
-(** [sched_state env t] queries the child's life-cycle position.
-    [Error E_inv_args] without a scheduler-enabled kernel. *)
-val sched_state : Env.t -> t -> sched_state result_
-
-(** [await_parked env t] polls until [sched_state] reports [Parked] —
+(** [await_parked env t] polls, every 500 cycles, until the kernel
+    scheduler reports the child's state captured and its image held —
     the synchronisation a pool needs between issuing its initial
     suspends and opening the doors to clients (a suspend only
-    completes at the child's next quiesce point). Polls every 500
-    cycles. Fails as [sched_state] does. *)
+    completes at the child's next quiesce point). [Error E_inv_args]
+    without a scheduler-enabled kernel. *)
 val await_parked : Env.t -> t -> unit result_
 
 (** [run_supervised env ~name ~core ?args main] runs [main] in a child

@@ -246,7 +246,6 @@ let rec quiesce_point t =
     quiesce_point next
 
 let suspend_pending t = t.suspend_pending
-let is_suspended t = t.suspended
 let idle_since t = t.idle_since
 let quiesced t = t.parked <> None
 let set_on_quiesce t f = t.on_quiesce <- Some f

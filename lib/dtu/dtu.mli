@@ -214,10 +214,6 @@ val ext_rebind :
     program's arrival at a quiesce point. *)
 val suspend_pending : t -> bool
 
-(** [is_suspended t] is true between {!ext_capture} and
-    {!ext_restore}: deliveries NACK with ["suspended"]. *)
-val is_suspended : t -> bool
-
 (** [quiesced t] is true once the program has parked at a quiesce
     point and its continuation awaits {!take_parked}. *)
 val quiesced : t -> bool

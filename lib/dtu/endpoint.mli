@@ -47,9 +47,3 @@ type message = {
 
 (** [slot_size ~slot_order] is the ringbuffer slot size in bytes. *)
 val slot_size : slot_order:int -> int
-
-(** [max_payload ~order] is the largest payload fitting a message or
-    slot of order [order], i.e. [2^order - Header.size]. *)
-val max_payload : order:int -> int
-
-val pp_config : Format.formatter -> config -> unit

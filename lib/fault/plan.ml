@@ -105,10 +105,6 @@ let stall t ~pe =
     end
     else 0
 
-let is_crashed t ~pe = List.mem pe t.crashed
-
-let crashed_pes t = List.sort compare t.crashed
-
 let crashes_injected t = List.length t.crashed
 
 let can_crash t =
@@ -167,8 +163,3 @@ let drops_injected t = t.drops
 
 let corrupts_injected t = t.corrupts
 
-let stalls_injected t = t.stalls
-
-let pp_stats ppf t =
-  Format.fprintf ppf "faults: %d dropped, %d corrupted, %d stalled, %d crashed"
-    t.drops t.corrupts t.stalls (List.length t.crashed)

@@ -67,12 +67,6 @@ val stall : t -> pe:int -> int
     recorded; a PE crashes at most once. *)
 val crash_now : t -> pe:int -> cmd:int -> bool
 
-(** [is_crashed t ~pe] is true once a [pe_crash] has fired on [pe]. *)
-val is_crashed : t -> pe:int -> bool
-
-(** PEs killed so far, ascending. *)
-val crashed_pes : t -> int list
-
 (** [can_crash t] is true when the plan is enabled and configured with
     any crash fault at all — the kernel arms its heartbeat prober only
     then, keeping crash-free plans' cycle counts untouched. *)
@@ -98,8 +92,4 @@ val drops_injected : t -> int
 
 val corrupts_injected : t -> int
 
-val stalls_injected : t -> int
-
 val crashes_injected : t -> int
-
-val pp_stats : Format.formatter -> t -> unit

@@ -30,10 +30,6 @@ type t = {
   warm_read : warm_cell;
 }
 
-(** [m3_warm_read ()] measures just the warm cell (cheap — two runs of
-    one 2 MiB read); {!run} embeds the same cell in the full figure. *)
-val m3_warm_read : unit -> warm_cell
-
 (** The acceptance gate: the warm pass costs at least 1.5x fewer
     service round-trips than the cold one. *)
 val warm_ok : t -> bool

@@ -68,10 +68,6 @@ val warm_find_ok : warm_find -> bool
     instances {1,4}. *)
 val run : ?quick:bool -> unit -> t
 
-(** The issue's bar: sharded [find] at the densest point must stay
-    within 2.5x of its 1-instance time. *)
-val acceptance_target : float
-
 (** [verdict t] is [(instances, shards, normalized, single_shard_normalized,
     pass)] for the densest sharded find cell; [None] if find wasn't run. *)
 val verdict : t -> (int * int * float * float option * bool) option

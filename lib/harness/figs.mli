@@ -208,11 +208,6 @@ val breaker_verdict : t -> bool
     generation left no endpoint bindings or capabilities behind. *)
 val upgrade_verdict : t -> bool
 
-(** The autoscale cell alone (exposed for focused tests): an elastic
-    and a static pool on the same ramp, under a scheduler-enabled
-    kernel on a small platform. *)
-val autoscale_cell : requests:int -> seed:int -> autoscale_out
-
 val all_pass : t -> bool
 val print : Format.formatter -> t -> unit
 

@@ -19,15 +19,6 @@ let add_measure a b =
     m_xfer = a.m_xfer + b.m_xfer;
   }
 
-let scale_measure m f =
-  let s v = int_of_float (float_of_int v *. f) in
-  {
-    m_cycles = s m.m_cycles;
-    m_app = s m.m_app;
-    m_os = s m.m_os;
-    m_xfer = s m.m_xfer;
-  }
-
 let other m = m.m_cycles - m.m_xfer
 
 let serialized m =

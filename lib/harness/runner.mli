@@ -10,10 +10,6 @@ type measure = {
   m_xfer : int;
 }
 
-val zero_measure : measure
-val add_measure : measure -> measure -> measure
-val scale_measure : measure -> float -> measure
-
 (** When set, every experiment frame ([run_m3], {!Fig6.run_multi}, the
     figS/figS2 cells, the hand-booted ablations) creates an event bus
     over its fresh engine ({!bus}) and passes it to the callback —

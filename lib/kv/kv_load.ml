@@ -22,7 +22,6 @@ let op_mix ~reads ~writes : Load.mix =
     [ (reads, fun _ -> Wire.Kv get); (writes, fun _ -> Wire.Kv put) ]
 
 let read_heavy = op_mix ~reads:9 ~writes:1
-let write_heavy = op_mix ~reads:1 ~writes:1
 
 let rekey op key =
   match (op : Kv_wire.op) with

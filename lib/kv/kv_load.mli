@@ -28,8 +28,6 @@ val op_mix : reads:int -> writes:int -> M3_serve.Load.mix
 
 val read_heavy : M3_serve.Load.mix  (** 90% get / 10% put *)
 
-val write_heavy : M3_serve.Load.mix  (** 50% get / 50% put *)
-
 (** [assign_keys ~rng ~sample schedule] rewrites every keyed KV op's
     key with one [sample] draw, in schedule order; scans and non-KV
     requests pass through untouched (and burn no draw). Returns a

@@ -29,5 +29,4 @@ val sink : t -> Obs.sink
 (** [to_string t] is the complete JSON document. *)
 val to_string : t -> string
 
-val write_channel : t -> out_channel -> unit
 val write_file : t -> string -> unit

@@ -14,7 +14,6 @@ type t = {
   cache_hits : (string, int ref) Hashtbl.t;
   cache_misses : (string, int ref) Hashtbl.t;
   cache_invals : (string, int ref) Hashtbl.t;
-  inval_sends : (string, int ref) Hashtbl.t;
   mutable cache_flushes : int;
   serve_queue : (string, Stats.t) Hashtbl.t;
   serve_batch : (string, Stats.t) Hashtbl.t;
@@ -33,8 +32,6 @@ type t = {
   mutable pipe_popped : int;
   mutable vpes_created : int;
   mutable vpes_exited : int;
-  mutable faults_injected : int;
-  mutable dtu_nacks : int;
   mutable dtu_retries : int;
   mutable sched_suspends : int;
   mutable sched_resumes : int;
@@ -49,8 +46,6 @@ type t = {
   gw_probes : (string, int ref) Hashtbl.t;
   gw_closes : (string, int ref) Hashtbl.t;
   gw_upgrade_lat : (string, Stats.t) Hashtbl.t;
-  kv_op_counts : (string, int ref) Hashtbl.t;
-  kv_dup_counts : (string, int ref) Hashtbl.t;
 }
 
 let create () =
@@ -68,7 +63,6 @@ let create () =
     cache_hits = Hashtbl.create 4;
     cache_misses = Hashtbl.create 4;
     cache_invals = Hashtbl.create 4;
-    inval_sends = Hashtbl.create 4;
     cache_flushes = 0;
     serve_queue = Hashtbl.create 4;
     serve_batch = Hashtbl.create 4;
@@ -87,8 +81,6 @@ let create () =
     pipe_popped = 0;
     vpes_created = 0;
     vpes_exited = 0;
-    faults_injected = 0;
-    dtu_nacks = 0;
     dtu_retries = 0;
     sched_suspends = 0;
     sched_resumes = 0;
@@ -103,8 +95,6 @@ let create () =
     gw_probes = Hashtbl.create 4;
     gw_closes = Hashtbl.create 4;
     gw_upgrade_lat = Hashtbl.create 4;
-    kv_op_counts = Hashtbl.create 4;
-    kv_dup_counts = Hashtbl.create 4;
   }
 
 let bump tbl key n =
@@ -152,17 +142,12 @@ let record t (ev : Event.t) =
   | Event.Fs_cache_miss { kind; _ } -> bump t.cache_misses kind 1
   | Event.Fs_cache_inval { kind; _ } -> bump t.cache_invals kind 1
   | Event.Fs_cache_flush _ -> t.cache_flushes <- t.cache_flushes + 1
-  | Event.Fs_inval_send { srv; _ } -> bump t.inval_sends srv 1
   | Event.Fs_queue { srv; depth; _ } ->
     observe t.fs_queue srv (float_of_int depth)
   | Event.Pipe_push { bytes; _ } -> t.pipe_pushed <- t.pipe_pushed + bytes
   | Event.Pipe_pop { bytes; _ } -> t.pipe_popped <- t.pipe_popped + bytes
   | Event.Vpe_create _ -> t.vpes_created <- t.vpes_created + 1
   | Event.Vpe_exit _ -> t.vpes_exited <- t.vpes_exited + 1
-  | Event.Fault_drop _ | Event.Fault_corrupt _ | Event.Fault_stall _
-  | Event.Fault_pe_crash _ ->
-    t.faults_injected <- t.faults_injected + 1
-  | Event.Dtu_nack _ -> t.dtu_nacks <- t.dtu_nacks + 1
   | Event.Dtu_retry _ -> t.dtu_retries <- t.dtu_retries + 1
   | Event.Serve_admit { pool; depth; _ } ->
     observe t.serve_queue pool (float_of_int depth)
@@ -195,14 +180,13 @@ let record t (ev : Event.t) =
     bump tbl pool 1
   | Event.Gw_upgrade { pool; cycles; _ } ->
     observe t.gw_upgrade_lat pool (float_of_int cycles)
-  | Event.Kv_op { op; dup; _ } ->
-    bump t.kv_op_counts op 1;
-    if dup then bump t.kv_dup_counts op 1
   (* Aborted VPEs still emit Vpe_exit, so the abort marker itself only
      counts into the per-kind table. *)
   | Event.Dtu_receive _ | Event.Syscall_enter _ | Event.Fs_request _
   | Event.Vpe_start _ | Event.Pe_spawn _ | Event.Pe_halt _ | Event.Vpe_crash _
-  | Event.Vpe_abort _ | Event.Vpe_restart _ | Event.Kernel_heartbeat _ ->
+  | Event.Vpe_abort _ | Event.Vpe_restart _ | Event.Kernel_heartbeat _ | Event.Kv_op _
+  | Event.Fs_inval_send _ | Event.Fault_drop _ | Event.Fault_corrupt _ | Event.Fault_stall _
+  | Event.Fault_pe_crash _ | Event.Dtu_nack _ ->
     ()
 
 let sink t =
@@ -241,7 +225,6 @@ let shard_resolves t = List.map (fun (k, r) -> (k, !r)) (sorted_bindings t.shard
 let cache_hits t = List.map (fun (k, r) -> (k, !r)) (sorted_bindings t.cache_hits)
 let cache_misses t = List.map (fun (k, r) -> (k, !r)) (sorted_bindings t.cache_misses)
 let cache_invals t = List.map (fun (k, r) -> (k, !r)) (sorted_bindings t.cache_invals)
-let inval_sends t = List.map (fun (k, r) -> (k, !r)) (sorted_bindings t.inval_sends)
 let cache_flushes t = t.cache_flushes
 
 let cache_hit_rate t =
@@ -266,8 +249,6 @@ let noc_xfer_cycles t = t.noc_xfer_cycles
 let pipe_bytes t = (t.pipe_pushed, t.pipe_popped)
 let vpes_created t = t.vpes_created
 let vpes_exited t = t.vpes_exited
-let faults_injected t = t.faults_injected
-let dtu_nacks t = t.dtu_nacks
 let dtu_retries t = t.dtu_retries
 
 let sched_suspends t = t.sched_suspends
@@ -310,5 +291,3 @@ let gw_breaks t =
     pools
 
 let gw_upgrades t = sorted_bindings t.gw_upgrade_lat
-let kv_ops t = List.map (fun (k, r) -> (k, !r)) (sorted_bindings t.kv_op_counts)
-let kv_dups t = List.map (fun (k, r) -> (k, !r)) (sorted_bindings t.kv_dup_counts)

@@ -47,9 +47,6 @@ val cache_hits : t -> (string * int) list
 val cache_misses : t -> (string * int) list
 val cache_invals : t -> (string * int) list
 
-(** Server-side invalidation broadcasts, keyed by service name. *)
-val inval_sends : t -> (string * int) list
-
 (** Client-side wholesale cache flushes (gap/crash/manual). *)
 val cache_flushes : t -> int
 
@@ -94,12 +91,6 @@ val pipe_bytes : t -> int * int
 val vpes_created : t -> int
 val vpes_exited : t -> int
 
-(** Injected drop + corrupt + stall events from an attached fault plan. *)
-val faults_injected : t -> int
-
-(** Delivery failures NACKed back to the sender (credit refunded). *)
-val dtu_nacks : t -> int
-
 (** Retransmits scheduled by the DTU retry policy. *)
 val dtu_retries : t -> int
 
@@ -140,13 +131,3 @@ val gw_breaks : t -> (string * int * int * int) list
 (** Per pool: hot-upgrade swap latency in cycles, drain start to the
     new generation serving ([gw.upgrade] events). *)
 val gw_upgrades : t -> (string * M3_sim.Stats.t) list
-
-(** {1 KV table} *)
-
-(** Per operation ("get", "put", ...): executions at any store
-    ([kv.*] events), sorted by name. *)
-val kv_ops : t -> (string * int) list
-
-(** Per operation: executions flagged as exactly-once duplicates
-    (puts skipped because the stored sequence number was newer). *)
-val kv_dups : t -> (string * int) list

@@ -28,10 +28,6 @@ let attach t sink =
   t.sinks <- t.sinks @ [ sink ];
   t.enabled <- true
 
-let detach_all t =
-  t.sinks <- [];
-  t.enabled <- false
-
 let next_msg t =
   if not t.enabled then 0
   else begin

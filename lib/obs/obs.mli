@@ -38,9 +38,6 @@ val enabled : t -> bool
 
 val attach : t -> sink -> unit
 
-(** [detach_all t] removes every sink and disables the bus. *)
-val detach_all : t -> unit
-
 (** [next_msg t] draws a fresh non-zero message-correlation id, or 0
     when the bus is disabled (ids are only meaningful inside events). *)
 val next_msg : t -> int

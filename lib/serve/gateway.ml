@@ -1,8 +1,8 @@
 (* Gateway tier: per-client token buckets and per-backend circuit
    breakers.  Pure state machines driven by the sim clock — no gates, no
-   VPEs, no side effects.  The pool dispatcher owns the instances, feeds
-   them cycles and outcomes, and emits the observability events for the
-   transitions these functions report. *)
+   VPEs, no side effects.  The dispatcher core ([Dispatch]) owns the
+   instances, feeds them cycles and outcomes, and emits the
+   observability events for the transitions these functions report. *)
 
 type bucket_config = { refill : int; burst : int }
 
@@ -74,27 +74,30 @@ type breaker_state = {
 let breaker_state cfg =
   { k_cfg = cfg; k_phase = Closed; k_since = 0; k_errors = []; k_strikes = 0 }
 
+let reset t =
+  t.k_phase <- Closed;
+  t.k_since <- 0;
+  t.k_errors <- [];
+  t.k_strikes <- 0
+
 type verdict = Allow | Probe | Deny
 
-(* Pure form of [admit]: no Open -> Half_open transition, so the
-   admission path can test whole-pool availability without consuming
-   the single probe slot. *)
+(* Unlike [admit], Half_open counts: requests may queue behind the probe. *)
 let would_allow t ~now =
   match t.k_phase with
   | Closed | Half_open -> true
   | Open -> now - t.k_since >= t.k_cfg.cooldown
 
+(* Half_open only once a probe is really sent ([on_probe]). *)
 let admit t ~now =
   match t.k_phase with
   | Closed -> Allow
   | Half_open -> Deny (* single probe already in flight *)
-  | Open ->
-      if now - t.k_since >= t.k_cfg.cooldown then begin
-        t.k_phase <- Half_open;
-        t.k_since <- now;
-        Probe
-      end
-      else Deny
+  | Open -> if now - t.k_since >= t.k_cfg.cooldown then Probe else Deny
+
+let on_probe t ~now =
+  t.k_phase <- Half_open;
+  t.k_since <- now
 
 let trip t ~now =
   t.k_phase <- Open;
@@ -137,8 +140,6 @@ let on_success t =
       true
   | Closed | Open -> false
 
-let breaker_phase t = t.k_phase
-let strikes t = t.k_strikes
 let is_lethal t = t.k_cfg.lethal > 0 && t.k_strikes >= t.k_cfg.lethal
 
 type config = {

@@ -2,8 +2,8 @@
     per-backend circuit breakers.
 
     Both are pure state machines driven by the simulated clock.  The
-    pool dispatcher owns the instances, consults them on every
-    admission, feeds back request outcomes, and emits the gateway
+    dispatcher core ({!Dispatch}) owns the instances, consults them on
+    every admission, feeds back request outcomes, and emits the gateway
     observability events ({!M3_obs.Event.Gw_throttle}, [Gw_break]) for
     the transitions these functions report.  Nothing here touches
     gates, VPEs or the kernel, which keeps the tier zero-cost when a
@@ -65,21 +65,27 @@ type breaker_state
 val breaker_state : breaker_config -> breaker_state
 (** Starts [Closed] with an empty error window. *)
 
+val reset : breaker_state -> unit
+(** Back to the state {!breaker_state} starts in. *)
+
 type verdict = Allow | Probe | Deny
 
 val would_allow : breaker_state -> now:int -> bool
-(** Pure preview of {!admit}: [true] unless the breaker is [Open] with
-    its cooldown still running.  [Half_open] counts as allowed —
-    requests may queue behind the in-flight probe.  Never transitions,
-    so the admission path can test whole-pool availability without
-    consuming the probe slot. *)
+(** [true] unless the breaker is [Open] with its cooldown still
+    running.  [Half_open] counts as allowed — requests may queue behind
+    the in-flight probe — so the admission path can test whole-pool
+    availability. *)
 
 val admit : breaker_state -> now:int -> verdict
-(** Admission check.  [Closed] allows; [Open] denies until [cooldown]
-    has elapsed, then transitions to [Half_open] and returns [Probe]
-    exactly once (the caller must send a single probe request);
-    [Half_open] denies while that probe is in flight.  [Deny] means
-    answer [E_unavailable] immediately. *)
+(** Dispatch check; never transitions.  [Closed] allows; [Open] denies
+    until [cooldown] has elapsed, then returns [Probe]: the caller may
+    send a single probe request and reports it with {!on_probe};
+    [Half_open] denies while that probe is in flight. *)
+
+val on_probe : breaker_state -> now:int -> unit
+(** The probe that {!admit} allowed was sent: [Open] becomes
+    [Half_open].  A caller with nothing to send leaves the breaker
+    [Open], so a later request can still probe. *)
 
 val on_error : breaker_state -> now:int -> bool
 (** Record a failed request (error reply, send failure).  Returns
@@ -95,14 +101,10 @@ val on_success : breaker_state -> bool
 (** Record a successful completion.  Returns [true] iff this closed a
     half-open breaker (probe succeeded); strikes reset to 0. *)
 
-val breaker_phase : breaker_state -> phase
-
-val strikes : breaker_state -> int
-(** Consecutive trips since the last close. *)
-
 val is_lethal : breaker_state -> bool
-(** [true] when [lethal] > 0 and {!strikes} has reached it — the pool
-    should stop probing and replace the seat's worker. *)
+(** [true] when [lethal] > 0 and the breaker tripped that many times
+    in a row — the pool should stop probing and replace the seat's
+    worker. *)
 
 (** {1 Gateway config} *)
 

@@ -22,45 +22,17 @@
     with {!M3.Errno.E_overload} — so clients learn the verdict in one
     round trip even when the pool is saturated.
 
-    When a fault plan is attached to the fabric the dispatcher also
-    arms a per-worker watchdog: a batch outstanding for longer than
-    [watchdog] cycles declares the worker dead, re-enqueues the batch
-    at the front of the queue, revokes the worker's capabilities and
-    starts a replacement on a spare PE (the crashed PE was
-    quarantined by the kernel), once per seat.
-    Without a plan the watchdog code never runs and the pool costs
-    nothing extra.
-
-    An optional {!Gateway} config puts a front tier on the admission
-    path: per-client token buckets shed over-budget clients with
-    {!M3.Errno.E_throttled} before they can queue, and per-seat circuit
-    breakers fast-fail with {!M3.Errno.E_unavailable} while every live
-    seat is in cooldown after tripping on watchdog timeouts — a tripped
-    seat keeps its worker and gate (slow is not provably dead) and is
-    retested with a single half-open probe, replacing the worker only
-    after [lethal] consecutive trips. Completion processing is
-    deduplicated by sequence number, and late replies from retired
-    generations are {e harvested} — their completions delivered, their
-    front-requeued copies struck from the queue — so crash/trip
-    recovery delivers exactly-once even though dispatch is
-    at-least-once.
-
-    Planned {e hot upgrade} ({!upgrade_worker}) reuses the same
-    generation machinery as a first-class operation: the seat stops
-    admitting, drains its in-flight batch, shuts the old generation
-    down cleanly, boots a replacement on a fresh PE, and only then
-    answers the upgrade request — zero failed client requests across
-    the swap. *)
+    Every decision the dispatcher makes — batching, watchdogs,
+    gateway buckets and breakers, exactly-once harvest, elastic
+    scaling, hot upgrade — is {!Dispatch}'s. *)
 
 type config = {
   name : string;  (** pool name carried by serve.* events and metrics *)
   workers : int;
   min_workers : int;
       (** floor of the elastic range; equal to [workers] (the default)
-          makes the pool static and the scaling code never runs. An
-          elastic pool wakes a parked worker when the backlog exceeds
-          2 per active worker and parks one idle for 50k cycles, at
-          most one decision per 10k cycles. *)
+          makes the pool static. Below it, seats above the floor start
+          parked and {!Dispatch} wakes and parks them on load. *)
   queue_limit : int;
       (** admission watermark: queued + in-flight + ringbuffer backlog
           at or above this rejects with [E_overload] *)
@@ -70,7 +42,7 @@ type config = {
   files : int;  (** seed files ["/s0".."/s<files-1>"] the fs kinds address *)
   watchdog : int;
       (** cycles a batch may be outstanding before the worker is
-          declared dead (armed only under a fault plan) *)
+          given up on (armed under a fault plan or with breakers) *)
   gateway : Gateway.config option;
       (** front tier (buckets/breakers); [None] (the default) keeps
           the request path bit-identical to a pre-gateway pool *)
@@ -87,44 +59,13 @@ type config = {
           the request path bit-identical to a kv-less pool. *)
 }
 
-(** 8-deep batches above a 2-deep queue, effectively unbounded
-    admission, 150k-cycle watchdog, one restart per seat.
-    [min_workers] (default [workers], i.e. static) below [workers]
-    makes the pool elastic: seats above the floor start parked via the
-    kernel scheduler and are resumed/parked on the queue-depth
-    signal. *)
+(** Effectively unbounded admission, a 150k-cycle watchdog, no
+    gateway, no filesystem; static unless [min_workers] < [workers]. *)
 val default_config :
   ?name:string -> ?min_workers:int -> workers:int -> unit -> config
 
 (** Dispatcher-side counters, updated live during the run. *)
-type pool_stats = {
-  mutable p_admitted : int;
-  mutable p_rejected : int;
-  mutable p_completed : int;
-  mutable p_failed : int;  (** admitted but worker answered non-[E_ok] *)
-  mutable p_retried : int;  (** re-dispatched after a worker death *)
-  mutable p_restarts : int;
-  mutable p_restart_cycle : int;  (** cycle the last restart finished; -1 if none *)
-  mutable p_batches : int;  (** worker messages sent *)
-  mutable p_batched : int;  (** requests carried by those messages *)
-  mutable p_max_depth : int;  (** deepest queue seen at admission *)
-  mutable p_scale_ups : int;  (** parked workers resumed on load *)
-  mutable p_scale_downs : int;  (** idle workers parked *)
-  mutable p_throttled : int;  (** shed by per-client token buckets *)
-  mutable p_unavail : int;  (** fast-failed while every breaker was open *)
-  mutable p_deduped : int;
-      (** duplicate completions suppressed / harvested from late
-          replies of retired worker generations *)
-  mutable p_trips : int;  (** breaker Closed/Half-open → Open transitions *)
-  mutable p_probes : int;  (** half-open probes dispatched *)
-  mutable p_closes : int;  (** probes that closed a breaker *)
-  mutable p_upgrades : int;  (** planned worker swaps committed *)
-  mutable p_retired_vpes : int list;
-      (** VPE ids of cleanly retired worker generations (leak checks) *)
-  p_upgrade_cycles : M3_sim.Stats.t;  (** swap latency per upgrade *)
-  p_worker_service : M3_sim.Stats.t array;  (** service cycles per seat *)
-  p_disp_latency : M3_sim.Stats.t;  (** admission → completion, dispatcher clock *)
-}
+include module type of Counters
 
 (** Pool-level service-time distribution: the per-seat distributions
     combined with {!M3_sim.Stats.merge}. *)
@@ -171,7 +112,7 @@ type client_result = {
 
 (** [start env cfg] creates the dispatcher VPE (which in turn creates
     the workers), exchanges the gates, and returns a handle the
-    calling VPE drives. *)
+    calling VPE drives; an error if a worker cannot boot. *)
 val start : M3.Env.t -> config -> (t, M3.Errno.t) result
 
 (** [run_open env t ~schedule] plays an open-loop schedule: request

@@ -82,21 +82,18 @@ let encode_request ?(client = 0) req =
   W.u64 w client;
   W.contents w
 
-let encode_drain () =
+(* Control messages share the request layout: a reserved seq and tag,
+   one argument, and client id 0. *)
+let control ~seq ~tag arg =
   let w = W.create () in
-  W.u64 w drain_seq;
-  W.u8 w drain_tag;
-  W.u64 w 0;
+  W.u64 w seq;
+  W.u8 w tag;
+  W.u64 w arg;
   W.u64 w 0;
   W.contents w
 
-let encode_upgrade ~worker =
-  let w = W.create () in
-  W.u64 w upgrade_seq;
-  W.u8 w upgrade_tag;
-  W.u64 w worker;
-  W.u64 w 0;
-  W.contents w
+let encode_drain () = control ~seq:drain_seq ~tag:drain_tag 0
+let encode_upgrade ~worker = control ~seq:upgrade_seq ~tag:upgrade_tag worker
 
 let decode_client_msg payload =
   let r = R.of_bytes payload in
@@ -119,6 +116,12 @@ let decode_admit payload =
   let err = Errno.of_int (R.u8 r) in
   let seq = R.u64 r in
   (err, seq)
+
+(* One byte on the wire. Wrapping cannot alias a live batch: a worker
+   holds at most two batch credits, so at most two of its batches are
+   outstanding, and a send past them fails with [E_no_credits], which
+   replaces the worker. *)
+let next_gen g = (g + 1) land 0xff
 
 let encode_batch ~gen items =
   let w = W.create () in

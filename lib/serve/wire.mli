@@ -75,10 +75,16 @@ val decode_admit : Bytes.t -> M3.Errno.t * int
 
 (** {1 Batches (dispatcher → worker)} *)
 
-(** [gen] is the worker generation — incremented on every restart so a
-    stale reply from a presumed-dead worker cannot be attributed to
-    its replacement. An empty item list is the shutdown marker. *)
+(** [gen] is the worker generation — advanced by {!next_gen} on every
+    restart so a stale reply from a presumed-dead worker cannot be
+    attributed to its replacement. An empty item list is the shutdown
+    marker. *)
 val encode_batch : gen:int -> request list -> Bytes.t
+
+(** The generation after [gen], in the wire's one-byte width: a
+    dispatcher that kept an unbounded counter would mistake the live
+    reply of generation 256 for a retired one's. *)
+val next_gen : int -> int
 
 val decode_batch : Bytes.t -> int * request list
 

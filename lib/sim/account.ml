@@ -36,8 +36,3 @@ let add ~into t =
   into.xfer <- into.xfer + t.xfer
 
 let pp ppf t = Format.fprintf ppf "app=%d os=%d xfer=%d" t.app t.os t.xfer
-
-let category_name = function
-  | App -> "app"
-  | Os -> "os"
-  | Xfer -> "xfer"

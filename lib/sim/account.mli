@@ -31,5 +31,3 @@ val add : into:t -> t -> unit
 
 (** [pp] prints ["app=.. os=.. xfer=.."]. *)
 val pp : Format.formatter -> t -> unit
-
-val category_name : category -> string

@@ -33,19 +33,3 @@ let summarize ops =
         { acc with n_meta = acc.n_meta + 1 })
     { n_ops = 0; n_data_bytes = 0; n_compute = 0; n_meta = 0 }
     ops
-
-let pp_op ppf = function
-  | T_open { slot; path; write; _ } ->
-    Format.fprintf ppf "open(%d, %s, %s)" slot path (if write then "w" else "r")
-  | T_read { slot; len } -> Format.fprintf ppf "read(%d, %d)" slot len
-  | T_write { slot; len } -> Format.fprintf ppf "write(%d, %d)" slot len
-  | T_sendfile { dst; src; len } ->
-    Format.fprintf ppf "sendfile(%d <- %d, %d)" dst src len
-  | T_seek { slot; pos } -> Format.fprintf ppf "seek(%d, %d)" slot pos
-  | T_close { slot } -> Format.fprintf ppf "close(%d)" slot
-  | T_stat { path } -> Format.fprintf ppf "stat(%s)" path
-  | T_mkdir path -> Format.fprintf ppf "mkdir(%s)" path
-  | T_unlink path -> Format.fprintf ppf "unlink(%s)" path
-  | T_readdir { path; entries } ->
-    Format.fprintf ppf "readdir(%s, %d entries)" path entries
-  | T_compute c -> Format.fprintf ppf "compute(%d)" c

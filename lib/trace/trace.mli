@@ -36,5 +36,3 @@ type summary = {
 }
 
 val summarize : t -> summary
-
-val pp_op : Format.formatter -> op -> unit

@@ -5,5 +5,5 @@ let () =
    @ Test_linux.suites @ Test_trace.suites @ Test_irq.suites
    @ Test_harness.suites @ Test_ablations.suites @ Test_obs.suites
    @ Test_fault.suites @ Test_crash.suites @ Test_shard.suites
-   @ Test_serve.suites @ Test_sched.suites @ Test_fs_cache.suites
+   @ Test_serve.suites @ Test_dispatch.suites @ Test_sched.suites @ Test_fs_cache.suites
    @ Test_replay.suites @ Test_load.suites @ Test_kv.suites @ Test_golden.suites)

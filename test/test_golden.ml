@@ -4,9 +4,11 @@
    heap, ring unread counts and cached routes) went in; and the MD5 of
    the obs event logs of every system that fig3 and the quick fig6x
    and figS runs boot, as recorded before the engine fast-forwarded
-   waits (Engine.advance); and the MD5 of the seeded bytes of the
-   Fig. 4 images and the 16-instance Fig. 6 untar image, as recorded
-   before seed data was generated on first access (Store.defer).
+   waits (Engine.advance), with the quick figS2 run's added before the
+   pool dispatcher became a core and a driver (Serve.Dispatch); and
+   the MD5 of the seeded bytes of the Fig. 4 images and the
+   16-instance Fig. 6 untar image, as recorded before seed data was
+   generated on first access (Store.defer).
    Those are host changes only, and every later refactor must keep
    these outputs too. A change that means to alter an output updates
    its constant here and says why in CHANGES.md. *)
@@ -87,6 +89,9 @@ let golden_logs =
     ( "figS --quick event logs",
       "21 systems, 191954 events, 45345530dee30e8f7530f80c97ef8204",
       fun () -> ignore (Figs.run ~quick:true ()) );
+    ( "figS2 --quick event logs",
+      "11 systems, 329367 events, de008eb3d5b23f01b8cc696a2ebdf1f2",
+      fun () -> ignore (Figs2.run ~quick:true ()) );
   ]
 
 (* [seeded_bytes systems] boots each system in turn, each handing

@@ -484,6 +484,50 @@ let test_trip_recovery_is_exactly_once () =
     (cr.Pool.cr_completed + cr.Pool.cr_unavail + cr.Pool.cr_rejected
    + cr.Pool.cr_failed)
 
+(* --- generations past the wire's width --------------------------------- *)
+
+(* A one-seat pool hot-upgraded before each of [upgrades] arrivals,
+   then four plain ones, 2 M cycles apart. Generation 256 is the first
+   whose wire byte repeats an earlier one: a dispatcher that compares
+   the echoed byte with an unbounded counter takes generation 256's
+   live reply for a retired generation's and the seat never comes back
+   idle. *)
+let test_many_upgrades_keep_serving () =
+  let upgrades = 256 in
+  let n = upgrades + 4 in
+  let sched =
+    Array.init n (fun i ->
+        { Load.at = (i + 1) * 2_000_000; client = 0;
+          req = { Wire.seq = i; rk = Wire.Echo 100 } })
+  in
+  let out = ref None in
+  run_app (fun env ->
+      let pool = ok (Pool.start env (Pool.default_config ~name:"gen" ~workers:1 ())) in
+      let actions =
+        List.init upgrades (fun i ->
+            (i, fun () -> ok (Pool.upgrade_worker env pool ~worker:0)))
+      in
+      let cr = Pool.run_open ~actions env pool ~schedule:sched in
+      ok (Pool.stop env pool);
+      out := Some (cr, Pool.stats pool, Pool.upgrades_seen pool);
+      0);
+  let cr, st, seen = Option.get !out in
+  check_int "every request completed" n cr.Pool.cr_completed;
+  check_int "every upgrade committed" upgrades st.Pool.p_upgrades;
+  check_int "the client saw every commit" upgrades seen;
+  check_int "no reply was taken for a retired generation's" 0 st.Pool.p_deduped
+
+(* The default platform has 16 PEs, so 16 workers cannot all boot
+   beside the kernel, the client and the dispatcher: a pool that
+   cannot staff every seat never opens, rather than opening smaller
+   than its config says. *)
+let test_understaffed_pool_does_not_start () =
+  let out = ref None in
+  run_app (fun env ->
+      out := Some (Pool.start env (Pool.default_config ~name:"big" ~workers:16 ()));
+      0);
+  check_bool "start returned an error" true (Result.is_error (Option.get !out))
+
 (* --- gateway determinism ------------------------------------------------- *)
 
 (* A full trip/probe/close cycle is a function of the seed alone: two
@@ -783,6 +827,9 @@ let suites =
         tc "admission rejects overload" test_admission_rejects_overload;
         tc "trip recovery is exactly-once" test_trip_recovery_is_exactly_once;
         tc "breaker runs are deterministic" test_breaker_is_deterministic;
+        tc "a seat keeps serving past 256 upgrades" test_many_upgrades_keep_serving;
+        tc "a pool that cannot boot every worker does not start"
+          test_understaffed_pool_does_not_start;
         tc "no pool, no cost" test_no_pool_is_zero_cost;
         tc "idle gateway, no cost" test_idle_gateway_is_zero_cost;
       ] );
