@@ -35,8 +35,9 @@ type t = {
     [obs], if given, is installed on the fabric before the kernel
     boots, so bring-up traffic is observable too. [faults], if given,
     attaches a fault plan to the fabric the same way (boot traffic
-    included). Nothing has executed yet — the caller drives the
-    engine. *)
+    included). [sched] boots the kernel with its VPE scheduler
+    ({!Kernel.create}). Nothing has executed yet — the caller drives
+    the engine. *)
 val start :
   ?platform_config:M3_hw.Platform.config ->
   ?fs:(dram:M3_mem.Store.t -> M3fs.config) ->
@@ -44,7 +45,7 @@ val start :
   ?no_fs:bool ->
   ?obs:M3_obs.Obs.t ->
   ?faults:M3_fault.Plan.t ->
-  ?sched:M3_sched.Sched.t ->
+  ?sched:bool ->
   M3_sim.Engine.t ->
   t
 

@@ -1,7 +1,6 @@
 module Engine = M3_sim.Engine
 module Process = M3_sim.Process
 module Account = M3_sim.Account
-module Store = M3_mem.Store
 module Perm = M3_mem.Perm
 module Alloc = M3_mem.Alloc
 module Endpoint = M3_dtu.Endpoint
@@ -13,7 +12,6 @@ module Cost_model = M3_hw.Cost_model
 module Obs = M3_obs.Obs
 module Event = M3_obs.Event
 module Sched = M3_sched.Sched
-module Vpe_image = M3_sched.Vpe_image
 module W = Msgbuf.W
 module R = Msgbuf.R
 open Kdata
@@ -47,6 +45,27 @@ let abort_exit_code = -(Errno.to_int Errno.E_vpe_dead)
    high enough that probe traffic stays a rounding error. *)
 let heartbeat_period = 50_000
 
+(* A VPE suspended off its PE, as the kernel holds it. The DTU-captured
+   state (endpoint registers, credits, ringbuffer occupancy, the whole
+   SPM: see [Dtu.ext_capture]) pairs with the two pieces of simulation
+   state that stand in for the core's register file: the quiesced
+   process and the continuation that restarts it. Firing [img_resume]
+   with the destination DTU is the software half of resume; the kernel
+   does the hardware half ([ext_restore]) first. [img_mem_caps] are the
+   memory capabilities windowing the VPE's SPM, recorded at capture
+   while the old PE still uniquely named that SPM. *)
+type image = {
+  img_from_pe : int;
+  img_snapshot : Dtu.snapshot;
+  img_process : Process.t; (* detached, parked at a quiesce point *)
+  img_resume : Dtu.t -> unit; (* one-shot; continue on this DTU *)
+  img_mem_caps : cap list;
+}
+
+(* The quiesced process of a discarded image (its VPE died off-PE)
+   must not linger as a resumable ghost. *)
+let discard img = Process.kill img.img_process
+
 type t = {
   platform : Platform.t;
   pe : Pe.t;
@@ -68,21 +87,13 @@ type t = {
       (* syscalls fetched while blocked in a service round-trip; the
          main loop drains them (in arrival order) before waiting *)
   mutable prober_running : bool;
-  (* --- VPE scheduler state (None: time-multiplexing disabled) ------- *)
-  sched : Sched.t option;
+  (* --- VPE scheduler state (None: no suspend/resume) ----------------- *)
+  sched : image Sched.t option;
   envs : (int, Env.t) Hashtbl.t; (* started VPE -> its environment *)
-  images : (int, Vpe_image.t) Hashtbl.t; (* explicitly suspended, parked *)
-  staging : (int, int * int * Core_type.t) Hashtbl.t;
-      (* virtual VPE -> DRAM staging region (addr, size) + core class *)
-  pending_start : (int, Program.t * Bytes.t) Hashtbl.t; (* start before placement *)
-  susp_kind : (int, [ `Park | `Requeue ]) Hashtbl.t; (* quiesce in flight *)
-  susp_mem_caps : (int, cap list) Hashtbl.t;
-      (* memory capabilities windowing a suspended VPE's SPM, recorded at
-         capture time while the old PE still uniquely names that SPM *)
   last_out : (int, int) Hashtbl.t; (* pe -> VPE last suspended off it *)
 }
 
-let create ?sched platform ~kernel_pe =
+let create ?(sched = false) platform ~kernel_pe =
   let config = Platform.config platform in
   let pe_owner = Array.make config.pe_count None in
   pe_owner.(kernel_pe) <- Some (-1);
@@ -105,13 +116,8 @@ let create ?sched platform ~kernel_pe =
     kills_ignored = 0;
     deferred_syscalls = Queue.create ();
     prober_running = false;
-    sched;
+    sched = (if sched then Some (Sched.create ()) else None);
     envs = Hashtbl.create 16;
-    images = Hashtbl.create 8;
-    staging = Hashtbl.create 8;
-    pending_start = Hashtbl.create 8;
-    susp_kind = Hashtbl.create 8;
-    susp_mem_caps = Hashtbl.create 8;
     last_out = Hashtbl.create 8;
   }
 
@@ -349,26 +355,12 @@ let do_kill_vpe t vpe ~cause =
       Pe.halt (Platform.pe t.platform vpe.v_pe);
       (match Dtu.ext_reset (kdtu t) ~target:vpe.v_pe with Ok () | Error _ -> ())
     end;
-    (* Scheduler bookkeeping: a dead VPE leaves every run queue, its
-       captured image (if parked off-PE) is discarded, and its DRAM
-       staging region returns to the allocator. *)
+    (* Scheduler bookkeeping: a dead VPE loses its scheduling state, and
+       its captured image (if parked or queued off-PE) is discarded. *)
     (match t.sched with
     | None -> ()
     | Some sched ->
-      List.iter Vpe_image.discard (Sched.remove sched ~vpe:vpe.v_id);
-      (match Hashtbl.find_opt t.images vpe.v_id with
-      | Some img ->
-        Vpe_image.discard img;
-        Hashtbl.remove t.images vpe.v_id
-      | None -> ());
-      (match Hashtbl.find_opt t.staging vpe.v_id with
-      | Some (addr, size, _) ->
-        Alloc.free t.kmem ~addr ~size;
-        Hashtbl.remove t.staging vpe.v_id
-      | None -> ());
-      Hashtbl.remove t.pending_start vpe.v_id;
-      Hashtbl.remove t.susp_kind vpe.v_id;
-      Hashtbl.remove t.susp_mem_caps vpe.v_id;
+      List.iter discard (Sched.kill sched ~vpe:vpe.v_id);
       Sched.wake sched);
     Hashtbl.remove t.envs vpe.v_id;
     (* Aborts need a pre-revoke inventory: which services hold a
@@ -538,34 +530,10 @@ let configure_syscall_eps t ~pe_id ~vpe_id =
 
 (* Creates the kernel object, binds a PE, installs the standard
    capabilities and configures the child's syscall endpoints. Must run
-   inside a simulation process.
-
-   With [allow_virtual] (scheduler enabled), running out of PEs is not
-   an error: the VPE is created {e virtual} ([v_pe = -1]) with its
-   program image staged in a DRAM region, and the scheduler sweep
-   places it on a PE later — this is how more VPEs than PEs make
-   progress. *)
-let create_vpe_internal ?(allow_virtual = false) t ~name ~core ~account =
+   inside a simulation process. *)
+let create_vpe_internal t ~name ~core ~account =
   let used i = t.pe_owner.(i) <> None in
-  let emit_create ~id ~pe =
-    let obs = M3_noc.Fabric.obs t.fabric in
-    if Obs.enabled obs then
-      Obs.emit obs (Event.Vpe_create { vpe = id; pe; name })
-  in
   match Platform.find_pe t.platform ~core ~used with
-  | None when allow_virtual && t.sched <> None -> (
-    let spm_size = (Platform.config t.platform).spm_size in
-    match Alloc.alloc t.kmem ~size:spm_size ~align:4096 with
-    | None -> Error Errno.E_no_space
-    | Some addr ->
-      let id = t.next_vpe_id in
-      t.next_vpe_id <- id + 1;
-      let vpe = make_vpe ~id ~name ~pe:(-1) in
-      Hashtbl.add t.vpes id vpe;
-      Hashtbl.replace t.accounts id account;
-      Hashtbl.replace t.staging id (addr, spm_size, core);
-      emit_create ~id ~pe:(-1);
-      Ok vpe)
   | None -> Error Errno.E_no_pe
   | Some pe ->
     let id = t.next_vpe_id in
@@ -574,7 +542,9 @@ let create_vpe_internal ?(allow_virtual = false) t ~name ~core ~account =
     t.pe_owner.(Pe.id pe) <- Some id;
     Hashtbl.add t.vpes id vpe;
     Hashtbl.replace t.accounts id account;
-    emit_create ~id ~pe:(Pe.id pe);
+    (let obs = M3_noc.Fabric.obs t.fabric in
+     if Obs.enabled obs then
+       Obs.emit obs (Event.Vpe_create { vpe = id; pe = Pe.id pe; name }));
     (* With the scheduler on, this PE may have been vacated by a
        suspension and its DTU still carries the suspended flag — wipe
        it. Gated so scheduler-off runs stay byte-identical. *)
@@ -585,20 +555,7 @@ let create_vpe_internal ?(allow_virtual = false) t ~name ~core ~account =
 
 let spm_mem_obj t vpe =
   let spm_size = (Platform.config t.platform).spm_size in
-  match Hashtbl.find_opt t.staging vpe.v_id with
-  | Some (addr, size, _) ->
-    (* Virtual VPE: its "SPM" is the DRAM staging region until first
-       placement rewrites this (shared, mutable) object. *)
-    O_mem
-      {
-        mem_pe = Platform.dram_node t.platform;
-        mem_addr = addr;
-        mem_size = size;
-        mem_perm = Perm.rw;
-      }
-  | None ->
-    O_mem
-      { mem_pe = vpe.v_pe; mem_addr = 0; mem_size = spm_size; mem_perm = Perm.rw }
+  O_mem { mem_pe = vpe.v_pe; mem_addr = 0; mem_size = spm_size; mem_perm = Perm.rw }
 
 (* Installs the standard capabilities. The holder's capabilities are
    the roots so that a child's exit (which drops the child's own
@@ -655,10 +612,10 @@ let start_program t vpe (program : Program.t) ~args =
 
 (* --- VPE scheduler sweep --------------------------------------------- *)
 
-(* The policy half of PE time-multiplexing. A dedicated kernel-PE
-   process executes scheduling decisions: it drives the DTU
-   suspend/capture/restore mechanism, moves capability bookkeeping
-   when a VPE migrates, and multiplexes run queues onto free PEs.
+(* The kernel half of suspend/park/resume. A dedicated kernel-PE
+   process executes the scheduling decisions of [Sched]: it drives the
+   DTU suspend/capture/restore mechanism, moves capability bookkeeping
+   when a VPE migrates, and places queued VPEs onto free PEs.
    Everything here is reachable only with [t.sched = Some _]; a
    scheduler-less kernel never calls into this section. *)
 
@@ -666,13 +623,13 @@ let emit_event t ev =
   let obs = M3_noc.Fabric.obs t.fabric in
   if Obs.enabled obs then Obs.emit obs ev
 
-(* Block until a modeled NoC transfer of [bytes] completes — used to
-   charge the DRAM staging copies of cold placement to simulated time. *)
-let fabric_copy t ~src ~dst ~bytes =
-  let done_ = Process.Ivar.create () in
-  M3_noc.Fabric.transfer t.fabric ~src ~dst ~bytes ~on_deliver:(fun () ->
-      Process.Ivar.fill done_ ());
-  Process.Ivar.read done_
+(* Where [vpe] is in the suspend/resume life cycle; [Placed] without a
+   scheduler. *)
+let sched_state t vpe =
+  match t.sched with None -> Sched.Placed | Some s -> Sched.state s ~vpe:vpe.v_id
+
+let off_pe t vpe =
+  match sched_state t vpe with Sched.Placed -> false | _ -> true
 
 (* Every configured endpoint in the system sending into [vpe], as
    (owner vpe id, ep) — the senders that must be parked while [vpe] is
@@ -711,353 +668,197 @@ let inbound_mem_caps t ~pe =
   |> List.map snd
 
 (* Phase one of a suspension: flag the victim's DTU and arrange for
-   the quiesce signal to come back as an [Op_quiesced]. Returns false
-   if the VPE is not in a suspendable state. *)
-let begin_suspend t sched vpe ~kind =
-  if
-    vpe.v_state <> V_running || vpe.v_pe < 0
-    || Hashtbl.mem t.susp_kind vpe.v_id
-    || Hashtbl.mem t.images vpe.v_id
-  then false
-  else begin
-    Hashtbl.replace t.susp_kind vpe.v_id kind;
+   the quiesce signal to come back as an [Op_quiesced]. Does nothing
+   unless the VPE runs on its PE. *)
+let begin_suspend t sched vpe =
+  if vpe.v_state = V_running && Sched.suspend sched ~vpe:vpe.v_id then begin
     let dtu = Pe.dtu (Platform.pe t.platform vpe.v_pe) in
     Dtu.set_on_quiesce dtu (fun () ->
         Sched.request sched (Sched.Op_quiesced vpe.v_id));
     match Dtu.ext_suspend (kdtu t) ~target:vpe.v_pe with
-    | Ok () -> true
+    | Ok () -> ()
     | Error e ->
-      Hashtbl.remove t.susp_kind vpe.v_id;
+      Sched.settle sched ~vpe:vpe.v_id;
       Log.warn (fun m ->
           m "sched: suspend of vpe%d failed: %s" vpe.v_id
-            (M3_dtu.Dtu_error.to_string e));
-      false
+            (M3_dtu.Dtu_error.to_string e))
   end
 
 (* Phase two, on [Op_quiesced]: park inbound senders, capture the
-   architectural state, detach the process and free the PE. *)
+   architectural state, detach the process and free the PE. The VPE
+   stays [Suspending] until the capture completes: the blocking
+   [ext_capture] round-trip leaves it looking alive ([v_pe >= 0]) for
+   thousands of cycles, and a gate activation that lands in that
+   window must still see the suspension in flight (see
+   [h_activate]). *)
 let finish_suspend t sched vpe =
-  match Hashtbl.find_opt t.susp_kind vpe.v_id with
-  | None -> () (* killed mid-quiesce; [do_kill_vpe] already cleaned up *)
-  | Some kind ->
-    (* [susp_kind] stays set until the capture completes: the blocking
-       [ext_capture] round-trip leaves the victim looking alive
-       ([v_pe >= 0]) for thousands of cycles, and a gate activation
-       that lands in that window must still see the suspension in
-       flight (see [h_activate]). *)
-    Fun.protect ~finally:(fun () -> Hashtbl.remove t.susp_kind vpe.v_id)
-    @@ fun () ->
-    if vpe.v_state = V_running && vpe.v_pe >= 0 then begin
-      let old_pe = vpe.v_pe in
-      let pe_obj = Platform.pe t.platform old_pe in
-      if Dtu.quiesced (Pe.dtu pe_obj) then begin
-        let inbound = inbound_sgates t vpe in
-        List.iter
-          (fun (vid, ep) ->
-            if vid <> vpe.v_id then
-              match Hashtbl.find_opt t.vpes vid with
-              | Some owner when owner.v_state = V_running && owner.v_pe >= 0
-                -> (
-                match Dtu.ext_park (kdtu t) ~target:owner.v_pe ~ep with
-                | Ok () | Error _ -> ())
-              | _ -> ())
-          inbound;
-        match Dtu.ext_capture (kdtu t) ~target:old_pe with
-        | Error e ->
-          Log.err (fun m ->
-              m "sched: capture of vpe%d on pe%d failed: %s" vpe.v_id old_pe
-                (M3_dtu.Dtu_error.to_string e))
-        | Ok snapshot -> (
-          Hashtbl.replace t.susp_mem_caps vpe.v_id
-            (inbound_mem_caps t ~pe:old_pe);
-          match
-            (Pe.detach pe_obj, Dtu.take_parked (Pe.dtu pe_obj), vpe.v_state)
-          with
-          | Some proc, Some resume, V_running ->
-            let img =
-              {
-                Vpe_image.img_vpe = vpe.v_id;
-                img_core = Pe.core pe_obj;
-                img_from_pe = old_pe;
-                img_captured_at = Engine.now t.engine;
-                img_snapshot = snapshot;
-                img_process = proc;
-                img_resume = resume;
-              }
-            in
-            t.pe_owner.(old_pe) <- None;
-            vpe.v_pe <- -1;
-            Sched.note_unplaced sched ~vpe:vpe.v_id;
-            Sched.count_suspend sched;
-            Hashtbl.replace t.last_out old_pe vpe.v_id;
-            emit_event t
-              (Event.Vpe_suspend
-                 {
-                   vpe = vpe.v_id;
-                   pe = old_pe;
-                   bytes = Dtu.snapshot_bytes snapshot;
-                 });
-            (match kind with
-            | `Requeue -> Sched.enqueue sched (Sched.Warm img)
-            | `Park -> Hashtbl.replace t.images vpe.v_id img)
-          | _ ->
-            Hashtbl.remove t.susp_mem_caps vpe.v_id;
-            Log.warn (fun m ->
-                m "sched: vpe%d vanished mid-suspend" vpe.v_id))
-      end
+  let suspending =
+    match Sched.state sched ~vpe:vpe.v_id with
+    | Sched.Suspending _ -> true
+    | Sched.Placed | Sched.Parked _ | Sched.Queued _ ->
+      false (* killed mid-quiesce; [do_kill_vpe] already cleaned up *)
+  in
+  if suspending && vpe.v_state = V_running && vpe.v_pe >= 0 then begin
+    let old_pe = vpe.v_pe in
+    let pe_obj = Platform.pe t.platform old_pe in
+    if Dtu.quiesced (Pe.dtu pe_obj) then begin
+      let inbound = inbound_sgates t vpe in
+      List.iter
+        (fun (vid, ep) ->
+          if vid <> vpe.v_id then
+            match Hashtbl.find_opt t.vpes vid with
+            | Some owner when owner.v_state = V_running && owner.v_pe >= 0
+              -> (
+              match Dtu.ext_park (kdtu t) ~target:owner.v_pe ~ep with
+              | Ok () | Error _ -> ())
+            | _ -> ())
+        inbound;
+      match Dtu.ext_capture (kdtu t) ~target:old_pe with
+      | Error e ->
+        Log.err (fun m ->
+            m "sched: capture of vpe%d on pe%d failed: %s" vpe.v_id old_pe
+              (M3_dtu.Dtu_error.to_string e))
+      | Ok snapshot -> (
+        let mem_caps = inbound_mem_caps t ~pe:old_pe in
+        match
+          (Pe.detach pe_obj, Dtu.take_parked (Pe.dtu pe_obj), vpe.v_state)
+        with
+        | Some proc, Some resume, V_running ->
+          t.pe_owner.(old_pe) <- None;
+          vpe.v_pe <- -1;
+          Hashtbl.replace t.last_out old_pe vpe.v_id;
+          emit_event t
+            (Event.Vpe_suspend
+               {
+                 vpe = vpe.v_id;
+                 pe = old_pe;
+                 bytes = Dtu.snapshot_bytes snapshot;
+               });
+          Sched.captured sched ~vpe:vpe.v_id ~core:(Pe.core pe_obj)
+            {
+              img_from_pe = old_pe;
+              img_snapshot = snapshot;
+              img_process = proc;
+              img_resume = resume;
+              img_mem_caps = mem_caps;
+            }
+        | _ ->
+          Log.warn (fun m ->
+              m "sched: vpe%d vanished mid-suspend" vpe.v_id))
     end
+  end;
+  (* Captured or not, the suspension is over. *)
+  Sched.settle sched ~vpe:vpe.v_id
 
 (* Record a context switch if the PE hosted a different VPE before. *)
-let note_switch t sched ~pe ~in_vpe =
+let note_switch t ~pe ~in_vpe =
   match Hashtbl.find_opt t.last_out pe with
   | Some out ->
     Hashtbl.remove t.last_out pe;
-    if out <> in_vpe then begin
-      Sched.count_switch sched;
+    if out <> in_vpe then
       emit_event t (Event.Sched_switch { pe; out_vpe = out; in_vpe })
-    end
   | None -> ()
 
-(* Push a warm image onto a free compatible PE. Returns false only
-   when no PE is available (the entry stays queued); a dead VPE or a
-   restore failure consumes the image and returns true. *)
-let place_warm t sched img =
-  let vid = img.Vpe_image.img_vpe in
+(* Restore a queued VPE's image onto the free PE [pe_obj]. A dead VPE
+   or a restore failure consumes the image. *)
+let place t vid img pe_obj =
   match Hashtbl.find_opt t.vpes vid with
-  | None ->
-    Vpe_image.discard img;
-    true
-  | Some vpe when vpe.v_state <> V_running ->
-    Vpe_image.discard img;
-    true
-  | Some vpe -> (
-    let used i = t.pe_owner.(i) <> None in
-    match Platform.find_pe t.platform ~core:img.Vpe_image.img_core ~used with
-    | None -> false
-    | Some pe_obj -> (
-      let p = Pe.id pe_obj in
-      (* Claim the PE and repoint the VPE before the restore blocks, so
-         a concurrent kill tears the right PE down. *)
-      t.pe_owner.(p) <- Some vid;
-      vpe.v_pe <- p;
-      match Dtu.ext_restore (kdtu t) ~target:p img.Vpe_image.img_snapshot with
-      | Error e ->
-        if t.pe_owner.(p) = Some vid then t.pe_owner.(p) <- None;
-        Vpe_image.discard img;
-        Log.err (fun m ->
-            m "sched: restore of vpe%d on pe%d failed: %s" vid p
-              (M3_dtu.Dtu_error.to_string e));
-        true
-      | Ok () ->
-        if vpe.v_state <> V_running then begin
-          (* Killed while the restore was in flight. *)
-          Vpe_image.discard img;
-          if t.pe_owner.(p) = Some vid then t.pe_owner.(p) <- None;
-          (match Dtu.ext_reset (kdtu t) ~target:p with Ok () | Error _ -> ());
-          true
-        end
-        else begin
-          (match Hashtbl.find_opt t.envs vid with
-          | Some env -> Env.migrate env ~pe:pe_obj
-          | None -> ());
-          (* Senders into the migrated VPE follow it to the new PE. *)
-          List.iter
-            (fun (ovid, ep) ->
-              if ovid <> vid then
-                match Hashtbl.find_opt t.vpes ovid with
-                | Some owner when owner.v_state = V_running && owner.v_pe >= 0
-                  -> (
+  | Some vpe when vpe.v_state = V_running -> (
+    let p = Pe.id pe_obj in
+    (* Claim the PE and repoint the VPE before the restore blocks, so
+       a concurrent kill tears the right PE down. *)
+    t.pe_owner.(p) <- Some vid;
+    vpe.v_pe <- p;
+    match Dtu.ext_restore (kdtu t) ~target:p img.img_snapshot with
+    | Error e ->
+      if t.pe_owner.(p) = Some vid then t.pe_owner.(p) <- None;
+      discard img;
+      Log.err (fun m ->
+          m "sched: restore of vpe%d on pe%d failed: %s" vid p
+            (M3_dtu.Dtu_error.to_string e))
+    | Ok () when vpe.v_state <> V_running ->
+      (* Killed while the restore was in flight. *)
+      discard img;
+      if t.pe_owner.(p) = Some vid then t.pe_owner.(p) <- None;
+      (match Dtu.ext_reset (kdtu t) ~target:p with Ok () | Error _ -> ())
+    | Ok () ->
+      (match Hashtbl.find_opt t.envs vid with
+      | Some env -> Env.migrate env ~pe:pe_obj
+      | None -> ());
+      (* Senders into the migrated VPE follow it to the new PE. *)
+      List.iter
+        (fun (ovid, ep) ->
+          if ovid <> vid then
+            match Hashtbl.find_opt t.vpes ovid with
+            | Some owner when owner.v_state = V_running && owner.v_pe >= 0 -> (
+              match Dtu.ext_rebind (kdtu t) ~target:owner.v_pe ~ep ~dst_pe:p with
+              | Ok () | Error _ -> ())
+            | _ -> ())
+        (inbound_sgates t vpe);
+      (* Memory capabilities windowing the migrated SPM. *)
+      List.iter
+        (fun c ->
+          (match c.c_obj with
+          | O_mem m -> m.mem_pe <- p
+          | _ -> ());
+          let owner = c.c_owner in
+          if
+            c.c_valid && owner.v_id <> vid
+            && owner.v_state = V_running
+            && owner.v_pe >= 0
+          then
+            List.iter
+              (fun ep ->
+                match
+                  Dtu.ext_rebind (kdtu t) ~target:owner.v_pe ~ep ~dst_pe:p
+                with
+                | Ok () | Error _ -> ())
+              c.c_activated)
+        img.img_mem_caps;
+      (* The victim's own restored endpoints still aim at
+         pre-migration coordinates of peers that may have moved
+         while it slept — re-aim them from the capability store
+         (the single source of truth). *)
+      let own =
+        Hashtbl.fold
+          (fun _ c acc ->
+            if c.c_valid && c.c_activated <> [] then c :: acc else acc)
+          vpe.v_caps []
+        |> List.sort (fun a b -> compare a.c_sel b.c_sel)
+      in
+      List.iter
+        (fun c ->
+          match c.c_obj with
+          | O_sgate sg ->
+            let tgt = sg.sg_rgate.rg_vpe in
+            List.iter
+              (fun ep ->
+                if tgt.v_state = V_running && tgt.v_pe >= 0 then (
                   match
-                    Dtu.ext_rebind (kdtu t) ~target:owner.v_pe ~ep ~dst_pe:p
+                    Dtu.ext_rebind (kdtu t) ~target:p ~ep ~dst_pe:tgt.v_pe
                   with
                   | Ok () | Error _ -> ())
-                | _ -> ())
-            (inbound_sgates t vpe);
-          (* Memory capabilities windowing the migrated SPM. *)
-          (match Hashtbl.find_opt t.susp_mem_caps vid with
-          | Some caps ->
-            Hashtbl.remove t.susp_mem_caps vid;
-            List.iter
-              (fun c ->
-                (match c.c_obj with
-                | O_mem m -> m.mem_pe <- p
-                | _ -> ());
-                let owner = c.c_owner in
-                if
-                  c.c_valid && owner.v_id <> vid
-                  && owner.v_state = V_running
-                  && owner.v_pe >= 0
-                then
-                  List.iter
-                    (fun ep ->
-                      match
-                        Dtu.ext_rebind (kdtu t) ~target:owner.v_pe ~ep
-                          ~dst_pe:p
-                      with
-                      | Ok () | Error _ -> ())
-                    c.c_activated)
-              caps
-          | None -> ());
-          (* The victim's own restored endpoints still aim at
-             pre-migration coordinates of peers that may have moved
-             while it slept — re-aim them from the capability store
-             (the single source of truth). *)
-          let own =
-            Hashtbl.fold
-              (fun _ c acc ->
-                if c.c_valid && c.c_activated <> [] then c :: acc else acc)
-              vpe.v_caps []
-            |> List.sort (fun a b -> compare a.c_sel b.c_sel)
-          in
-          List.iter
-            (fun c ->
-              match c.c_obj with
-              | O_sgate sg ->
-                let tgt = sg.sg_rgate.rg_vpe in
-                List.iter
-                  (fun ep ->
-                    if tgt.v_state = V_running && tgt.v_pe >= 0 then (
-                      match
-                        Dtu.ext_rebind (kdtu t) ~target:p ~ep
-                          ~dst_pe:tgt.v_pe
-                      with
-                      | Ok () | Error _ -> ())
-                    else
-                      match Dtu.ext_park (kdtu t) ~target:p ~ep with
-                      | Ok () | Error _ -> ())
-                  c.c_activated
-              | O_mem m ->
-                List.iter
-                  (fun ep ->
-                    match
-                      Dtu.ext_rebind (kdtu t) ~target:p ~ep ~dst_pe:m.mem_pe
-                    with
-                    | Ok () | Error _ -> ())
-                  c.c_activated
-              | _ -> ())
-            own;
-          Pe.attach pe_obj img.Vpe_image.img_process;
-          if Sched.is_managed sched ~vpe:vid then
-            Sched.note_placed sched ~vpe:vid ~at:(Engine.now t.engine);
-          Sched.count_resume sched;
-          note_switch t sched ~pe:p ~in_vpe:vid;
-          emit_event t
-            (Event.Vpe_resume
-               {
-                 vpe = vid;
-                 pe = p;
-                 from_pe = img.Vpe_image.img_from_pe;
-                 cold = false;
-               });
-          (* Software half last: the continuation resumes on the new
-             DTU only after all state has landed. *)
-          img.Vpe_image.img_resume (Pe.dtu pe_obj);
-          true
-        end))
-
-(* First placement of a virtual VPE: bind a PE, move the staged image
-   out of DRAM, rebase every capability windowing the staging region,
-   and run the deferred program start. *)
-let place_cold t sched vpe ~core =
-  if vpe.v_state = V_dead then true
-  else
-    let used i = t.pe_owner.(i) <> None in
-    match Platform.find_pe t.platform ~core ~used with
-    | None -> false
-    | Some pe_obj ->
-      let p = Pe.id pe_obj in
-      t.pe_owner.(p) <- Some vpe.v_id;
-      vpe.v_pe <- p;
-      (match Dtu.ext_reset (kdtu t) ~target:p with Ok () | Error _ -> ());
-      configure_syscall_eps t ~pe_id:p ~vpe_id:vpe.v_id;
-      (match Hashtbl.find_opt t.staging vpe.v_id with
-      | Some (addr, size, _) -> (
-        (* DRAM -> kernel -> PE: request plus bulk fetch, then the
-           privileged image write (which charges kernel -> PE). *)
-        let dram = Platform.dram_node t.platform in
-        fabric_copy t ~src:(kernel_pe_id t) ~dst:dram ~bytes:64;
-        fabric_copy t ~src:dram ~dst:(kernel_pe_id t) ~bytes:size;
-        (* Re-check: a kill may have raced the copies and freed the
-           staging region already. *)
-        match Hashtbl.find_opt t.staging vpe.v_id with
-        | None -> ()
-        | Some _ when vpe.v_state = V_dead -> ()
-        | Some _ ->
-          let image =
-            Store.read_bytes (Platform.dram t.platform) ~addr ~len:size
-          in
-          (match Dtu.ext_write (kdtu t) ~target:p ~addr:0 ~payload:image with
-          | Ok () | Error _ -> ());
-          (* Rebase capabilities from the staging window to the PE.
-             Memory endpoints are rewritten whole ([ext_config], not
-             [ext_rebind]): the base changes too, and memory endpoints
-             carry no credits to preserve. *)
-          let windowed =
-            Hashtbl.fold
-              (fun _ v acc ->
-                if v.v_state = V_dead then acc
                 else
-                  Hashtbl.fold
-                    (fun _ c acc2 ->
-                      if c.c_valid then
-                        match c.c_obj with
-                        | O_mem m
-                          when m.mem_pe = dram && m.mem_addr >= addr
-                               && m.mem_addr + m.mem_size <= addr + size ->
-                          (v.v_id, c) :: acc2
-                        | _ -> acc2
-                      else acc2)
-                    v.v_caps acc)
-              t.vpes []
-            |> List.sort (fun (a, c1) (b, c2) ->
-                   compare (a, c1.c_sel) (b, c2.c_sel))
-            |> List.map snd
-          in
-          List.iter
-            (fun c ->
-              (match c.c_obj with
-              | O_mem m ->
-                m.mem_pe <- p;
-                m.mem_addr <- m.mem_addr - addr
-              | _ -> ());
-              let owner = c.c_owner in
-              if
-                c.c_valid && owner.v_state = V_running && owner.v_pe >= 0
-              then
-                match c.c_obj with
-                | O_mem m ->
-                  List.iter
-                    (fun ep ->
-                      match
-                        Dtu.ext_config (kdtu t) ~target:owner.v_pe ~ep
-                          (Endpoint.Memory
-                             {
-                               dst_pe = p;
-                               base = m.mem_addr;
-                               size = m.mem_size;
-                               perm = m.mem_perm;
-                             })
-                      with
-                      | Ok () | Error _ -> ())
-                    c.c_activated
-                | _ -> ())
-            windowed;
-          Alloc.free t.kmem ~addr ~size;
-          Hashtbl.remove t.staging vpe.v_id)
-      | None -> ());
-      if vpe.v_state = V_dead then true
-      else begin
-        Sched.count_resume sched;
-        note_switch t sched ~pe:p ~in_vpe:vpe.v_id;
-        emit_event t
-          (Event.Vpe_resume { vpe = vpe.v_id; pe = p; from_pe = -1; cold = true });
-        (match Hashtbl.find_opt t.pending_start vpe.v_id with
-        | Some (program, args) ->
-          Hashtbl.remove t.pending_start vpe.v_id;
-          start_program t vpe program ~args
-        | None -> ());
-        true
-      end
+                  match Dtu.ext_park (kdtu t) ~target:p ~ep with
+                  | Ok () | Error _ -> ())
+              c.c_activated
+          | O_mem m ->
+            List.iter
+              (fun ep ->
+                match Dtu.ext_rebind (kdtu t) ~target:p ~ep ~dst_pe:m.mem_pe with
+                | Ok () | Error _ -> ())
+              c.c_activated
+          | _ -> ())
+        own;
+      Pe.attach pe_obj img.img_process;
+      note_switch t ~pe:p ~in_vpe:vid;
+      emit_event t
+        (Event.Vpe_resume
+           { vpe = vid; pe = p; from_pe = img.img_from_pe; cold = false });
+      (* Software half last: the continuation resumes on the new DTU
+         only after all state has landed. *)
+      img.img_resume (Pe.dtu pe_obj))
+  | _ -> discard img
 
 let schedulable_cores = [ Core_type.General_purpose; Core_type.Fft_accelerator ]
 
@@ -1065,129 +866,39 @@ let schedulable_cores = [ Core_type.General_purpose; Core_type.Fft_accelerator ]
 let service_queue t sched =
   List.iter
     (fun core ->
-      let continue_ = ref true in
-      while !continue_ do
+      let rec loop () =
         let used i = t.pe_owner.(i) <> None in
-        if Platform.find_pe t.platform ~core ~used = None then
-          continue_ := false
-        else
-          match Sched.dequeue sched ~core with
-          | None -> continue_ := false
-          | Some entry ->
-            let placed =
-              match entry with
-              | Sched.Cold { e_vpe; e_core } -> (
-                match Hashtbl.find_opt t.vpes e_vpe with
-                | Some vpe when vpe.v_state <> V_dead && vpe.v_pe < 0 ->
-                  place_cold t sched vpe ~core:e_core
-                | _ -> true (* stale entry: drop *))
-              | Sched.Warm img -> place_warm t sched img
-            in
-            if not placed then begin
-              Sched.enqueue sched entry;
-              continue_ := false
-            end
-      done)
-    schedulable_cores
-
-(* When runnable VPEs wait on a core class with no free PE, pick a
-   victim among the managed VPEs holding one: idle (yield-on-block)
-   first, then expired slices, oldest placement breaking ties. *)
-let try_preempt t sched =
-  let now = Engine.now t.engine in
-  List.iter
-    (fun core ->
-      let used i = t.pe_owner.(i) <> None in
-      if
-        Sched.queued_for sched ~core > 0
-        && Platform.find_pe t.platform ~core ~used = None
-      then begin
-        let candidates =
-          Sched.placed_list sched
-          |> List.filter_map (fun (vid, at) ->
-                 match Hashtbl.find_opt t.vpes vid with
-                 | Some v
-                   when v.v_state = V_running && v.v_pe >= 0
-                        && Core_type.equal
-                             (Pe.core (Platform.pe t.platform v.v_pe))
-                             core
-                        && not (Hashtbl.mem t.susp_kind vid) ->
-                   let dtu = Pe.dtu (Platform.pe t.platform v.v_pe) in
-                   let idle =
-                     match Dtu.idle_since dtu with
-                     | Some since -> now - since >= Sched.idle_yield sched
-                     | None -> false
-                   in
-                   if idle then Some (0, at, v)
-                   else if now - at >= Sched.slice sched then Some (1, at, v)
-                   else None
-                 | _ -> None)
-          |> List.sort (fun (a, b, v1) (c, d, v2) ->
-                 compare (a, b, v1.v_id) (c, d, v2.v_id))
-        in
-        match candidates with
-        | (_, _, victim) :: _ ->
-          if begin_suspend t sched victim ~kind:`Requeue then
-            Sched.count_preemption sched
-        | [] -> ()
-      end)
+        match Platform.find_pe t.platform ~core ~used with
+        | None -> ()
+        | Some pe_obj -> (
+          match Sched.take sched ~core with
+          | None -> ()
+          | Some (vid, img) ->
+            place t vid img pe_obj;
+            loop ())
+      in
+      loop ())
     schedulable_cores
 
 (* The sweep process. Parks on the scheduler waitq whenever nothing
-   can progress — syscall handlers, the quiesce callback and VPE
-   deaths all wake it — and arms a one-shot timer only while runnable
-   VPEs wait on held PEs (so an idle scheduler never keeps the engine
-   alive). *)
+   can progress; syscall handlers, the quiesce callback and VPE deaths
+   all wake it, so an idle scheduler never keeps the engine alive. *)
 let rec sched_sweep t sched =
   let rec drain () =
     match Sched.next_op sched with
     | None -> ()
     | Some op ->
       (match op with
-      | Sched.Op_suspend id -> (
-        match Hashtbl.find_opt t.vpes id with
-        | Some vpe -> ignore (begin_suspend t sched vpe ~kind:`Park)
-        | None -> ())
-      | Sched.Op_quiesced id -> (
-        match Hashtbl.find_opt t.vpes id with
-        | Some vpe -> finish_suspend t sched vpe
-        | None -> ())
-      | Sched.Op_resume id -> (
-        match Hashtbl.find_opt t.vpes id with
-        | Some vpe when vpe.v_state = V_running && vpe.v_pe < 0 -> (
-          match Hashtbl.find_opt t.images id with
-          | Some img ->
-            Hashtbl.remove t.images id;
-            Sched.enqueue sched (Sched.Warm img)
-          | None -> ())
-        | Some _ when Hashtbl.mem t.susp_kind id ->
-          (* Resume overtook the suspension: complete the capture but
-             go straight back into the run queue. *)
-          Hashtbl.replace t.susp_kind id `Requeue
-        | _ -> ()));
+      | Sched.Op_suspend id ->
+        Option.iter (begin_suspend t sched) (Hashtbl.find_opt t.vpes id)
+      | Sched.Op_quiesced id ->
+        Option.iter (finish_suspend t sched) (Hashtbl.find_opt t.vpes id)
+      | Sched.Op_resume id -> Sched.resume sched ~vpe:id);
       drain ()
   in
   drain ();
   service_queue t sched;
-  if Sched.queued sched > 0 then begin
-    try_preempt t sched;
-    if Sched.pending_ops sched = 0 then
-      match Sched.placed_list sched with
-      | [] -> Sched.wait_work sched
-      | placed ->
-        let now = Engine.now t.engine in
-        let next_expiry =
-          List.fold_left
-            (fun acc (_, at) -> min acc (at + Sched.slice sched))
-            max_int placed
-        in
-        let tick =
-          max 256 (min (next_expiry - now) (Sched.idle_yield sched))
-        in
-        Engine.schedule t.engine ~delay:tick (fun () -> Sched.wake sched);
-        Sched.wait_work sched
-  end
-  else if Sched.pending_ops sched = 0 then Sched.wait_work sched;
+  if Sched.pending_ops sched = 0 then Sched.wait_work sched;
   sched_sweep t sched
 
 (* --- kernel <-> service channel ------------------------------------- *)
@@ -1286,7 +997,7 @@ let h_create_vpe t requester r =
       | Some a -> a
       | None -> Account.create ()
     in
-    (match create_vpe_internal ~allow_virtual:true t ~name ~core ~account with
+    (match create_vpe_internal t ~name ~core ~account with
     | Error e -> reply_err e
     | Ok vpe ->
       (* The requester gets the VPE capability and a memory capability
@@ -1306,25 +1017,6 @@ let h_vpe_start t requester r =
   let args = R.bytes r in
   match get requester ~sel:vpe_sel with
   | Error e -> reply_err e
-  | Ok { c_obj = O_vpe vpe; _ } when vpe.v_state = V_init && vpe.v_pe < 0 -> (
-    (* Virtual VPE: defer the start until the sweep binds a PE. *)
-    match t.sched with
-    | None -> reply_err Errno.E_inv_args
-    | Some sched -> (
-      match Program.find t.engine prog with
-      | None -> reply_err Errno.E_not_found
-      | Some _ when Hashtbl.mem t.pending_start vpe.v_id ->
-        reply_err Errno.E_exists
-      | Some program ->
-        Hashtbl.replace t.pending_start vpe.v_id (program, args);
-        let core =
-          match Hashtbl.find_opt t.staging vpe.v_id with
-          | Some (_, _, core) -> core
-          | None -> Core_type.General_purpose
-        in
-        Sched.enqueue sched (Sched.Cold { e_vpe = vpe.v_id; e_core = core });
-        Sched.wake sched;
-        reply_ok (fun _ -> ())))
   | Ok { c_obj = O_vpe vpe; _ } when vpe.v_state = V_init -> (
     match Program.find t.engine prog with
     | None -> reply_err Errno.E_not_found
@@ -1353,8 +1045,7 @@ let h_vpe_exit t requester r =
   No_reply
 
 (* Suspend a child VPE (pool shrink): hand the request to the sweep.
-   Only a started, placed VPE can be suspended — a cold queued one has
-   no state to capture and is already off-PE. *)
+   Only a started VPE on its PE can be suspended. *)
 let h_vpe_suspend t requester r =
   match t.sched with
   | None -> reply_err Errno.E_inv_args
@@ -1365,11 +1056,8 @@ let h_vpe_suspend t requester r =
     | Ok { c_obj = O_vpe vpe; _ } ->
       if vpe.v_id = requester.v_id then reply_err Errno.E_inv_args
       else if vpe.v_state <> V_running then reply_err Errno.E_vpe_gone
-      else if
-        vpe.v_pe < 0
-        || Hashtbl.mem t.susp_kind vpe.v_id
-        || Hashtbl.mem t.images vpe.v_id
-      then reply_err Errno.E_exists
+      else if not (Sched.suspendable sched ~vpe:vpe.v_id) then
+        reply_err Errno.E_exists
       else begin
         Sched.request sched (Sched.Op_suspend vpe.v_id);
         reply_ok (fun _ -> ())
@@ -1405,25 +1093,14 @@ let h_vpe_sched_state t requester r =
     if vpe.v_state = V_dead then reply_err Errno.E_vpe_dead
     else
       let state =
-        if Hashtbl.mem t.susp_kind vpe.v_id then 1 (* suspension in flight *)
-        else if Hashtbl.mem t.images vpe.v_id then 2 (* parked *)
-        else if vpe.v_pe >= 0 then 0 (* placed *)
-        else 3 (* queued for placement *)
+        match sched_state t vpe with
+        | Sched.Placed -> 0
+        | Sched.Suspending _ -> 1
+        | Sched.Parked _ -> 2
+        | Sched.Queued _ -> 3
       in
       reply_ok (fun w -> W.u64 w state)
   | Ok _ -> reply_err Errno.E_inv_args
-
-(* Opt into time-multiplexing: the caller's PE becomes preemptible
-   (slice expiry, yield-on-block). VPEs that never join keep their PE
-   for life, exactly as without a scheduler. *)
-let h_sched_join t requester _r =
-  match t.sched with
-  | None -> reply_err Errno.E_inv_args
-  | Some sched ->
-    Sched.manage sched ~vpe:requester.v_id;
-    if requester.v_pe >= 0 then
-      Sched.note_placed sched ~vpe:requester.v_id ~at:(Engine.now t.engine);
-    reply_ok (fun _ -> ())
 
 let h_create_rgate t requester r =
   let sel = R.u64 r in
@@ -1581,9 +1258,8 @@ let h_activate t requester r =
         dtu_exn (Dtu.ext_config (kdtu t) ~target:requester.v_pe ~ep ep_config);
         (match cap.c_obj with
         | O_sgate sg
-          when (sg.sg_rgate.rg_vpe.v_pe < 0
-               || Hashtbl.mem t.susp_kind sg.sg_rgate.rg_vpe.v_id)
-               && sg.sg_rgate.rg_vpe.v_state = V_running ->
+          when sg.sg_rgate.rg_vpe.v_state = V_running
+               && off_pe t sg.sg_rgate.rg_vpe ->
           (* Destination is suspended — or mid-suspension, its capture
              still in flight: hold the endpoint; the resume rebinds it
              at the new coordinates. *)
@@ -1593,8 +1269,7 @@ let h_activate t requester r =
           (* The destination may have landed while we blocked in the
              park (this endpoint was not yet in [ep_caps], so the
              placement's rebind sweep missed it): repoint it now. *)
-          if rg_vpe.v_pe >= 0 && not (Hashtbl.mem t.susp_kind rg_vpe.v_id)
-          then
+          if rg_vpe.v_pe >= 0 && not (off_pe t rg_vpe) then
             ignore
               (Dtu.ext_rebind (kdtu t) ~target:requester.v_pe ~ep
                  ~dst_pe:rg_vpe.v_pe)
@@ -1616,6 +1291,9 @@ let h_exchange _t requester r =
   let obtain = R.u8 r = 1 in
   match get requester ~sel:vpe_sel with
   | Error e -> reply_err e
+  | Ok { c_obj = O_vpe other; _ } when obtain && other.v_state = V_dead ->
+    (* A dead VPE published nothing and never will: no retry can help. *)
+    reply_err Errno.E_vpe_gone
   | Ok { c_obj = O_vpe other; _ } ->
     let src_vpe, src_sel, dst_vpe, dst_sel =
       if obtain then (other, other_sel, requester, own_sel)
@@ -1864,7 +1542,6 @@ let dispatch t requester r ~slot =
     | Proto.Route_irq -> h_route_irq t requester r
     | Proto.Vpe_suspend -> h_vpe_suspend t requester r
     | Proto.Vpe_resume -> h_vpe_resume t requester r
-    | Proto.Sched_join -> h_sched_join t requester r
     | Proto.Vpe_sched_state -> h_vpe_sched_state t requester r
     | Proto.Delegate_sess -> h_delegate_sess t requester r)
 
@@ -1991,5 +1668,4 @@ let dram_avail t = Alloc.avail t.kmem
 
 let find_vpe t ~vpe_id = Hashtbl.find_opt t.vpes vpe_id
 
-let sched t = t.sched
-let suspended_count t = Hashtbl.length t.images
+let suspended_count t = Option.fold ~none:0 ~some:Sched.parked t.sched

@@ -17,12 +17,10 @@ val abort_exit_code : int
 
 (** [create ?sched platform ~kernel_pe] initializes kernel state. The
     kernel owns all DRAM not reserved for the boot image. With [sched]
-    the kernel time-multiplexes PEs: VPE creation may overcommit
-    (virtual VPEs wait in run queues), VPEs can be suspended, resumed
-    and migrated, and a scheduler sweep process runs on the kernel PE.
+    (default false) VPEs can be suspended, parked, resumed and
+    migrated, and a scheduler sweep process runs on the kernel PE.
     Without it, behaviour is bit-identical to previous kernels. *)
-val create :
-  ?sched:M3_sched.Sched.t -> M3_hw.Platform.t -> kernel_pe:int -> t
+val create : ?sched:bool -> M3_hw.Platform.t -> kernel_pe:int -> t
 
 (** [boot t] configures the kernel's endpoints, spawns the kernel
     process, and downgrades all application-PE DTUs — establishing
@@ -85,10 +83,6 @@ val dram_avail : t -> int
 
 (** [find_vpe t ~vpe_id] exposes kernel objects to white-box tests. *)
 val find_vpe : t -> vpe_id:int -> Kdata.vpe option
-
-(** [sched t] is the scheduler this kernel was created with, if any —
-    its counters feed reports and tests. *)
-val sched : t -> M3_sched.Sched.t option
 
 (** [suspended_count t] is the number of explicitly suspended VPE
     images currently parked in the kernel (pool shrink depth). *)

@@ -18,7 +18,6 @@ type opcode =
   (* scheduler syscalls — appended, the encoding is list-index based *)
   | Vpe_suspend
   | Vpe_resume
-  | Sched_join
   | Vpe_sched_state
   (* session-scoped delegation — appended *)
   | Delegate_sess
@@ -28,7 +27,7 @@ let all_opcodes =
     Noop; Create_vpe; Vpe_start; Vpe_wait; Vpe_exit; Create_rgate;
     Create_sgate; Req_mem; Derive_mem; Activate; Exchange; Create_srv;
     Open_sess; Exchange_sess; Revoke; Route_irq; Vpe_suspend; Vpe_resume;
-    Sched_join; Vpe_sched_state; Delegate_sess;
+    Vpe_sched_state; Delegate_sess;
   ]
 
 let opcode_to_int op =
@@ -59,7 +58,6 @@ let opcode_name = function
   | Route_irq -> "route_irq"
   | Vpe_suspend -> "vpe_suspend"
   | Vpe_resume -> "vpe_resume"
-  | Sched_join -> "sched_join"
   | Vpe_sched_state -> "vpe_sched_state"
   | Delegate_sess -> "delegate_sess"
 

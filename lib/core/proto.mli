@@ -23,7 +23,6 @@ type opcode =
           interrupts as messages into a receive gate (§4.4.2) *)
   | Vpe_suspend  (** vpe sel — capture the child's state off its PE *)
   | Vpe_resume   (** vpe sel — requeue a suspended child for placement *)
-  | Sched_join   (** no args — opt the caller into time-multiplexing *)
   | Vpe_sched_state
       (** vpe sel — query where the child is in the suspend/resume
           life cycle (placed, mid-suspension, parked, queued) *)

@@ -142,8 +142,6 @@ let vpe_suspend env ~vpe_sel =
 let vpe_resume env ~vpe_sel =
   unit_reply (syscall env Proto.Vpe_resume (fun w -> W.u64 w vpe_sel))
 
-let sched_join env = unit_reply (syscall env Proto.Sched_join (fun _ -> ()))
-
 let vpe_sched_state env ~vpe_sel =
   match syscall env Proto.Vpe_sched_state (fun w -> W.u64 w vpe_sel) with
   | Error e -> Error e
@@ -307,14 +305,20 @@ let route_irq env ~device_pe ~rgate_sel ~period =
   | Error e -> Error e
   | Ok _ -> Ok sel
 
+(* A main that raises exits with code 1, so its kernel object, PE and
+   capabilities go the way of any other exit; only a kill (the PE
+   halted under it) propagates. *)
 let run_main (env : Env.t) main =
   let code =
     match main env with
     | code -> code
-    | exception Errno.Error e ->
+    | exception M3_sim.Process.Killed -> raise M3_sim.Process.Killed
+    | exception e ->
       Log.warn (fun m ->
           m "vpe%d (%s): uncaught error: %s" env.vpe_id env.name
-            (Errno.to_string e));
+            (match e with
+            | Errno.Error e -> Errno.to_string e
+            | e -> Printexc.to_string e));
       1
   in
   match vpe_exit env ~code with

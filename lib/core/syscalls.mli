@@ -53,10 +53,6 @@ val vpe_suspend : Env.t -> vpe_sel:int -> unit result_
     Idempotent on a running child. *)
 val vpe_resume : Env.t -> vpe_sel:int -> unit result_
 
-(** [sched_join env] opts the calling VPE into time-multiplexing: its
-    PE may be preempted on slice expiry or yield-on-block. *)
-val sched_join : Env.t -> unit result_
-
 (** [vpe_sched_state env ~vpe_sel] queries where a child is in the
     suspend/resume life cycle: [0] placed on a PE, [1] suspension in
     flight (quiesce or capture pending), [2] parked (image held by the
@@ -150,6 +146,7 @@ val route_irq :
   Env.t -> device_pe:int -> rgate_sel:int -> period:int -> int result_
 
 (** [run_main env main] is the libm3 runtime entry: runs [main],
-    converts uncaught {!Errno.Error} into exit code 1, and performs the
-    exit syscall. The kernel wraps every program start in this. *)
+    converts any uncaught exception except {!M3_sim.Process.Killed}
+    into exit code 1, and performs the exit syscall. The kernel wraps
+    every program start in this. *)
 val run_main : Env.t -> (Env.t -> int) -> unit

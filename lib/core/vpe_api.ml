@@ -60,7 +60,6 @@ let exec env t ?(args = Bytes.empty) path =
 let wait env t = Syscalls.vpe_wait env ~vpe_sel:t.vpe_sel
 let suspend env t = Syscalls.vpe_suspend env ~vpe_sel:t.vpe_sel
 let resume env t = Syscalls.vpe_resume env ~vpe_sel:t.vpe_sel
-let sched_join env = Syscalls.sched_join env
 
 type sched_state = Placed | Suspending | Parked | Queued
 

@@ -50,10 +50,6 @@ val suspend : Env.t -> t -> unit result_
     observe the migration only as latency. *)
 val resume : Env.t -> t -> unit result_
 
-(** [sched_join env] opts the calling VPE into PE time-multiplexing
-    (slice preemption and yield-on-block). *)
-val sched_join : Env.t -> unit result_
-
 (** [await_parked env t] polls, every 500 cycles, until the kernel
     scheduler reports the child's state captured and its image held —
     the synchronisation a pool needs between issuing its initial

@@ -77,7 +77,6 @@ type t = {
   mutable suspended : bool; (* state captured; deliveries NACK "suspended" *)
   mutable parked : (t -> unit) option; (* quiesced program's continuation *)
   mutable on_quiesce : (unit -> unit) option; (* kernel's quiesce callback *)
-  mutable idle_since : int option; (* cycle the program parked in a wait *)
   mutable pending_replies : int; (* sends with a reply grant still unanswered *)
   mutable cmds_accepted : int;
   mutable store_of : int -> Store.t option;
@@ -107,7 +106,6 @@ let create engine fabric ~pe ~spm ~ep_count =
     suspended = false;
     parked = None;
     on_quiesce = None;
-    idle_since = None;
     pending_replies = 0;
     cmds_accepted = 0;
     store_of = (fun _ -> None);
@@ -246,7 +244,6 @@ let rec quiesce_point t =
     quiesce_point next
 
 let suspend_pending t = t.suspend_pending
-let idle_since t = t.idle_since
 let quiesced t = t.parked <> None
 let set_on_quiesce t f = t.on_quiesce <- Some f
 
@@ -714,14 +711,11 @@ let rec wait ?deadline t ~eps =
   let app = List.for_all suspendable_ep eps in
   let t = if app then quiesce_point t else t in
   match poll t eps with
-  | Some _ as hit ->
-    t.idle_since <- None;
-    hit
+  | Some _ as hit -> hit
   | None -> (
     match deadline with
     | Some d when Engine.now t.engine >= d -> None
     | _ ->
-      if app && t.idle_since = None then t.idle_since <- Some (Engine.now t.engine);
       let live = recv_bits t 0 eps in
       park t eps deadline;
       if live land lnot (recv_bits t 0 eps) <> 0 then
@@ -856,7 +850,6 @@ let apply_ext t ~from_privileged action =
       t.suspended <- false;
       t.parked <- None;
       t.on_quiesce <- None;
-      t.idle_since <- None;
       t.pending_replies <- 0;
       (* Same as Invalidate: blocked waiters must observe the wipe
          instead of sleeping forever on endpoints that no longer
@@ -1020,7 +1013,6 @@ let ext_capture t ~target =
             }
           in
           dst.suspended <- true;
-          dst.idle_since <- None;
           Array.fill dst.eps 0 (Array.length dst.eps) S_invalid;
           let wire_back =
             request_bytes + spm_len
@@ -1066,7 +1058,6 @@ let ext_restore t ~target (snap : snapshot) =
             dst.privileged <- snap.snap_privileged;
             dst.suspended <- false;
             dst.suspend_pending <- false;
-            dst.idle_since <- None;
             Array.iter (fun q -> Process.Waitq.broadcast q ()) dst.ep_waiters;
             Ok ()
           | Some _ | None -> Error Dtu_error.Invalid_ep

@@ -157,9 +157,9 @@ val ext_reset : t -> target:int -> (unit, Dtu_error.t) result
 
 (** {1 VPE suspend/resume (privileged)}
 
-    The mechanism half of PE time-multiplexing (§4.4: DTU-mediated
-    state save/restore makes even bare-metal cores schedulable by a
-    remote kernel). The kernel flags a DTU with {!ext_suspend}; the
+    The mechanism half of VPE suspend, resume and migration (§4.4:
+    DTU-mediated state save/restore makes even bare-metal cores
+    schedulable by a remote kernel). The kernel flags a DTU with {!ext_suspend}; the
     program on that PE parks itself at its next {e quiesce point} (the
     top of any application-level wait, or a compute checkpoint) and
     hands its continuation to the kernel. The kernel then pulls the
@@ -227,12 +227,6 @@ val set_on_quiesce : t -> (unit -> unit) -> unit
     continuation. The kernel fires it with the DTU to resume on after
     {!ext_restore} (the same DTU, or another PE's after migration). *)
 val take_parked : t -> (t -> unit) option
-
-(** [idle_since t] is the cycle at which the program parked in an
-    application-level wait with nothing buffered, or [None] while it
-    runs — the scheduler's yield-on-block signal (register
-    introspection, like {!ep_config}). *)
-val idle_since : t -> int option
 
 (** [quiesce_point t] is the cooperative checkpoint: parks the caller
     when a suspension is pending and returns the DTU resumed on

@@ -139,7 +139,7 @@ let mean_gap ~workers ~util =
    client, drive to idle, insist the client exited 0. [sched] boots the
    kernel with a VPE scheduler (the autoscale cell needs one);
    [pe_count] shrinks the platform so elasticity is about real PEs. *)
-let run_sim ?fs_seed ?fs_instances ?plan ?pe_count ?(sched = false) ~label main =
+let run_sim ?fs_seed ?fs_instances ?plan ?pe_count ?sched ~label main =
   let engine = Engine.create () in
   let fs = fs_seed <> None in
   let fs_config ~dram =
@@ -151,7 +151,6 @@ let run_sim ?fs_seed ?fs_instances ?plan ?pe_count ?(sched = false) ~label main 
       (fun pe_count -> { M3_hw.Platform.default_config with pe_count })
       pe_count
   in
-  let sched = if sched then Some (M3_sched.Sched.create ()) else None in
   let sys =
     M3.Bootstrap.start ?platform_config ~fs:fs_config ?fs_instances
       ~no_fs:(not fs) ?faults:plan ?obs:(Runner.bus engine) ?sched engine

@@ -114,7 +114,7 @@ let store_config ~keys =
    covers only reserved slots plus a couple of multiplexed ones). *)
 let kv_ep_count = 32
 
-let run_sim ?plan ?pe_count ?(sched = false) ~fs_instances ~label main =
+let run_sim ?plan ?pe_count ?sched ~fs_instances ~label main =
   let engine = Engine.create () in
   let fs_config ~dram =
     { (M3.M3fs.default_config ~dram) with M3.M3fs.seed = [] }
@@ -126,7 +126,6 @@ let run_sim ?plan ?pe_count ?(sched = false) ~fs_instances ~label main =
       | Some pe_count -> { base with M3_hw.Platform.pe_count }
       | None -> base)
   in
-  let sched = if sched then Some (M3_sched.Sched.create ()) else None in
   let sys =
     M3.Bootstrap.start ?platform_config ~fs:fs_config ~fs_instances
       ?faults:plan ?obs:(Runner.bus engine) ?sched engine

@@ -42,7 +42,7 @@ let bus ?observe engine =
     Some o
 
 let run_m3 ?(pe_count = 16) ?(dram_mib = 64) ?core_at ?(seeds = [])
-    ?(no_fs = false) ?(sched = false) ?faults ?inspect app =
+    ?(no_fs = false) ?faults ?inspect app =
   let engine = Engine.create () in
   let dram_size = dram_mib * 1024 * 1024 in
   let config =
@@ -54,10 +54,9 @@ let run_m3 ?(pe_count = 16) ?(dram_mib = 64) ?core_at ?(seeds = [])
     let base = M3.M3fs.default_config ~dram in
     { base with seed = seeds; fs_size = min base.fs_size (dram_size / 2) }
   in
-  let sched = if sched then Some (M3_sched.Sched.create ()) else None in
   let sys =
     M3.Bootstrap.start ~platform_config:config ~fs ~no_fs ?obs:(bus engine)
-      ?sched ?faults engine
+      ?faults engine
   in
   let account = Account.create () in
   let result = ref zero_measure in

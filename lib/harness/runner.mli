@@ -43,9 +43,8 @@ val serialized : measure -> measure
     work that child VPEs charge while it runs). [pe_count] (default 16)
     and [dram_mib] (default 64) size the platform and [core_at] picks
     each PE's core type (default: all general purpose). [seeds] are
-    files m3fs is formatted with; [no_fs] boots without m3fs. [sched]
-    boots the kernel with a VPE scheduler (suspend/resume,
-    time-multiplexing). [faults] attaches a fault plan before boot;
+    files m3fs is formatted with; [no_fs] boots without m3fs.
+    [faults] attaches a fault plan before boot;
     [inspect] runs against the platform after the app has exited
     (e.g. to collect DTU retry/refund statistics). *)
 val run_m3 :
@@ -54,7 +53,6 @@ val run_m3 :
   ?core_at:(int -> M3_hw.Core_type.t) ->
   ?seeds:M3.M3fs.seed list ->
   ?no_fs:bool ->
-  ?sched:bool ->
   ?faults:M3_fault.Plan.t ->
   ?inspect:(M3_hw.Platform.t -> unit) ->
   (M3.Env.t -> measured:((unit -> unit) -> unit) -> unit) ->

@@ -99,16 +99,17 @@ val dtu_retries : t -> int
 (** VPE state captures by the kernel scheduler ([vpe.suspend]). *)
 val sched_suspends : t -> int
 
-(** VPE placements, warm or cold ([vpe.resume]). *)
+(** VPE placements after a suspend ([vpe.resume]). *)
 val sched_resumes : t -> int
 
 (** Warm resumes that landed on a different PE than the suspend. *)
 val sched_migrations : t -> int
 
-(** First placements of VPEs created without a PE. *)
+(** Placements marked [cold]: 0, since every VPE is created on a PE.
+    The trace summary still prints it. *)
 val sched_cold_starts : t -> int
 
-(** Time-multiplex handoffs ([sched.switch]). *)
+(** PE handoffs from one VPE to another ([sched.switch]). *)
 val sched_switches : t -> int
 
 (** Total SPM bytes pulled over the NoC by state captures. *)

@@ -1,73 +1,49 @@
-(* Kernel VPE scheduler state: run queues, pending operations, policy
-   knobs and counters.
-
-   This module is deliberately mechanism-free — it owns the queues and
-   the arithmetic, while the kernel's sweep process (which can talk to
-   DTUs and to the capability store) executes the decisions. Queues are
-   per core class: a VPE suspended off a general-purpose core can only
+(* Kernel VPE scheduler state. Mechanism-free: the kernel's sweep
+   process, which can talk to DTUs and to the capability store,
+   performs the ext commands around these transitions. Queues are per
+   core class: a VPE suspended off a general-purpose core can only
    resume on a compatible one (§4.4's heterogeneity constraint). *)
 
 module Core_type = M3_hw.Core_type
 module Process = M3_sim.Process
 
-(* A runnable-but-not-running VPE. [Cold] has never held a PE — its
-   program image is staged in DRAM and placement is a first boot.
-   [Warm] carries the captured architectural state. *)
-type entry =
-  | Cold of { e_vpe : int; e_core : Core_type.t }
-  | Warm of Vpe_image.t
+type kind =
+  | Park
+  | Requeue
 
-let entry_vpe = function
-  | Cold { e_vpe; _ } -> e_vpe
-  | Warm img -> Vpe_image.vpe img
+type 'p state =
+  | Placed
+  | Suspending of kind
+  | Parked of Core_type.t * 'p
+  | Queued of Core_type.t
 
-let entry_core = function
-  | Cold { e_core; _ } -> e_core
-  | Warm img -> Vpe_image.core img
-
-(* Explicit requests handed to the sweep by syscall handlers, plus the
-   completion signal the DTU's quiesce callback posts back. *)
 type op =
   | Op_suspend of int
   | Op_resume of int
   | Op_quiesced of int
 
-type t = {
-  slice : int; (* cycles a managed VPE may hold a contended PE *)
-  idle_yield : int; (* blocked-this-long VPEs yield their PE *)
-  queues : (Core_type.t, entry Queue.t) Hashtbl.t;
-  managed : (int, unit) Hashtbl.t; (* joined time-multiplexing *)
-  placed_at : (int, int) Hashtbl.t; (* running managed vpe -> cycle placed *)
+type 'p t = {
+  states : (int, 'p state) Hashtbl.t; (* absent: [Placed] *)
+  queues : (Core_type.t, (int * 'p) Queue.t) Hashtbl.t;
   ops : op Queue.t;
   wake : unit Process.Waitq.waitq;
-  mutable suspends : int;
-  mutable resumes : int;
-  mutable switches : int;
-  mutable preemptions : int;
 }
 
-let default_slice = 10_000
-let default_idle_yield = 2_000
-
-let create ?(slice = default_slice) ?(idle_yield = default_idle_yield) () =
+let create () =
   {
-    slice;
-    idle_yield;
+    states = Hashtbl.create 8;
     queues = Hashtbl.create 4;
-    managed = Hashtbl.create 16;
-    placed_at = Hashtbl.create 16;
     ops = Queue.create ();
     wake = Process.Waitq.create ();
-    suspends = 0;
-    resumes = 0;
-    switches = 0;
-    preemptions = 0;
   }
 
-let slice t = t.slice
-let idle_yield t = t.idle_yield
+(* --- per-VPE state ----------------------------------------------------- *)
 
-(* --- run queues ------------------------------------------------------- *)
+let state t ~vpe = Option.value (Hashtbl.find_opt t.states vpe) ~default:Placed
+
+let set t ~vpe = function
+  | Placed -> Hashtbl.remove t.states vpe
+  | s -> Hashtbl.replace t.states vpe s
 
 let queue_for t core =
   match Hashtbl.find_opt t.queues core with
@@ -77,44 +53,67 @@ let queue_for t core =
     Hashtbl.add t.queues core q;
     q
 
-let enqueue t entry = Queue.push entry (queue_for t (entry_core entry))
+let enqueue t ~vpe ~core p =
+  Queue.push (vpe, p) (queue_for t core);
+  set t ~vpe (Queued core)
 
-let dequeue t ~core =
-  match Hashtbl.find_opt t.queues core with
-  | None -> None
-  | Some q -> Queue.take_opt q
+(* A VPE suspending, parked or queued is off its PE already, or about
+   to be. *)
+let suspendable t ~vpe = match state t ~vpe with Placed -> true | _ -> false
 
-let queued t =
-  Hashtbl.fold (fun _ q acc -> acc + Queue.length q) t.queues 0
+let suspend t ~vpe =
+  let ok = suspendable t ~vpe in
+  if ok then set t ~vpe (Suspending Park);
+  ok
 
-let queued_for t ~core =
-  match Hashtbl.find_opt t.queues core with
-  | None -> 0
-  | Some q -> Queue.length q
+let resume t ~vpe =
+  match state t ~vpe with
+  | Parked (core, p) -> enqueue t ~vpe ~core p
+  | Suspending _ -> set t ~vpe (Suspending Requeue)
+  | Placed | Queued _ -> ()
 
-(* [remove t ~vpe] drops a killed VPE from every run queue and returns
-   the warm images that were queued for it, so the caller can discard
-   their parked processes and free the captured state. *)
-let remove t ~vpe =
-  let removed = ref [] in
-  Hashtbl.iter
-    (fun _ q ->
-      let keep = Queue.create () in
-      Queue.iter
-        (fun e ->
-          if entry_vpe e = vpe then begin
-            match e with
-            | Warm img -> removed := img :: !removed
-            | Cold _ -> ()
-          end
-          else Queue.push e keep)
-        q;
+let captured t ~vpe ~core p =
+  match state t ~vpe with
+  | Suspending Park -> set t ~vpe (Parked (core, p))
+  | Suspending Requeue -> enqueue t ~vpe ~core p
+  | Placed | Parked _ | Queued _ -> invalid_arg "Sched.captured: no suspension"
+
+let settle t ~vpe =
+  match state t ~vpe with Suspending _ -> set t ~vpe Placed | _ -> ()
+
+let take t ~core =
+  let next = Option.bind (Hashtbl.find_opt t.queues core) Queue.take_opt in
+  Option.iter (fun (vpe, _) -> set t ~vpe Placed) next;
+  next
+
+let kill t ~vpe =
+  let held =
+    match state t ~vpe with
+    | Parked (_, p) -> [ p ]
+    | Queued core ->
+      let q = queue_for t core in
+      let entries = List.of_seq (Queue.to_seq q) in
       Queue.clear q;
-      Queue.transfer keep q)
-    t.queues;
-  Hashtbl.remove t.managed vpe;
-  Hashtbl.remove t.placed_at vpe;
-  !removed
+      List.filter_map
+        (fun ((v, p) as e) ->
+          if v = vpe then Some p
+          else begin
+            Queue.push e q;
+            None
+          end)
+        entries
+    | Placed | Suspending _ -> []
+  in
+  Hashtbl.remove t.states vpe;
+  held
+
+let parked t =
+  Hashtbl.fold (fun _ s n -> match s with Parked _ -> n + 1 | _ -> n) t.states 0
+
+let queue t ~core =
+  match Hashtbl.find_opt t.queues core with
+  | None -> []
+  | Some q -> List.of_seq (Queue.to_seq q)
 
 (* --- pending operations ----------------------------------------------- *)
 
@@ -125,49 +124,5 @@ let request t op =
 let next_op t = Queue.take_opt t.ops
 let pending_ops t = Queue.length t.ops
 
-(* The sweep parks here between rounds; [request] and VPE lifecycle
-   changes wake it. *)
 let wait_work t = Process.Waitq.park t.wake
 let wake t = Process.Waitq.broadcast t.wake ()
-
-(* --- managed (time-multiplexed) VPEs ---------------------------------- *)
-
-let manage t ~vpe = Hashtbl.replace t.managed vpe ()
-let is_managed t ~vpe = Hashtbl.mem t.managed vpe
-let managed_count t = Hashtbl.length t.managed
-
-let note_placed t ~vpe ~at = Hashtbl.replace t.placed_at vpe at
-let note_unplaced t ~vpe = Hashtbl.remove t.placed_at vpe
-
-let placed_at t ~vpe = Hashtbl.find_opt t.placed_at vpe
-
-(* All managed VPEs currently holding a PE, as (vpe, placed-at) sorted
-   by placement cycle then id — the sweep's tick computation and the
-   idle-yield scan both walk this. *)
-let placed_list t =
-  Hashtbl.fold (fun vpe at acc -> (at, vpe) :: acc) t.placed_at []
-  |> List.sort compare
-  |> List.map (fun (at, vpe) -> (vpe, at))
-
-(* Managed VPEs currently holding a PE whose slice has expired, oldest
-   placement first — the preemption candidates when the queue is
-   non-empty. *)
-let slice_expired t ~now =
-  let expired =
-    Hashtbl.fold
-      (fun vpe at acc -> if now - at >= t.slice then (at, vpe) :: acc else acc)
-      t.placed_at []
-  in
-  List.map snd (List.sort compare expired)
-
-(* --- counters ---------------------------------------------------------- *)
-
-let count_suspend t = t.suspends <- t.suspends + 1
-let count_resume t = t.resumes <- t.resumes + 1
-let count_switch t = t.switches <- t.switches + 1
-let count_preemption t = t.preemptions <- t.preemptions + 1
-
-let suspends t = t.suspends
-let resumes t = t.resumes
-let switches t = t.switches
-let preemptions t = t.preemptions

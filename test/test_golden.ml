@@ -8,7 +8,9 @@
    pool dispatcher became a core and a driver (Serve.Dispatch); and
    the MD5 of the seeded bytes of the Fig. 4 images and the
    16-instance Fig. 6 untar image, as recorded before seed data was
-   generated on first access (Store.defer).
+   generated on first access (Store.defer); and the MD5 of the event
+   logs of the kernel scheduler's own scenarios, as recorded before
+   the scheduler lost its time-slicing and virtual VPEs.
    Those are host changes only, and every later refactor must keep
    these outputs too. A change that means to alter an output updates
    its constant here and says why in CHANGES.md. *)
@@ -78,6 +80,14 @@ let event_logs run =
   Printf.sprintf "%d systems, %d events, %s" !systems !events
     (md5 (String.concat "" (List.rev !digests)))
 
+(* [logs_digest mems] is the same summary over logs already taken. *)
+let logs_digest mems =
+  Printf.sprintf "%d systems, %d events, %s" (List.length mems)
+    (List.fold_left (fun n m -> n + Obs.Memory.count m) 0 mems)
+    (md5
+       (String.concat ""
+          (List.map (fun m -> Digest.string (Obs.Memory.to_string m)) mems)))
+
 let golden_logs =
   [
     ( "fig3 event logs",
@@ -92,6 +102,30 @@ let golden_logs =
     ( "figS2 --quick event logs",
       "11 systems, 329367 events, de008eb3d5b23f01b8cc696a2ebdf1f2",
       fun () -> ignore (Figs2.run ~quick:true ()) );
+  ]
+
+(* The kernel scheduler's own scenarios (test/test_sched.ml), as
+   recorded before the scheduler lost its time-slicing and virtual
+   VPEs: a mid-run suspend/resume round trip, the abort of a parked
+   VPE, and a timed wait migrated to another PE (with and without a
+   receive gate on the PE it left). *)
+let golden_sched =
+  [
+    ( "sched round-trip event log",
+      "1 systems, 796 events, cfc6baa1ef787bf2f3e1bdb67a67c9b7",
+      fun () ->
+        [ (Test_sched.run_scenario ~with_sched:true ~suspend_mid:true ()).o_mem ] );
+    ( "sched parked-abort event log",
+      "1 systems, 460 events, 4ac59aa75d4fd834320a98eee6998a2e",
+      fun () ->
+        let _, _, _, mem = Test_sched.abort_parked () in
+        [ mem ] );
+    ( "sched migrated-wait event logs",
+      "2 systems, 1702 events, 04a33e6825b57ca61127be208549ac21",
+      fun () ->
+        List.map
+          (fun b_gate -> snd (Test_sched.isolation ~b_gate ()))
+          [ true; false ] );
   ]
 
 (* [seeded_bytes systems] boots each system in turn, each handing
@@ -177,6 +211,11 @@ let suites =
             Alcotest.test_case name `Quick (fun () ->
                 Alcotest.(check string) name expected (event_logs run)))
           golden_logs
+      @ List.map
+          (fun (name, expected, run) ->
+            Alcotest.test_case name `Quick (fun () ->
+                Alcotest.(check string) name expected (logs_digest (run ()))))
+          golden_sched
       @ List.map
           (fun (name, expected, systems) ->
             Alcotest.test_case name `Quick (fun () ->

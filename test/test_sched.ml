@@ -9,7 +9,9 @@
      zero simulated cycles (a scheduler-less run is byte-identical
      whether or not host code builds a [Sched.t] on the side), and a
      kernel booted WITH a scheduler that no one uses changes no
-     behavior — same replies, same exit, zero captures and switches;
+     behavior — same replies, same exit, zero captures and switches
+     (counted as [vpe.suspend], [vpe.resume] and [sched.switch] events
+     in the run's event log);
    - reclamation: suspend/resume leaks no capabilities or endpoint
      bookkeeping, and a crash-abort of a VPE parked off its PE still
      tears everything down;
@@ -28,6 +30,7 @@ module Gate = M3.Gate
 module Syscalls = M3.Syscalls
 module Vpe_api = M3.Vpe_api
 module Errno = M3.Errno
+module Event = M3_obs.Event
 module Sched = M3_sched.Sched
 
 let check_int = Alcotest.(check int)
@@ -76,9 +79,10 @@ type outcome = {
   o_replies : string;  (** hex of every reply payload, in order *)
   o_exit : int;
   o_log : string;  (** the full event log *)
+  o_mem : Obs.Memory.mem;  (** the log itself, for [golden] *)
   o_final : int;  (** final engine cycle *)
-  o_suspends : int;  (** scheduler counter *)
-  o_resumes : int;
+  o_suspends : int;  (** [vpe.suspend] events in the log *)
+  o_resumes : int;  (** [vpe.resume] events *)
   o_child_caps : int;  (** child capabilities left after its exit *)
   o_child_eps : int;  (** child endpoint bookkeeping left after exit *)
   o_parked_mid : int;  (** [suspended_count] observed while parked *)
@@ -86,17 +90,27 @@ type outcome = {
   o_free_pes : int;  (** free PEs once everyone exited *)
 }
 
+(* [logged_system ?faults ~with_sched ()] boots a file-system-less
+   system with an [Obs.Memory] log attached before boot; [golden] pins
+   the logs of the scenarios below. *)
+let logged_system ?faults ~with_sched () =
+  let engine = Engine.create () in
+  let mem = Obs.Memory.create () in
+  let obs = Obs.of_engine engine in
+  Obs.attach obs (Obs.Memory.sink mem);
+  (engine, mem, Bootstrap.start ~no_fs:true ~obs ?faults ~sched:with_sched engine)
+
+(* [count name mem] is the number of events called [name] in [mem]. *)
+let count name mem =
+  List.length
+    (List.filter (fun (_, ev) -> Event.name ev = name) (Obs.Memory.events mem))
+
 (* [run_scenario ~with_sched ~suspend_mid ()] drives the child through
    [rounds] request/reply rounds; with [suspend_mid] it parks the
    child off its PE after half of them and resumes it before going
    on. *)
 let run_scenario ~with_sched ~suspend_mid () =
-  let engine = Engine.create () in
-  let mem = Obs.Memory.create () in
-  let obs = Obs.of_engine engine in
-  Obs.attach obs (Obs.Memory.sink mem);
-  let sched = if with_sched then Some (Sched.create ()) else None in
-  let sys = Bootstrap.start ~no_fs:true ~obs ?sched engine in
+  let engine, mem, sys = logged_system ~with_sched () in
   let k = sys.Bootstrap.kernel in
   let buf = Buffer.create 128 in
   let parked_mid = ref (-1) in
@@ -154,11 +168,10 @@ let run_scenario ~with_sched ~suspend_mid () =
     o_replies = Buffer.contents buf;
     o_exit = !child_exit;
     o_log = Obs.Memory.to_string mem;
+    o_mem = mem;
     o_final = final;
-    o_suspends =
-      (match Kernel.sched k with Some s -> Sched.suspends s | None -> 0);
-    o_resumes =
-      (match Kernel.sched k with Some s -> Sched.resumes s | None -> 0);
+    o_suspends = count "vpe.suspend" mem;
+    o_resumes = count "vpe.resume" mem;
     o_child_caps = !child_caps;
     o_child_eps = !child_eps;
     o_parked_mid = !parked_mid;
@@ -196,9 +209,10 @@ let test_no_scheduler_is_byte_identical () =
   (* Same run, but with a scheduler constructed and poked on the host
      side — never handed to the kernel. *)
   let s = Sched.create () in
-  check_int "fresh scheduler counted nothing" 0 (Sched.suspends s);
+  ignore (Sched.suspend s ~vpe:1);
+  check_int "fresh scheduler counted nothing" 0 plain.o_suspends;
   let with_values = run_scenario ~with_sched:false ~suspend_mid:false () in
-  check_int "still counted nothing" 0 (Sched.switches s);
+  check_int "still counted nothing" 0 (count "sched.switch" with_values.o_mem);
   check_bool "log not empty" true (String.length plain.o_log > 0);
   check_string "byte-identical event logs" plain.o_log with_values.o_log;
   check_int "identical final cycle" plain.o_final with_values.o_final
@@ -230,10 +244,8 @@ let test_suspend_resume_leaks_nothing () =
 (* Crash-abort of a VPE that is parked off its PE: the kernel holds
    its only copy (image + stashed memory caps); the abort must discard
    all of it and release everything the VPE owned. *)
-let test_abort_of_suspended_vpe () =
-  let engine = Engine.create () in
-  let sched = Sched.create () in
-  let sys = Bootstrap.start ~no_fs:true ~sched engine in
+let abort_parked () =
+  let engine, mem, sys = logged_system ~with_sched:true () in
   let k = sys.Bootstrap.kernel in
   let child_id = ref (-1) in
   let waited = ref None in
@@ -260,7 +272,11 @@ let test_abort_of_suspended_vpe () =
   in
   ignore (Engine.run engine);
   Bootstrap.expect_exit sys exit;
-  (match !waited with
+  (k, !child_id, !waited, mem)
+
+let test_abort_of_suspended_vpe () =
+  let k, child_id, waited, _ = abort_parked () in
+  (match waited with
   | Some (Error Errno.E_vpe_dead) -> ()
   | Some (Ok code) ->
     check_int "abort exit code surfaced" Kernel.abort_exit_code code
@@ -268,11 +284,11 @@ let test_abort_of_suspended_vpe () =
     Alcotest.failf "unexpected wait result: %s" (Errno.to_string e)
   | None -> Alcotest.fail "parent never waited");
   check_int "no parked image survived the abort" 0 (Kernel.suspended_count k);
-  let v = Option.get (Kernel.find_vpe k ~vpe_id:!child_id) in
+  let v = Option.get (Kernel.find_vpe k ~vpe_id:child_id) in
   check_bool "victim is dead" true (v.Kdata.v_state = Kdata.V_dead);
   check_int "no capability survived" 0 (Kdata.count_caps v);
   check_int "no endpoint binding survived" 0
-    (Kernel.ep_entries k ~vpe_id:!child_id)
+    (Kernel.ep_entries k ~vpe_id:child_id)
 
 (* --- isolation across a migration mid-wait ----------------------------- *)
 
@@ -290,7 +306,6 @@ let test_abort_of_suspended_vpe () =
 let b_sel = 3001
 
 let isolation ~b_gate () =
-  let engine = Engine.create () in
   let quiet =
     M3_fault.Plan.create ~seed:5
       ~config:
@@ -303,8 +318,7 @@ let isolation ~b_gate () =
         }
       ()
   in
-  let sched = Sched.create () in
-  let sys = Bootstrap.start ~no_fs:true ~faults:quiet ~sched engine in
+  let engine, mem, sys = logged_system ~faults:quiet ~with_sched:true () in
   let k = sys.Bootstrap.kernel in
   let recv_gate cenv ~sel =
     let rg = ok (Gate.create_recv cenv ~slot_order:6 ~slot_count:8) in
@@ -365,14 +379,335 @@ let isolation ~b_gate () =
   let c_first, b_pe, c_then = !pes in
   check_int "B took C's freed PE" c_first b_pe;
   check_bool "C resumed on another PE" true (c_then >= 0 && c_then <> c_first);
-  !exits
+  (!exits, mem)
 
 let test_migrated_wait_keeps_to_its_pe () =
-  let c_exit, b_exit = isolation ~b_gate:true () in
+  let (c_exit, b_exit), _ = isolation ~b_gate:true () in
   check_int "C received 'C'" (Char.code 'C') c_exit;
   check_int "B's ring still holds 'B'" (Char.code 'B') b_exit;
-  let c_exit, _ = isolation ~b_gate:false () in
+  let (c_exit, _), _ = isolation ~b_gate:false () in
   check_int "C received 'C' before its watchdog" (Char.code 'C') c_exit
+
+(* --- activation towards a parked VPE ------------------------------------ *)
+
+(* A send gate activated while its destination is parked off its PE:
+   the kernel parks the sender's endpoint instead of aiming it at a PE
+   the destination no longer holds ([h_activate]), and the resume
+   rebinds it. Child C publishes a gate and is parked; B takes C's old
+   PE; S, holding C's gate but never having used it, sends one byte,
+   which activates the gate; then C is resumed. The byte must reach C
+   exactly once, on the PE C was resumed on, and S's send must return
+   only after the resume. *)
+
+let s_sel = 3002
+
+let send_to_parked () =
+  let engine, _, sys = logged_system ~with_sched:true () in
+  let k = sys.Bootstrap.kernel in
+  let received = ref [] and sent = ref (-1) and placed = ref (-1, -1, -1) in
+  let c_body (cenv : M3.Env.t) =
+    let rg = ok (Gate.create_recv cenv ~slot_order:6 ~slot_count:8) in
+    ignore
+      (ok
+         (Gate.create_send ~sel:child_sel cenv rg ~label:0L
+            ~credits:(Endpoint.Credits 2)));
+    let note (msg : Endpoint.message) =
+      received :=
+        (M3_hw.Pe.id cenv.pe, Bytes.get_uint8 msg.payload 0) :: !received;
+      Gate.ack cenv rg ~slot:msg.slot
+    in
+    note (Gate.recv cenv rg);
+    (* Anything arriving in the next 100k cycles is a duplicate. *)
+    for _ = 1 to 100 do
+      Option.iter note (Gate.fetch cenv rg);
+      Process.wait 1_000
+    done;
+    0
+  in
+  let s_body (senv : M3.Env.t) =
+    ok (Gate.send senv (Gate.send_gate_of_sel s_sel) (Bytes.make 1 'P') ());
+    sent := Engine.now engine;
+    0
+  in
+  let exit =
+    Bootstrap.launch sys ~name:"parent" (fun env ->
+        let gp = M3_hw.Core_type.General_purpose in
+        let c = ok (Vpe_api.create env ~name:"C" ~core:gp) in
+        ok (Vpe_api.run env c c_body);
+        let sel = M3.Env.alloc_sel env in
+        ok
+          (Syscalls.obtain_published env ~vpe_sel:c.Vpe_api.vpe_sel ~own_sel:sel
+             ~other_sel:child_sel);
+        let s = ok (Vpe_api.create env ~name:"S" ~core:gp) in
+        ok (Vpe_api.delegate env s ~own_sel:sel ~other_sel:s_sel);
+        ok (Vpe_api.suspend env c);
+        ok (Vpe_api.await_parked env c);
+        let b = ok (Vpe_api.create env ~name:"B" ~core:gp) in
+        ok
+          (Vpe_api.run env b (fun _ ->
+               Process.wait 300_000;
+               0));
+        ok (Vpe_api.run env s s_body);
+        (* S activates its gate and blocks on the parked endpoint. *)
+        Process.wait 50_000;
+        let resumed_at = Engine.now engine in
+        ok (Vpe_api.resume env c);
+        let exits = List.map (fun v -> ok (Vpe_api.wait env v)) [ c; s; b ] in
+        let v = Option.get (Kernel.find_vpe k ~vpe_id:c.Vpe_api.vpe_id) in
+        placed := (c.Vpe_api.pe_id, v.Kdata.v_pe, resumed_at);
+        List.fold_left ( + ) 0 exits)
+  in
+  ignore (Engine.run engine);
+  Bootstrap.expect_exit sys exit;
+  let c_first, c_then, resumed_at = !placed in
+  check_bool "C resumed on another PE" true (c_then >= 0 && c_then <> c_first);
+  (match !received with
+  | [ (pe, byte) ] ->
+    check_int "the byte arrived on C's new PE" c_then pe;
+    check_int "the byte is S's" (Char.code 'P') byte
+  | l -> Alcotest.failf "C received %d messages, not one" (List.length l));
+  check_bool "S's send was held until the resume" true (!sent > resumed_at)
+
+(* --- the state machine, without a simulation ---------------------------- *)
+
+(* The kernel's inputs to one VPE's scheduling state, applied as its
+   syscall handlers and sweep apply them. [Quiesce] starts the
+   blocking capture of a suspending VPE and [Capture] ends it; while a
+   capture is in flight the sweep does nothing else, so only a kill can
+   come in between. [Place] pops the next queued VPE onto a PE that
+   came free. *)
+type input =
+  | Suspend of int
+  | Resume of int
+  | Quiesce of int
+  | Capture of int * bool (* the capture succeeds, or fails *)
+  | Place
+  | Kill of int
+
+let show = function
+  | Suspend v -> Printf.sprintf "suspend %d" v
+  | Resume v -> Printf.sprintf "resume %d" v
+  | Quiesce v -> Printf.sprintf "quiesce %d" v
+  | Capture (v, ok) -> Printf.sprintf "capture %d %s" v (if ok then "ok" else "failed")
+  | Place -> "place"
+  | Kill v -> Printf.sprintf "kill %d" v
+
+let gp = M3_hw.Core_type.General_purpose
+let cores = M3_hw.Core_type.[ General_purpose; Fft_accelerator; Timer_device ]
+
+(* What the test knows without asking [Sched]: the dead VPEs, the
+   suspensions it started and the resumes that overtook them, the
+   capture in flight, and the images it handed over and has not got
+   back. An image is its VPE's id times 1000 plus a serial. *)
+type model = {
+  sched : int Sched.t;
+  vpes : int list;
+  mutable dead : int list;
+  mutable suspending : int list;
+  mutable overtaken : int list;
+  mutable capturing : int option;
+  mutable live : int list;
+  mutable serial : int;
+}
+
+let owner img = img / 1000
+let remove x l = List.filter (( <> ) x) l
+
+let fail path fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Alcotest.failf "%s, after: %s" msg (String.concat "; " (List.map show path)))
+    fmt
+
+(* The checks after every step: each VPE is in exactly one state (a
+   queued one in exactly one run queue, any other in none; suspending
+   exactly when the test started a suspension), a dead VPE has no
+   state, queue entry or image left, and every image handed over is
+   held exactly once, parked or queued. *)
+let check m path =
+  let queued =
+    List.concat_map
+      (fun core -> List.map (fun e -> (core, e)) (Sched.queue m.sched ~core))
+      cores
+  in
+  List.iter
+    (fun v ->
+      let state = Sched.state m.sched ~vpe:v in
+      let entries = List.filter (fun (_, (w, _)) -> w = v) queued in
+      (match (state, entries) with
+      | Sched.Queued core, [ (c, _) ] when c = core -> ()
+      | Sched.Queued _, l ->
+        fail path "vpe%d is queued, but in %d run queues" v (List.length l)
+      | _, [] -> ()
+      | _, _ :: _ -> fail path "vpe%d is in a run queue, but not queued" v);
+      let suspending =
+        match state with Sched.Suspending _ -> true | _ -> false
+      in
+      if suspending <> List.mem v m.suspending then
+        fail path "vpe%d suspending is %b, the test's view %b" v suspending
+          (not suspending);
+      if
+        List.mem v m.dead
+        && (state <> Sched.Placed || entries <> []
+           || List.exists (fun i -> owner i = v) m.live)
+      then fail path "dead vpe%d left a state, queue entry or image" v)
+    m.vpes;
+  let held =
+    List.filter_map
+      (fun v ->
+        match Sched.state m.sched ~vpe:v with
+        | Sched.Parked (_, img) -> Some img
+        | _ -> None)
+      m.vpes
+    @ List.map (fun (_, (_, img)) -> img) queued
+  in
+  if List.sort compare held <> List.sort compare m.live then
+    fail path "images held [%s], handed over [%s]"
+      (String.concat "," (List.map string_of_int held))
+      (String.concat "," (List.map string_of_int m.live))
+
+let apply m path input =
+  let alive v = not (List.mem v m.dead) and idle = m.capturing = None in
+  let path = path @ [ input ] in
+  (match input with
+  | Suspend v when alive v && idle ->
+    if Sched.suspend m.sched ~vpe:v then m.suspending <- v :: m.suspending
+  | Resume v when alive v && idle ->
+    if List.mem v m.suspending then m.overtaken <- v :: remove v m.overtaken;
+    Sched.resume m.sched ~vpe:v
+  | Quiesce v when alive v && idle -> (
+    match Sched.state m.sched ~vpe:v with
+    | Sched.Suspending _ -> m.capturing <- Some v
+    | _ -> ())
+  | Capture (v, ok) when m.capturing = Some v ->
+    m.capturing <- None;
+    if alive v && ok then begin
+      m.serial <- m.serial + 1;
+      let img = (v * 1000) + m.serial in
+      m.live <- img :: m.live;
+      Sched.captured m.sched ~vpe:v ~core:gp img;
+      match (Sched.state m.sched ~vpe:v, List.mem v m.overtaken) with
+      | Sched.Queued _, true | Sched.Parked _, false -> ()
+      | _, true ->
+        fail path "a resume overtook vpe%d's suspension, but it was not requeued" v
+      | _, false -> fail path "vpe%d was captured, but not parked" v
+    end;
+    Sched.settle m.sched ~vpe:v;
+    m.suspending <- remove v m.suspending;
+    m.overtaken <- remove v m.overtaken
+  | Place when idle -> (
+    match Sched.take m.sched ~core:gp with
+    | Some (v, img) ->
+      if owner img <> v then fail path "vpe%d was placed with vpe%d's image" v (owner img);
+      m.live <- remove img m.live
+    | None -> ())
+  | Kill v when alive v ->
+    List.iter
+      (fun img ->
+        if owner img <> v then
+          fail path "killing vpe%d handed back vpe%d's image" v (owner img);
+        m.live <- remove img m.live)
+      (Sched.kill m.sched ~vpe:v);
+    m.dead <- v :: m.dead;
+    m.suspending <- remove v m.suspending;
+    m.overtaken <- remove v m.overtaken
+  | _ -> ());
+  check m path;
+  path
+
+let replay vpes inputs =
+  let m =
+    {
+      sched = Sched.create ();
+      vpes;
+      dead = [];
+      suspending = [];
+      overtaken = [];
+      capturing = None;
+      live = [];
+      serial = 0;
+    }
+  in
+  ignore (List.fold_left (apply m) [] inputs);
+  m
+
+(* The test's view and [Sched]'s, without image serials: two input
+   sequences that reach the same key behave the same from there on. *)
+let key m =
+  let vpe v =
+    Printf.sprintf "%d:%s%s%s%s" v
+      (match Sched.state m.sched ~vpe:v with
+      | Sched.Placed -> "P"
+      | Sched.Suspending Sched.Park -> "S"
+      | Sched.Suspending Sched.Requeue -> "R"
+      | Sched.Parked _ -> "K"
+      | Sched.Queued _ -> "Q")
+      (if List.mem v m.dead then "d" else "")
+      (if List.mem v m.suspending then "s" else "")
+      (if List.mem v m.overtaken then "o" else "")
+  in
+  String.concat " "
+    (List.map vpe m.vpes
+    @ [
+        "q=" ^ String.concat "," (List.map (fun (v, _) -> string_of_int v) (Sched.queue m.sched ~core:gp));
+        (match m.capturing with Some v -> "c" ^ string_of_int v | None -> "");
+      ])
+
+(* Breadth-first over every state the inputs reach from a fresh
+   scheduler, applying every input in every state, so every order of
+   the inputs, of any length, runs through these transitions. Returns
+   the number of states and transitions. *)
+let explore vpes =
+  let inputs =
+    List.concat_map
+      (fun v ->
+        [ Suspend v; Resume v; Quiesce v; Capture (v, true); Capture (v, false); Kill v ])
+      vpes
+    @ [ Place ]
+  in
+  let seen = Hashtbl.create 256 and frontier = Queue.create () in
+  Hashtbl.add seen (key (replay vpes [])) ();
+  Queue.push [] frontier;
+  let transitions = ref 0 in
+  while not (Queue.is_empty frontier) do
+    let path = Queue.pop frontier in
+    List.iter
+      (fun input ->
+        incr transitions;
+        let path = path @ [ input ] in
+        let k = key (replay vpes path) in
+        if not (Hashtbl.mem seen k) then begin
+          Hashtbl.add seen k ();
+          Queue.push path frontier
+        end)
+      inputs
+  done;
+  (Hashtbl.length seen, !transitions)
+
+let test_core_round_trip () =
+  let m = replay [ 1 ] [ Suspend 1; Quiesce 1; Capture (1, true) ] in
+  check_int "parked" 1 (Sched.parked m.sched);
+  check_bool "a parked VPE cannot be suspended" false (Sched.suspendable m.sched ~vpe:1);
+  let m = replay [ 1 ] [ Suspend 1; Quiesce 1; Capture (1, true); Resume 1; Place ] in
+  check_bool "placed again" true (Sched.state m.sched ~vpe:1 = Sched.Placed);
+  check_int "no image held" 0 (List.length m.live)
+
+let test_core_overtake () =
+  let m = replay [ 1 ] [ Suspend 1; Resume 1; Quiesce 1; Capture (1, true) ] in
+  check_int "nothing parked" 0 (Sched.parked m.sched);
+  check_int "queued for placement" 1 (List.length (Sched.queue m.sched ~core:gp))
+
+let test_core_kill_queued () =
+  let queue_up v = [ Suspend v; Resume v; Quiesce v; Capture (v, true) ] in
+  let m = replay [ 1; 2 ] (queue_up 1 @ queue_up 2 @ [ Kill 1 ]) in
+  check_bool "vpe2 alone is left in the queue" true
+    (List.map fst (Sched.queue m.sched ~core:gp) = [ 2 ])
+
+let exhaustive vpes () =
+  let states, transitions = explore vpes in
+  Printf.printf "sched.core exhaustive, %d VPE(s): %d states, %d transitions\n"
+    (List.length vpes) states transitions;
+  check_bool "explored past the start" true (states > 1)
 
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -399,5 +734,15 @@ let suites =
       [
         tc "migrated timed wait keeps to its new PE"
           test_migrated_wait_keeps_to_its_pe;
+        tc "a gate activated towards a parked VPE delivers once, after the move"
+          send_to_parked;
+      ] );
+    ( "sched.core",
+      [
+        tc "suspend, capture, resume and place" test_core_round_trip;
+        tc "a resume that overtakes a suspension requeues it" test_core_overtake;
+        tc "a kill takes a queued VPE out of its run queue" test_core_kill_queued;
+        tc "every order of the inputs, one VPE" (exhaustive [ 1 ]);
+        tc "every order of the inputs, two VPEs of one class" (exhaustive [ 1; 2 ]);
       ] );
   ]

@@ -520,13 +520,34 @@ let test_many_upgrades_keep_serving () =
 (* The default platform has 16 PEs, so 16 workers cannot all boot
    beside the kernel, the client and the dispatcher: a pool that
    cannot staff every seat never opens, rather than opening smaller
-   than its config says. *)
+   than its config says. Its dispatcher dies at boot: [start] must say
+   so ([E_vpe_gone]) within 1 M cycles, with the dispatcher's and the
+   workers' PEs free again. *)
 let test_understaffed_pool_does_not_start () =
+  let engine = Engine.create () in
+  let sys = Bootstrap.start ~no_fs:true engine in
+  let k = sys.Bootstrap.kernel in
   let out = ref None in
-  run_app (fun env ->
-      out := Some (Pool.start env (Pool.default_config ~name:"big" ~workers:16 ()));
-      0);
-  check_bool "start returned an error" true (Result.is_error (Option.get !out))
+  let exit =
+    Bootstrap.launch sys ~name:"app" (fun env ->
+        let free = M3.Kernel.free_pes k and t0 = Engine.now engine in
+        let r = Pool.start env (Pool.default_config ~name:"big" ~workers:16 ()) in
+        out := Some (r, Engine.now engine - t0, free, M3.Kernel.free_pes k);
+        0)
+  in
+  ignore (Engine.run engine);
+  Bootstrap.expect_exit sys exit;
+  let r, took, free_before, free_after = Option.get !out in
+  check_bool "start returned an error" true (Result.is_error r);
+  (match r with
+  | Error Errno.E_vpe_gone -> ()
+  | Error e -> Alcotest.failf "start failed with %s" (Errno.to_string e)
+  | Ok _ -> ());
+  check_bool
+    (Printf.sprintf "the dead dispatcher is reported in %d cycles (< 1 M)" took)
+    true (took < 1_000_000);
+  check_int "the dispatcher's PE and its workers' are free again" free_before
+    free_after
 
 (* --- gateway determinism ------------------------------------------------- *)
 
