@@ -91,5 +91,9 @@ let () =
   ignore (Engine.run engine);
   match M3_sim.Process.Ivar.peek exit_code with
   | Some 0 -> print_endline "capabilities demo finished"
-  | Some c -> Printf.printf "demo FAILED with code %d\n" c
-  | None -> print_endline "demo did not terminate"
+  | Some c ->
+    Printf.printf "demo FAILED with code %d\n" c;
+    exit 1
+  | None ->
+    print_endline "demo did not terminate";
+    exit 1

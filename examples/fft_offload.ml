@@ -113,8 +113,12 @@ let run_variant ~core =
   ignore (Engine.run engine);
   match M3_sim.Process.Ivar.peek exit_code with
   | Some 0 -> ()
-  | Some c -> Printf.printf "variant FAILED with code %d\n" c
-  | None -> print_endline "variant did not terminate"
+  | Some c ->
+    Printf.printf "variant FAILED with code %d\n" c;
+    exit 1
+  | None ->
+    print_endline "variant did not terminate";
+    exit 1
 
 let () =
   print_endline "--- software FFT on a general-purpose PE ---";

@@ -110,5 +110,9 @@ let () =
   let cycles = Engine.run engine in
   match M3_sim.Process.Ivar.peek exit_code with
   | Some 0 -> Printf.printf "pipeline finished after %d cycles\n" cycles
-  | Some c -> Printf.printf "pipeline FAILED with code %d\n" c
-  | None -> print_endline "pipeline did not terminate"
+  | Some c ->
+    Printf.printf "pipeline FAILED with code %d\n" c;
+    exit 1
+  | None ->
+    print_endline "pipeline did not terminate";
+    exit 1

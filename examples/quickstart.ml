@@ -61,5 +61,9 @@ let () =
   let cycles = Engine.run engine in
   match M3_sim.Process.Ivar.peek exit_code with
   | Some 0 -> Printf.printf "quickstart finished after %d cycles\n" cycles
-  | Some c -> Printf.printf "quickstart failed with exit code %d\n" c
-  | None -> print_endline "quickstart did not terminate"
+  | Some c ->
+    Printf.printf "quickstart FAILED with exit code %d\n" c;
+    exit 1
+  | None ->
+    print_endline "quickstart did not terminate";
+    exit 1

@@ -28,12 +28,6 @@ let start ?platform_config ?fs ?(fs_instances = 1) ?(no_fs = false) ?obs
     faults;
   let kernel = Kernel.create ?sched platform ~kernel_pe:0 in
   ignore (Kernel.boot kernel);
-  (* Devices run their hardware behavior from reset. *)
-  List.iter
-    (fun pe ->
-      if M3_hw.Core_type.equal (M3_hw.Pe.core pe) M3_hw.Core_type.Timer_device
-      then M3_hw.Timer.start pe)
-    (Platform.pes platform);
   let fs_services =
     if no_fs then []
     else begin

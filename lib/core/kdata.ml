@@ -54,8 +54,6 @@ and obj =
     }
   | O_srv of srv_obj
   | O_sess of { sess_srv : srv_obj; sess_ident : int64 }
-  | O_irq of { irq_pe : int }
-      
 
 and cap = {
   c_sel : int;

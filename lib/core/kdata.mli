@@ -68,8 +68,6 @@ and obj =
     }
   | O_srv of srv_obj
   | O_sess of { sess_srv : srv_obj; sess_ident : int64 }
-  | O_irq of { irq_pe : int }
-      (** a routed device interrupt: revoking disarms the device *)
 
 and cap = {
   c_sel : int;

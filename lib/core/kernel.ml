@@ -80,7 +80,6 @@ type t = {
   accounts : (int, Account.t) Hashtbl.t;
   exits : (int, int Process.Ivar.ivar) Hashtbl.t;
   ep_caps : (int * int, cap) Hashtbl.t; (* (vpe id, ep) -> configured cap *)
-  irq_claims : (int, int) Hashtbl.t; (* device pe -> owning vpe id *)
   mutable syscalls_handled : int;
   mutable kills_ignored : int; (* exits/aborts that lost the race to die first *)
   deferred_syscalls : Endpoint.message Queue.t;
@@ -90,7 +89,6 @@ type t = {
   (* --- VPE scheduler state (None: no suspend/resume) ----------------- *)
   sched : image Sched.t option;
   envs : (int, Env.t) Hashtbl.t; (* started VPE -> its environment *)
-  last_out : (int, int) Hashtbl.t; (* pe -> VPE last suspended off it *)
 }
 
 let create ?(sched = false) platform ~kernel_pe =
@@ -111,14 +109,12 @@ let create ?(sched = false) platform ~kernel_pe =
     accounts = Hashtbl.create 16;
     exits = Hashtbl.create 16;
     ep_caps = Hashtbl.create 64;
-    irq_claims = Hashtbl.create 4;
     syscalls_handled = 0;
     kills_ignored = 0;
     deferred_syscalls = Queue.create ();
     prober_running = false;
     sched = (if sched then Some (Sched.create ()) else None);
     envs = Hashtbl.create 16;
-    last_out = Hashtbl.create 8;
   }
 
 let kdtu t = Pe.dtu t.pe
@@ -164,14 +160,6 @@ let drop_cap t cap =
        abort is counted (and otherwise ignored) by [do_kill_vpe]. *)
     !kill_vpe t target ~cause:(C_exit (-1))
   | O_srv srv -> Hashtbl.remove t.services srv.srv_name
-  | O_irq { irq_pe } ->
-    (* Disarm: clear the period register and tear the endpoint down. *)
-    Hashtbl.remove t.irq_claims irq_pe;
-    let zero = Bytes.make 4 '\000' in
-    (match Dtu.ext_write (kdtu t) ~target:irq_pe ~addr:M3_hw.Timer.period_reg ~payload:zero with
-    | Ok () | Error _ -> ());
-    (match Dtu.ext_invalidate (kdtu t) ~target:irq_pe ~ep:M3_hw.Timer.irq_ep with
-    | Ok () | Error _ -> ())
   | O_vpe _ | O_mem _ | O_rgate _ | O_sgate _ | O_sess _ -> ()
 
 let revoke_cap t cap = Kdata.revoke cap ~on_drop:(fun c -> drop_cap t c)
@@ -726,7 +714,6 @@ let finish_suspend t sched vpe =
         | Some proc, Some resume, V_running ->
           t.pe_owner.(old_pe) <- None;
           vpe.v_pe <- -1;
-          Hashtbl.replace t.last_out old_pe vpe.v_id;
           emit_event t
             (Event.Vpe_suspend
                {
@@ -749,15 +736,6 @@ let finish_suspend t sched vpe =
   end;
   (* Captured or not, the suspension is over. *)
   Sched.settle sched ~vpe:vpe.v_id
-
-(* Record a context switch if the PE hosted a different VPE before. *)
-let note_switch t ~pe ~in_vpe =
-  match Hashtbl.find_opt t.last_out pe with
-  | Some out ->
-    Hashtbl.remove t.last_out pe;
-    if out <> in_vpe then
-      emit_event t (Event.Sched_switch { pe; out_vpe = out; in_vpe })
-  | None -> ()
 
 (* Restore a queued VPE's image onto the free PE [pe_obj]. A dead VPE
    or a restore failure consumes the image. *)
@@ -851,10 +829,8 @@ let place t vid img pe_obj =
           | _ -> ())
         own;
       Pe.attach pe_obj img.img_process;
-      note_switch t ~pe:p ~in_vpe:vid;
       emit_event t
-        (Event.Vpe_resume
-           { vpe = vid; pe = p; from_pe = img.img_from_pe; cold = false });
+        (Event.Vpe_resume { vpe = vid; pe = p; from_pe = img.img_from_pe });
       (* Software half last: the continuation resumes on the new DTU
          only after all state has landed. *)
       img.img_resume (Pe.dtu pe_obj))
@@ -990,7 +966,6 @@ let h_create_vpe t requester r =
   let name = R.str r in
   match Proto.core_kind_of_int (R.u8 r) with
   | None -> reply_err Errno.E_inv_args
-  | Some Core_type.Timer_device -> reply_err Errno.E_inv_args
   | Some core ->
     let account =
       match Hashtbl.find_opt t.accounts requester.v_id with
@@ -1086,21 +1061,24 @@ let h_vpe_resume t requester r =
    the doors, and lets tests synchronise on the park instead of
    sleeping. *)
 let h_vpe_sched_state t requester r =
-  let vpe_sel = R.u64 r in
-  match get requester ~sel:vpe_sel with
-  | Error e -> reply_err e
-  | Ok { c_obj = O_vpe vpe; _ } ->
-    if vpe.v_state = V_dead then reply_err Errno.E_vpe_dead
-    else
-      let state =
-        match sched_state t vpe with
-        | Sched.Placed -> 0
-        | Sched.Suspending _ -> 1
-        | Sched.Parked _ -> 2
-        | Sched.Queued _ -> 3
-      in
-      reply_ok (fun w -> W.u64 w state)
-  | Ok _ -> reply_err Errno.E_inv_args
+  match t.sched with
+  | None -> reply_err Errno.E_inv_args
+  | Some sched -> (
+    let vpe_sel = R.u64 r in
+    match get requester ~sel:vpe_sel with
+    | Error e -> reply_err e
+    | Ok { c_obj = O_vpe vpe; _ } ->
+      if vpe.v_state = V_dead then reply_err Errno.E_vpe_dead
+      else
+        let state =
+          match Sched.state sched ~vpe:vpe.v_id with
+          | Sched.Placed -> 0
+          | Sched.Suspending _ -> 1
+          | Sched.Parked _ -> 2
+          | Sched.Queued _ -> 3
+        in
+        reply_ok (fun w -> W.u64 w state)
+    | Ok _ -> reply_err Errno.E_inv_args)
 
 let h_create_rgate t requester r =
   let sel = R.u64 r in
@@ -1245,7 +1223,7 @@ let h_activate t requester r =
                  size = m.mem_size;
                  perm = m.mem_perm;
                })
-        | O_vpe _ | O_rgate _ | O_srv _ | O_sess _ | O_irq _ -> None
+        | O_vpe _ | O_rgate _ | O_srv _ | O_sess _ -> None
       in
       (match ep_config with
       | None -> reply_err Errno.E_inv_args
@@ -1282,7 +1260,7 @@ let h_activate t requester r =
    memory, session and VPE capabilities travel freely. *)
 let exchangeable = function
   | O_sgate _ | O_mem _ | O_sess _ | O_vpe _ -> true
-  | O_rgate _ | O_srv _ | O_irq _ -> false
+  | O_rgate _ | O_srv _ -> false
 
 let h_exchange _t requester r =
   let vpe_sel = R.u64 r in
@@ -1459,57 +1437,6 @@ let h_delegate_sess _t requester r =
     | Ok _ -> reply_err Errno.E_no_perm)
   | Ok _ -> reply_err Errno.E_inv_args
 
-(* Interrupts as messages (§4.4.2): point the device's send endpoint
-   at the requester's receive gate and write the period register. The
-   handed-out capability is a child of the receive-gate capability, so
-   revoking either disarms the device. *)
-let h_route_irq t requester r =
-  let sel = R.u64 r in
-  let device_pe = R.u64 r in
-  let rgate_sel = R.u64 r in
-  let period = R.u64 r in
-  let config = Platform.config t.platform in
-  if device_pe < 0 || device_pe >= config.pe_count then reply_err Errno.E_inv_args
-  else if
-    not
-      (Core_type.equal
-         (Pe.core (Platform.pe t.platform device_pe))
-         Core_type.Timer_device)
-  then reply_err Errno.E_inv_args
-  else if Hashtbl.mem t.irq_claims device_pe then reply_err Errno.E_exists
-  else if period <= 0 then reply_err Errno.E_inv_args
-  else
-    match get requester ~sel:rgate_sel with
-    | Error e -> reply_err e
-    | Ok ({ c_obj = O_rgate rg; _ } as rcap) -> (
-      match derive_to ~cap:rcap ~dst:requester ~dst_sel:sel (O_irq { irq_pe = device_pe }) with
-      | Error e -> reply_err e
-      | Ok _ ->
-        Hashtbl.replace t.irq_claims device_pe requester.v_id;
-        (* Period first: the endpoint configuration is the wakeup that
-           makes a parked device re-read its control register. *)
-        let reg = Bytes.create 4 in
-        Bytes.set_int32_le reg 0 (Int32.of_int period);
-        dtu_exn
-          (Dtu.ext_write (kdtu t) ~target:device_pe ~addr:M3_hw.Timer.period_reg
-             ~payload:reg);
-        dtu_exn
-          (Dtu.ext_config (kdtu t) ~target:device_pe ~ep:M3_hw.Timer.ack_ep
-             (Endpoint.Receive
-                { buf_addr = M3_hw.Timer.ack_buf; slot_order = 6; slot_count = 2 }));
-        dtu_exn
-          (Dtu.ext_config (kdtu t) ~target:device_pe ~ep:M3_hw.Timer.irq_ep
-             (Endpoint.Send
-                {
-                  dst_pe = rg.rg_vpe.v_pe;
-                  dst_ep = rg.rg_ep;
-                  label = Int64.of_int device_pe;
-                  msg_order = 6;
-                  credits = Endpoint.Credits 2;
-                }));
-        reply_ok (fun _ -> ()))
-    | Ok _ -> reply_err Errno.E_inv_args
-
 let h_revoke t requester r =
   let sel = R.u64 r in
   match get requester ~sel with
@@ -1539,7 +1466,6 @@ let dispatch t requester r ~slot =
     | Proto.Open_sess -> h_open_sess t requester r
     | Proto.Exchange_sess -> h_exchange_sess t requester r
     | Proto.Revoke -> h_revoke t requester r
-    | Proto.Route_irq -> h_route_irq t requester r
     | Proto.Vpe_suspend -> h_vpe_suspend t requester r
     | Proto.Vpe_resume -> h_vpe_resume t requester r
     | Proto.Vpe_sched_state -> h_vpe_sched_state t requester r

@@ -14,7 +14,6 @@ type opcode =
   | Open_sess
   | Exchange_sess
   | Revoke
-  | Route_irq
   (* scheduler syscalls — appended, the encoding is list-index based *)
   | Vpe_suspend
   | Vpe_resume
@@ -26,7 +25,7 @@ let all_opcodes =
   [
     Noop; Create_vpe; Vpe_start; Vpe_wait; Vpe_exit; Create_rgate;
     Create_sgate; Req_mem; Derive_mem; Activate; Exchange; Create_srv;
-    Open_sess; Exchange_sess; Revoke; Route_irq; Vpe_suspend; Vpe_resume;
+    Open_sess; Exchange_sess; Revoke; Vpe_suspend; Vpe_resume;
     Vpe_sched_state; Delegate_sess;
   ]
 
@@ -55,7 +54,6 @@ let opcode_name = function
   | Open_sess -> "open_sess"
   | Exchange_sess -> "exchange_sess"
   | Revoke -> "revoke"
-  | Route_irq -> "route_irq"
   | Vpe_suspend -> "vpe_suspend"
   | Vpe_resume -> "vpe_resume"
   | Vpe_sched_state -> "vpe_sched_state"
@@ -64,12 +62,10 @@ let opcode_name = function
 let core_kind_to_int = function
   | M3_hw.Core_type.General_purpose -> 0
   | M3_hw.Core_type.Fft_accelerator -> 1
-  | M3_hw.Core_type.Timer_device -> 2
 
 let core_kind_of_int = function
   | 0 -> Some M3_hw.Core_type.General_purpose
   | 1 -> Some M3_hw.Core_type.Fft_accelerator
-  | 2 -> Some M3_hw.Core_type.Timer_device
   | _ -> None
 
 let credits_to_int = function

@@ -18,9 +18,6 @@ type opcode =
   | Open_sess       (** sel, service name, arg → sess + session sgate *)
   | Exchange_sess   (** sess sel, dst sel, arg bytes → out bytes (+caps) *)
   | Revoke          (** sel — recursive *)
-  | Route_irq
-      (** sel, device pe, rgate sel, period — route a device's
-          interrupts as messages into a receive gate (§4.4.2) *)
   | Vpe_suspend  (** vpe sel — capture the child's state off its PE *)
   | Vpe_resume   (** vpe sel — requeue a suspended child for placement *)
   | Vpe_sched_state

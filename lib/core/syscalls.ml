@@ -293,18 +293,6 @@ let delegate_sess env ~sess_sel ~own_sel =
 
 let revoke env ~sel = unit_reply (syscall env Proto.Revoke (fun w -> W.u64 w sel))
 
-let route_irq env ~device_pe ~rgate_sel ~period =
-  let sel = Env.alloc_sel env in
-  match
-    syscall env Proto.Route_irq (fun w ->
-        W.u64 w sel;
-        W.u64 w device_pe;
-        W.u64 w rgate_sel;
-        W.u64 w period)
-  with
-  | Error e -> Error e
-  | Ok _ -> Ok sel
-
 (* A main that raises exits with code 1, so its kernel object, PE and
    capabilities go the way of any other exit; only a kill (the PE
    halted under it) propagates. *)

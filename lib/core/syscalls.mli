@@ -56,7 +56,8 @@ val vpe_resume : Env.t -> vpe_sel:int -> unit result_
 (** [vpe_sched_state env ~vpe_sel] queries where a child is in the
     suspend/resume life cycle: [0] placed on a PE, [1] suspension in
     flight (quiesce or capture pending), [2] parked (image held by the
-    kernel), [3] queued for placement. *)
+    kernel), [3] queued for placement. [Error E_inv_args] without a
+    scheduler-enabled kernel. *)
 val vpe_sched_state : Env.t -> vpe_sel:int -> int result_
 
 (** [create_rgate env ~ep ~buf_addr ~slot_order ~slot_count] creates a
@@ -137,13 +138,6 @@ val delegate_sess : Env.t -> sess_sel:int -> own_sel:int -> int result_
 
 (** [revoke env ~sel] recursively revokes a capability. *)
 val revoke : Env.t -> sel:int -> unit result_
-
-(** [route_irq env ~device_pe ~rgate_sel ~period] routes a timer
-    device's interrupts as messages into one's receive gate, firing
-    every [period] cycles (§4.4.2). Returns the interrupt capability;
-    revoking it (or the gate) disarms the device. *)
-val route_irq :
-  Env.t -> device_pe:int -> rgate_sel:int -> period:int -> int result_
 
 (** [run_main env main] is the libm3 runtime entry: runs [main],
     converts any uncaught exception except {!M3_sim.Process.Killed}

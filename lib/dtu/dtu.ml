@@ -725,10 +725,6 @@ let rec wait ?deadline t ~eps =
 let wait_msg t ~ep = Option.get (wait t ~eps:[ ep ])
 let wait_any t ~eps = Option.get (wait t ~eps)
 
-let wait_reconfig t ~ep =
-  check_ep t ep;
-  Process.Waitq.park t.ep_waiters.(ep)
-
 let ack t ~ep ~slot =
   check_ep t ep;
   match t.eps.(ep) with

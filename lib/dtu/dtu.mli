@@ -106,11 +106,6 @@ val wait_msg : t -> ep:int -> Endpoint.message
     waits on its kernel channel and its client channel at once. *)
 val wait_any : t -> eps:int list -> Endpoint.message
 
-(** [wait_reconfig t ~ep] parks the calling process until endpoint
-    [ep] is externally reconfigured or invalidated — how a device core
-    sleeps until the kernel (re)arms it. *)
-val wait_reconfig : t -> ep:int -> unit
-
 (** [ack t ~ep ~slot] frees a ringbuffer slot after processing. *)
 val ack : t -> ep:int -> slot:int -> unit
 

@@ -259,20 +259,13 @@ let print_obs ppf m =
        Format.fprintf ppf "    %-14s %6d wholesale flushes@." ""
          (Metrics.cache_flushes m)
    end);
-  (if
-     Metrics.sched_suspends m > 0
-     || Metrics.sched_switches m > 0
-     || Metrics.sched_cold_starts m > 0
-   then begin
+  (if Metrics.sched_suspends m > 0 then begin
      Format.fprintf ppf
-       "  sched: %d suspends (%d B captured), %d resumes (%d migrated), %d \
-        cold starts, %d switches@."
+       "  sched: %d suspends (%d B captured), %d resumes (%d migrated)@."
        (Metrics.sched_suspends m)
        (Metrics.sched_suspend_bytes m)
        (Metrics.sched_resumes m)
-       (Metrics.sched_migrations m)
-       (Metrics.sched_cold_starts m)
-       (Metrics.sched_switches m);
+       (Metrics.sched_migrations m);
      match Metrics.pool_scales m with
      | [] -> ()
      | scales ->

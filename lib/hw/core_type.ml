@@ -1,18 +1,15 @@
 type t =
   | General_purpose
   | Fft_accelerator
-  | Timer_device
 
 let equal a b =
   match (a, b) with
   | General_purpose, General_purpose -> true
   | Fft_accelerator, Fft_accelerator -> true
-  | Timer_device, Timer_device -> true
-  | (General_purpose | Fft_accelerator | Timer_device), _ -> false
+  | (General_purpose | Fft_accelerator), _ -> false
 
 let to_string = function
   | General_purpose -> "general-purpose"
   | Fft_accelerator -> "fft-accelerator"
-  | Timer_device -> "timer-device"
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -5,9 +5,6 @@
 type t =
   | General_purpose  (** Xtensa-like RISC core, no MMU, no privileged mode *)
   | Fft_accelerator  (** core with FFT instruction-set extensions (§5.8) *)
-  | Timer_device
-      (** a device behind a DTU (§4.4.2): no software, raises its
-          interrupts as messages through a kernel-configured endpoint *)
 
 val equal : t -> t -> bool
 val to_string : t -> string

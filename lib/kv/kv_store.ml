@@ -121,8 +121,7 @@ let parse_header s =
 
 (* --- per-VPE init -------------------------------------------------------- *)
 
-(* Executing VPEs (pool workers, the service VPE, the preloading
-   client) mount the shard set themselves; the store only flips their
+(* Executing VPEs (pool workers, the preloading client) mount the shard set themselves; the store only flips their
    mount to coherent caching, once per VPE — hot keys then exercise
    the mount cache and its invalidation protocol under skew. *)
 let ensure_init env t =
@@ -255,28 +254,13 @@ let scan env t ~bucket ~cursor ~limit =
     | Ok (keys, next, more) -> Kv_wire.P_page { keys; next; more }
   end
 
-let exec env t ~seq (req : Kv_wire.req) =
+(* Values are generated, not carried: [len = 0] (or the generated
+   length) writes [value_of key seq]; any other length writes that
+   many bytes, so an oversized [len] reaches the [value_max] check. *)
+let exec env t ~seq (op : Kv_wire.op) =
   ensure_init env t;
   Env.charge env Account.App t.cfg.op_cycles;
-  match req with
-  | Kv_wire.R_get { key } -> get env t key
-  | Kv_wire.R_put { key; seq = rseq; value } ->
-    (* The binary form carries its own token (the service assigns it);
-       the packed form inherits the pool sequence number. *)
-    let seq = if rseq <> 0 then rseq else seq in
-    put env t ~seq key value
-  | Kv_wire.R_delete { key } -> delete env t key
-  | Kv_wire.R_scan { bucket; cursor; limit } -> scan env t ~bucket ~cursor ~limit
-  | Kv_wire.R_stop -> Kv_wire.P_done
-
-(* --- pool adapter --------------------------------------------------------- *)
-
-let errno_of_resp = function
-  | Kv_wire.P_err e -> e
-  | Kv_wire.P_value _ | Kv_wire.P_done | Kv_wire.P_page _ -> Errno.E_ok
-
-let exec_packed env t ~seq op =
-  match (op : Kv_wire.op) with
+  match op with
   | Kv_wire.Get { key } -> get env t (key_of_index t key)
   | Kv_wire.Put { key; len } ->
     let key = key_of_index t key in
@@ -290,13 +274,17 @@ let exec_packed env t ~seq op =
   | Kv_wire.Delete { key } -> delete env t (key_of_index t key)
   | Kv_wire.Scan { bucket; cursor; limit } -> scan env t ~bucket ~cursor ~limit
 
+(* --- pool adapter --------------------------------------------------------- *)
+
+let errno_of_resp = function
+  | Kv_wire.P_err e -> e
+  | Kv_wire.P_value _ | Kv_wire.P_done | Kv_wire.P_page _ -> Errno.E_ok
+
 let pool_exec t =
   fun env ~seq arg ->
-  ensure_init env t;
-  Env.charge env Account.App t.cfg.op_cycles;
   match Kv_wire.unpack arg with
   | exception Invalid_argument _ -> Errno.E_inv_args
-  | op -> errno_of_resp (exec_packed env t ~seq op)
+  | op -> errno_of_resp (exec env t ~seq op)
 
 (* --- preparation ---------------------------------------------------------- *)
 

@@ -69,20 +69,20 @@ val value_of : t -> key:string -> seq:int -> string
 
 (** {1 Operations}
 
-    All take the {e executing} VPE's environment — a pool worker, the
-    service VPE, or a benchmark client. The VPE must have the shard
-    set mounted at ["/"]. *)
+    All take the {e executing} VPE's environment — a pool worker or a
+    benchmark client. The VPE must have the shard set mounted at
+    ["/"]. *)
 
-(** [exec env t ~seq req] runs one decoded request. [seq] is the
-    idempotency token for puts (the binary form's own token wins when
-    non-zero); use the pool sequence number on the packed plane and
-    [-1] for preloads. *)
-val exec : M3.Env.t -> t -> seq:int -> Kv_wire.req -> Kv_wire.resp
+(** [exec env t ~seq op] runs one operation. [seq] is the put's
+    idempotency token (the pool sequence number). A put of [len = 0]
+    writes {!value_of}[ ~key ~seq]; a [len] above [value_max] answers
+    [E_kv_too_large]. *)
+val exec : M3.Env.t -> t -> seq:int -> Kv_wire.op -> Kv_wire.resp
 
 (** [pool_exec t] is the closure to install as
-    {!M3_serve.Pool.config.kv}: unpacks the u64 argument, executes,
-    and folds the response to an errno ([E_inv_args] on a malformed
-    argument). *)
+    {!M3_serve.Pool.config.kv}: unpacks the u64 argument ([E_inv_args]
+    when malformed), executes it, and folds the response to an
+    errno. *)
 val pool_exec : t -> M3.Env.t -> seq:int -> int -> M3.Errno.t
 
 (** [prepare env t] creates the bucket directories and preloads all

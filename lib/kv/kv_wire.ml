@@ -1,9 +1,3 @@
-module W = M3.Msgbuf.W
-module R = M3.Msgbuf.R
-module Errno = M3.Errno
-
-(* --- packed form (pool data plane) -------------------------------------- *)
-
 type op =
   | Get of { key : int }
   | Put of { key : int; len : int }
@@ -55,105 +49,8 @@ let unpack arg =
   | 3 -> Scan { bucket = a; cursor = b lsr 8; limit = b land 0xff }
   | _ -> assert false
 
-(* --- binary protocol (service control plane) ----------------------------- *)
-
-type req =
-  | R_get of { key : string }
-  | R_put of { key : string; seq : int; value : string }
-  | R_delete of { key : string }
-  | R_scan of { bucket : int; cursor : int; limit : int }
-  | R_stop
-
 type resp =
   | P_value of { seq : int; value : string }
   | P_done
   | P_page of { keys : string list; next : int; more : bool }
-  | P_err of Errno.t
-
-let req_name = function
-  | R_get _ -> "get"
-  | R_put _ -> "put"
-  | R_delete _ -> "delete"
-  | R_scan _ -> "scan"
-  | R_stop -> "stop"
-
-let stop_tag = 255
-
-let encode_req req =
-  let w = W.create () in
-  (match req with
-  | R_get { key } ->
-    W.u8 w 0;
-    W.str w key
-  | R_put { key; seq; value } ->
-    W.u8 w 1;
-    W.str w key;
-    W.i64 w (Int64.of_int seq);
-    W.str w value
-  | R_delete { key } ->
-    W.u8 w 2;
-    W.str w key
-  | R_scan { bucket; cursor; limit } ->
-    W.u8 w 3;
-    W.u64 w bucket;
-    W.u64 w cursor;
-    W.u64 w limit
-  | R_stop -> W.u8 w stop_tag);
-  W.contents w
-
-let decode_req payload =
-  let r = R.of_bytes payload in
-  match R.u8 r with
-  | 0 -> R_get { key = R.str r }
-  | 1 ->
-    let key = R.str r in
-    let seq = Int64.to_int (R.i64 r) in
-    let value = R.str r in
-    R_put { key; seq; value }
-  | 2 -> R_delete { key = R.str r }
-  | 3 ->
-    let bucket = R.u64 r in
-    let cursor = R.u64 r in
-    let limit = R.u64 r in
-    R_scan { bucket; cursor; limit }
-  | t when t = stop_tag -> R_stop
-  | _ -> invalid_arg "Kv_wire.decode_req: unknown request tag"
-
-let encode_resp resp =
-  let w = W.create () in
-  (match resp with
-  | P_value { seq; value } ->
-    W.u8 w 0;
-    W.i64 w (Int64.of_int seq);
-    W.str w value
-  | P_done -> W.u8 w 1
-  | P_page { keys; next; more } ->
-    W.u8 w 2;
-    W.u64 w next;
-    W.u8 w (if more then 1 else 0);
-    W.u8 w (List.length keys);
-    List.iter (W.str w) keys
-  | P_err e ->
-    W.u8 w 3;
-    W.u8 w (Errno.to_int e));
-  W.contents w
-
-let decode_resp payload =
-  let r = R.of_bytes payload in
-  match R.u8 r with
-  | 0 ->
-    let seq = Int64.to_int (R.i64 r) in
-    let value = R.str r in
-    P_value { seq; value }
-  | 1 -> P_done
-  | 2 ->
-    let next = R.u64 r in
-    let more = R.u8 r <> 0 in
-    let count = R.u8 r in
-    (* reads must happen strictly in sequence (cursor-based reader) *)
-    let rec go k acc =
-      if k = 0 then List.rev acc else go (k - 1) (R.str r :: acc)
-    in
-    P_page { keys = go count []; next; more }
-  | 3 -> P_err (Errno.of_int (R.u8 r))
-  | _ -> invalid_arg "Kv_wire.decode_resp: unknown response tag"
+  | P_err of M3.Errno.t

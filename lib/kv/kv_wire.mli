@@ -1,21 +1,9 @@
-(** Wire protocol of the KV service tier, in the {!M3_serve.Wire}
-    style: fixed-size integers and length-prefixed strings via
-    {!M3.Msgbuf}, so message sizes are predictable and slot orders can
-    be stated as constants.
-
-    Two forms exist because the tier has two data planes:
-
-    - the {e packed} form squeezes a whole operation into the u64
-      argument of a {!M3_serve.Wire.Kv} request, so KV load rides the
-      pool's 17-byte request slots, 13-deep batches and completion
-      dedup unchanged (keys are keyspace indices against the
-      pre-agreed {!Kv_store} layout; values are generated
-      deterministically from key and seq);
-    - the {e binary} form carries real string keys and value payloads
-      for the standalone service VPE ({!Kv_service}), including scan
-      pagination pages. *)
-
-(** {1 Packed form (pool data plane)} *)
+(** Wire form of the KV tier: a whole operation packed into the u64
+    argument of a {!M3_serve.Wire.Kv} request, so KV load rides the
+    pool's 17-byte request slots, 13-deep batches and completion dedup
+    unchanged. Keys are keyspace indices against the pre-agreed
+    {!Kv_store} layout; values are generated deterministically from
+    key and seq. *)
 
 type op =
   | Get of { key : int }
@@ -34,18 +22,7 @@ val pack : op -> int
 (** @raise Invalid_argument on a malformed argument. *)
 val unpack : int -> op
 
-(** {1 Binary protocol (service control plane)} *)
-
-type req =
-  | R_get of { key : string }
-  | R_put of { key : string; seq : int; value : string }
-      (** [seq] is the put's idempotency token: the store applies it
-          only if it is newer than the sequence number already stored
-          under [key] (see {!Kv_store}) *)
-  | R_delete of { key : string }
-  | R_scan of { bucket : int; cursor : int; limit : int }
-  | R_stop  (** shut the service VPE down (answered with [P_done]) *)
-
+(** What {!Kv_store.exec} answers; the pool folds it to an errno. *)
 type resp =
   | P_value of { seq : int; value : string }
   | P_done
@@ -53,14 +30,3 @@ type resp =
       (** one scan page: [next] is the cursor to resume from, [more]
           whether resuming will yield anything *)
   | P_err of M3.Errno.t
-
-val req_name : req -> string
-val encode_req : req -> Bytes.t
-
-(** @raise Invalid_argument on an unknown tag. *)
-val decode_req : Bytes.t -> req
-
-val encode_resp : resp -> Bytes.t
-
-(** @raise Invalid_argument on an unknown tag. *)
-val decode_resp : Bytes.t -> resp

@@ -335,19 +335,13 @@ let record t ~at (ev : Event.t) =
       ~name:(Printf.sprintf "vpe.suspend:vpe%d" vpe)
       ~cat:"sched"
       (args_of [ ("vpe", vpe); ("bytes", bytes) ])
-  | Event.Vpe_resume { vpe; pe; from_pe; cold } ->
+  | Event.Vpe_resume { vpe; pe; from_pe } ->
     let pid = pe_pid t pe in
     ensure_tid t pid tid_core ~name:"core";
     marker t ~pid ~tid:tid_core ~at
       ~name:(Printf.sprintf "vpe.resume:vpe%d" vpe)
       ~cat:"sched"
-      (args_of
-         [ ("vpe", vpe); ("from_pe", from_pe); ("cold", (if cold then 1 else 0)) ])
-  | Event.Sched_switch { pe; out_vpe; in_vpe } ->
-    let pid = pe_pid t pe in
-    ensure_tid t pid tid_core ~name:"core";
-    marker t ~pid ~tid:tid_core ~at ~name:"sched.switch" ~cat:"sched"
-      (args_of [ ("out_vpe", out_vpe); ("in_vpe", in_vpe) ])
+      (args_of [ ("vpe", vpe); ("from_pe", from_pe) ])
   | Event.Pool_scale { pe; pool; dir; active } ->
     let pid = pe_pid t pe in
     ensure_tid t pid tid_core ~name:"core";

@@ -62,8 +62,7 @@ type t =
   | Serve_done of { pe : int; pool : string; seq : int; cycles : int }
   | Serve_restart of { pe : int; pool : string; worker : int; attempt : int }
   | Vpe_suspend of { vpe : int; pe : int; bytes : int }
-  | Vpe_resume of { vpe : int; pe : int; from_pe : int; cold : bool }
-  | Sched_switch of { pe : int; out_vpe : int; in_vpe : int }
+  | Vpe_resume of { vpe : int; pe : int; from_pe : int }
   | Pool_scale of { pe : int; pool : string; dir : int; active : int }
   | Gw_throttle of { pe : int; pool : string; client : int; seq : int }
   | Gw_break of { pe : int; pool : string; worker : int; phase : string }
@@ -114,7 +113,6 @@ let name = function
   | Serve_restart _ -> "serve.restart"
   | Vpe_suspend _ -> "vpe.suspend"
   | Vpe_resume _ -> "vpe.resume"
-  | Sched_switch _ -> "sched.switch"
   | Pool_scale _ -> "pool.scale"
   | Gw_throttle _ -> "gw.throttle"
   | Gw_break { phase; _ } -> "gw.break." ^ phase
@@ -195,11 +193,8 @@ let pp ppf t =
     f "serve.restart pe%d %s worker=%d attempt=%d" pe pool worker attempt
   | Vpe_suspend { vpe; pe; bytes } ->
     f "vpe.suspend vpe%d pe%d bytes=%d" vpe pe bytes
-  | Vpe_resume { vpe; pe; from_pe; cold } ->
-    f "vpe.resume vpe%d pe%d from=%d%s" vpe pe from_pe
-      (if cold then " cold" else "")
-  | Sched_switch { pe; out_vpe; in_vpe } ->
-    f "sched.switch pe%d out=%d in=%d" pe out_vpe in_vpe
+  | Vpe_resume { vpe; pe; from_pe } ->
+    f "vpe.resume vpe%d pe%d from=%d" vpe pe from_pe
   | Pool_scale { pe; pool; dir; active } ->
     f "pool.scale pe%d %s %s active=%d" pe pool
       (if dir > 0 then "up" else "down")

@@ -123,14 +123,9 @@ type t =
   | Vpe_suspend of { vpe : int; pe : int; bytes : int }
       (** the scheduler captured this VPE's state off [pe]; [bytes] is
           the SPM image size pulled over the NoC *)
-  | Vpe_resume of { vpe : int; pe : int; from_pe : int; cold : bool }
+  | Vpe_resume of { vpe : int; pe : int; from_pe : int }
       (** the scheduler placed the VPE on [pe]. [from_pe] is the PE it
-          was suspended on (equal to [pe] for an in-place resume).
-          [cold] is always false: every VPE is created on a PE. The
-          trace export and summary still print it. *)
-  | Sched_switch of { pe : int; out_vpe : int; in_vpe : int }
-      (** PE handoff on [pe]: [out_vpe] was suspended off it, and now
-          [in_vpe] was placed on it *)
+          was suspended on (equal to [pe] for an in-place resume). *)
   | Pool_scale of { pe : int; pool : string; dir : int; active : int }
       (** an elastic pool grew ([dir = +1]) or shrank ([dir = -1]) its
           worker set; [active] is the new live-worker count *)

@@ -36,8 +36,6 @@ type t = {
   mutable sched_suspends : int;
   mutable sched_resumes : int;
   mutable sched_migrations : int;
-  mutable sched_cold_starts : int;
-  mutable sched_switches : int;
   mutable sched_suspend_bytes : int;
   pool_scale_ups : (string, int ref) Hashtbl.t;
   pool_scale_downs : (string, int ref) Hashtbl.t;
@@ -85,8 +83,6 @@ let create () =
     sched_suspends = 0;
     sched_resumes = 0;
     sched_migrations = 0;
-    sched_cold_starts = 0;
-    sched_switches = 0;
     sched_suspend_bytes = 0;
     pool_scale_ups = Hashtbl.create 4;
     pool_scale_downs = Hashtbl.create 4;
@@ -162,11 +158,9 @@ let record t (ev : Event.t) =
   | Event.Vpe_suspend { bytes; _ } ->
     t.sched_suspends <- t.sched_suspends + 1;
     t.sched_suspend_bytes <- t.sched_suspend_bytes + bytes
-  | Event.Vpe_resume { pe; from_pe; cold; _ } ->
+  | Event.Vpe_resume { pe; from_pe; _ } ->
     t.sched_resumes <- t.sched_resumes + 1;
-    if cold then t.sched_cold_starts <- t.sched_cold_starts + 1
-    else if pe <> from_pe then t.sched_migrations <- t.sched_migrations + 1
-  | Event.Sched_switch _ -> t.sched_switches <- t.sched_switches + 1
+    if pe <> from_pe then t.sched_migrations <- t.sched_migrations + 1
   | Event.Pool_scale { pool; dir; _ } ->
     bump (if dir > 0 then t.pool_scale_ups else t.pool_scale_downs) pool 1
   | Event.Gw_throttle { pool; _ } -> bump t.gw_throttles pool 1
@@ -254,8 +248,6 @@ let dtu_retries t = t.dtu_retries
 let sched_suspends t = t.sched_suspends
 let sched_resumes t = t.sched_resumes
 let sched_migrations t = t.sched_migrations
-let sched_cold_starts t = t.sched_cold_starts
-let sched_switches t = t.sched_switches
 let sched_suspend_bytes t = t.sched_suspend_bytes
 
 let pool_scales t =

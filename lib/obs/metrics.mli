@@ -102,15 +102,8 @@ val sched_suspends : t -> int
 (** VPE placements after a suspend ([vpe.resume]). *)
 val sched_resumes : t -> int
 
-(** Warm resumes that landed on a different PE than the suspend. *)
+(** Resumes that landed on a different PE than the suspend. *)
 val sched_migrations : t -> int
-
-(** Placements marked [cold]: 0, since every VPE is created on a PE.
-    The trace summary still prints it. *)
-val sched_cold_starts : t -> int
-
-(** PE handoffs from one VPE to another ([sched.switch]). *)
-val sched_switches : t -> int
 
 (** Total SPM bytes pulled over the NoC by state captures. *)
 val sched_suspend_bytes : t -> int

@@ -23,29 +23,33 @@ let zipf_clients ~n ~theta =
     let rec go i = if i >= n - 1 || cdf.(i) > u then i else go (i + 1) in
     go 0
 
-let poisson ?clients ~rng ~mean_gap ~count ~mix () =
-  if mix = [] then invalid_arg "Load.poisson: empty mix";
+let pick_of ~rng ~mix =
+  if mix = [] then invalid_arg "Load: empty mix";
   if List.exists (fun (w, _) -> w <= 0) mix then
-    invalid_arg "Load.poisson: non-positive weight";
-  if mean_gap <= 0.0 then invalid_arg "Load.poisson: non-positive mean gap";
+    invalid_arg "Load: non-positive weight";
   let total = List.fold_left (fun acc (w, _) -> acc + w) 0 mix in
-  let pick seq =
+  fun seq ->
     let rec go draw = function
       | [] -> assert false
       | (w, make) :: tl -> if draw < w then make seq else go (draw - w) tl
     in
     go (Rng.int rng total) mix
-  in
+
+(* Inverse-transform sampling; [Rng.float] is in [0, 1) so the log
+   argument stays positive. *)
+let exp_gap rng ~mean =
+  let u = Rng.float rng in
+  Stdlib.max 1 (int_of_float (Float.round (-.mean *. log (1.0 -. u))))
+
+let poisson ?clients ~rng ~mean_gap ~count ~mix () =
+  let pick = pick_of ~rng ~mix in
+  if mean_gap <= 0.0 then invalid_arg "Load.poisson: non-positive mean gap";
   let arrivals =
     Array.make count { at = 0; client = 0; req = { Wire.seq = 0; rk = Echo 0 } }
   in
   let t = ref 0 in
   for seq = 0 to count - 1 do
-    (* Inverse-transform sampling; [Rng.float] is in [0, 1) so the log
-       argument stays positive. *)
-    let u = Rng.float rng in
-    let gap = int_of_float (Float.round (-.mean_gap *. log (1.0 -. u))) in
-    t := !t + Stdlib.max 1 gap;
+    t := !t + exp_gap rng ~mean:mean_gap;
     let rk = pick seq in
     arrivals.(seq) <- { at = !t; client = 0; req = { Wire.seq; rk } }
   done;
@@ -104,89 +108,7 @@ let merge a b =
   Array.stable_sort (fun x y -> compare x.at y.at) all;
   Array.mapi (fun i a -> { a with req = { a.req with Wire.seq = i } }) all
 
-(* --- non-Poisson load models -------------------------------------------- *)
-
-(* Every model draws in a fixed order — all gaps and kinds first, then
-   (only if a picker is attached) one client id per arrival from the
-   tail of the stream — so attaching a picker never perturbs arrival
-   times, and schedules drawn before another model touches the same
-   Rng are byte-identical to a run without it. *)
-
-let exp_gap rng ~mean =
-  let u = Rng.float rng in
-  Stdlib.max 1 (int_of_float (Float.round (-.mean *. log (1.0 -. u))))
-
-let assign_clients ?clients ~rng arrivals =
-  (match clients with
-  | None -> ()
-  | Some p ->
-    for i = 0 to Array.length arrivals - 1 do
-      arrivals.(i) <- { arrivals.(i) with client = p rng }
-    done);
-  arrivals
-
-let pick_of ~rng ~mix =
-  if mix = [] then invalid_arg "Load: empty mix";
-  if List.exists (fun (w, _) -> w <= 0) mix then
-    invalid_arg "Load: non-positive weight";
-  let total = List.fold_left (fun acc (w, _) -> acc + w) 0 mix in
-  fun seq ->
-    let rec go draw = function
-      | [] -> assert false
-      | (w, make) :: tl -> if draw < w then make seq else go (draw - w) tl
-    in
-    go (Rng.int rng total) mix
-
-(* Markov-modulated Poisson: two phases (calm / burst) with their own
-   mean gaps; after each arrival one draw decides whether the phase
-   flips, so sojourns are geometric with means [1/p_burst] and
-   [1/p_calm] arrivals. This is the canonical "bursty" adversary: the
-   long-run rate can equal a plain Poisson stream's while the burst
-   phase transiently runs far past pool capacity. *)
-let mmpp ?clients ~rng ~calm_gap ~burst_gap ~p_burst ~p_calm ~count ~mix () =
-  if calm_gap <= 0.0 || burst_gap <= 0.0 then
-    invalid_arg "Load.mmpp: non-positive mean gap";
-  if p_burst < 0.0 || p_burst > 1.0 || p_calm < 0.0 || p_calm > 1.0 then
-    invalid_arg "Load.mmpp: switch probabilities must be in [0,1]";
-  let pick = pick_of ~rng ~mix in
-  let arrivals =
-    Array.make count { at = 0; client = 0; req = { Wire.seq = 0; rk = Echo 0 } }
-  in
-  let t = ref 0 in
-  let bursting = ref false in
-  for seq = 0 to count - 1 do
-    t := !t + exp_gap rng ~mean:(if !bursting then burst_gap else calm_gap);
-    let rk = pick seq in
-    arrivals.(seq) <- { at = !t; client = 0; req = { Wire.seq = seq; rk } };
-    let u = Rng.float rng in
-    if !bursting then (if u < p_calm then bursting := false)
-    else if u < p_burst then bursting := true
-  done;
-  assign_clients ?clients ~rng arrivals
-
-(* Diurnal ramp: a Poisson process whose instantaneous rate swings
-   sinusoidally around [1 / mean_gap] with relative amplitude [amp]
-   and period [period] cycles — the compressed day/night cycle every
-   capacity planner sizes against. *)
-let diurnal ?clients ~rng ~mean_gap ~amp ~period ~count ~mix () =
-  if mean_gap <= 0.0 then invalid_arg "Load.diurnal: non-positive mean gap";
-  if amp < 0.0 || amp >= 1.0 then
-    invalid_arg "Load.diurnal: amplitude must be in [0,1)";
-  if period <= 0 then invalid_arg "Load.diurnal: non-positive period";
-  let pick = pick_of ~rng ~mix in
-  let arrivals =
-    Array.make count { at = 0; client = 0; req = { Wire.seq = 0; rk = Echo 0 } }
-  in
-  let t = ref 0 in
-  let two_pi = 8.0 *. atan 1.0 in
-  for seq = 0 to count - 1 do
-    let phase = two_pi *. float_of_int !t /. float_of_int period in
-    let rate_scale = 1.0 +. (amp *. sin phase) in
-    t := !t + exp_gap rng ~mean:(mean_gap /. rate_scale);
-    let rk = pick seq in
-    arrivals.(seq) <- { at = !t; client = 0; req = { Wire.seq = seq; rk } }
-  done;
-  assign_clients ?clients ~rng arrivals
+(* --- flash crowd and think times ------------------------------------------ *)
 
 (* Flash crowd: a well-behaved base stream plus a sudden crowd — extra
    arrivals at [flash_factor] times the base rate confined to

@@ -85,52 +85,12 @@ val offered_rate : arrival array -> float
     flash-crowd cells. *)
 val merge : arrival array -> arrival array -> arrival array
 
-(** {1 Non-Poisson load models}
+(** {1 Flash crowds and think times}
 
-    All models follow the PR 8 draw-order convention: gaps and kinds
-    first, then one client id per arrival from the tail of the stream
-    (only when [clients] is attached) — so attaching a picker never
-    perturbs arrival times, and a schedule drawn from an Rng before
-    any of these models touches it is byte-identical to a run without
-    them. *)
-
-(** [mmpp ~rng ~calm_gap ~burst_gap ~p_burst ~p_calm ~count ~mix ()]
-    draws a two-phase Markov-modulated Poisson stream: mean gap
-    [calm_gap] in the calm phase, [burst_gap] in the burst phase, with
-    one switch draw after each arrival ([p_burst]: calm→burst,
-    [p_calm]: burst→calm; geometric sojourns). The long-run rate can
-    match a plain Poisson stream while bursts transiently exceed pool
-    capacity — the adversary admission control and elastic scaling are
-    sized against.
-    @raise Invalid_argument on non-positive gaps or probabilities
-    outside [0,1]. *)
-val mmpp :
-  ?clients:picker ->
-  rng:M3_sim.Rng.t ->
-  calm_gap:float ->
-  burst_gap:float ->
-  p_burst:float ->
-  p_calm:float ->
-  count:int ->
-  mix:mix ->
-  unit ->
-  arrival array
-
-(** [diurnal ~rng ~mean_gap ~amp ~period ~count ~mix ()] draws a
-    Poisson stream whose instantaneous rate swings sinusoidally around
-    [1 / mean_gap] with relative amplitude [amp] (in [0,1)) and period
-    [period] cycles — a compressed day/night cycle.
-    @raise Invalid_argument on bad gap, amplitude or period. *)
-val diurnal :
-  ?clients:picker ->
-  rng:M3_sim.Rng.t ->
-  mean_gap:float ->
-  amp:float ->
-  period:int ->
-  count:int ->
-  mix:mix ->
-  unit ->
-  arrival array
+    Both follow the draw-order convention of {!poisson}: gaps and
+    kinds first, then one client id per arrival from the tail of the
+    stream (only when [clients] is attached) — so attaching a picker
+    never perturbs arrival times. *)
 
 (** [flash ~rng ~mean_gap ~count ~mix ~flash_at ~flash_len
     ~flash_factor ~crowd_base ~crowd_n ()] is a well-behaved Poisson

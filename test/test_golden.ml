@@ -10,7 +10,11 @@
    16-instance Fig. 6 untar image, as recorded before seed data was
    generated on first access (Store.defer); and the MD5 of the event
    logs of the kernel scheduler's own scenarios, as recorded before
-   the scheduler lost its time-slicing and virtual VPEs.
+   the scheduler lost its time-slicing and virtual VPEs; and the MD5
+   of what [m3_repro trace] renders from the fig3 systems and from
+   those scenarios (Chrome JSON and summary), as recorded after the
+   always-false [cold] flag and the never-emitted [sched.switch] left
+   the event vocabulary.
    Those are host changes only, and every later refactor must keep
    these outputs too. A change that means to alter an output updates
    its constant here and says why in CHANGES.md. *)
@@ -50,6 +54,13 @@ let golden =
         Figs2.to_json (Lazy.force figs2_quick));
   ]
 
+(* [observing attach run] runs [run] with [attach] hooked onto the
+   bus of every system the harness boots. *)
+let observing attach run =
+  let prev = !Runner.observer in
+  Runner.observer := Some attach;
+  Fun.protect ~finally:(fun () -> Runner.observer := prev) run
+
 (* [event_logs run] is "<n> systems, <m> events, <md5>" over the obs
    event log of every system [run] boots: the MD5 of the systems' log
    MD5s, in boot order. Frames run their systems one after another, so
@@ -66,16 +77,14 @@ let event_logs run =
       !current;
     current := None
   in
-  let prev = !Runner.observer in
-  Runner.observer :=
-    Some
-      (fun o ->
-        close ();
-        incr systems;
-        let m = Obs.Memory.create () in
-        Obs.attach o (Obs.Memory.sink m);
-        current := Some m);
-  Fun.protect ~finally:(fun () -> Runner.observer := prev) run;
+  observing
+    (fun o ->
+      close ();
+      incr systems;
+      let m = Obs.Memory.create () in
+      Obs.attach o (Obs.Memory.sink m);
+      current := Some m)
+    run;
   close ();
   Printf.sprintf "%d systems, %d events, %s" !systems !events
     (md5 (String.concat "" (List.rev !digests)))
@@ -126,6 +135,51 @@ let golden_sched =
         List.map
           (fun b_gate -> snd (Test_sched.isolation ~b_gate ()))
           [ true; false ] );
+  ]
+
+(* [trace_render run] is what [m3_repro trace] makes of the systems
+   [run] hands its attach hook, one call per system: the Chrome JSON
+   (a pid namespace per system) and the [Report.print_obs] summary. *)
+let trace_render run =
+  let chrome = M3_obs.Chrome.create () and metrics = M3_obs.Metrics.create () in
+  run (fun obs ->
+      M3_obs.Chrome.begin_run chrome;
+      Obs.attach obs (M3_obs.Chrome.sink chrome);
+      Obs.attach obs (M3_obs.Metrics.sink metrics));
+  (M3_obs.Chrome.to_string chrome, Format.asprintf "%a" Report.print_obs metrics)
+
+let fig3_trace =
+  lazy
+    (trace_render (fun attach ->
+         observing attach (fun () -> ignore (Fig3.run ()))))
+
+(* The scheduler scenarios' logs replayed through a fresh bus each:
+   the only golden logs with [vpe.suspend] and [vpe.resume]. *)
+let sched_trace =
+  lazy
+    (trace_render (fun attach ->
+         List.iter
+           (fun (_, _, run) ->
+             List.iter
+               (fun mem ->
+                 let obs = Obs.create ~clock:(fun () -> 0) in
+                 attach obs;
+                 List.iter
+                   (fun (at, ev) -> Obs.emit_at obs ~at ev)
+                   (Obs.Memory.events mem))
+               (run ()))
+           golden_sched))
+
+let golden_traces =
+  [
+    ("fig3 trace JSON", "c81fa7de73caed170a76e62716f74b37", fun () ->
+        fst (Lazy.force fig3_trace));
+    ("fig3 trace summary", "33e5a72cb3e7665bbae637d5d2b9df17", fun () ->
+        snd (Lazy.force fig3_trace));
+    ("sched trace JSON", "e7b44ec05d7b331861ac86efd2675ef5", fun () ->
+        fst (Lazy.force sched_trace));
+    ("sched trace summary", "18c35752a127206dadb5faf2fce578d3", fun () ->
+        snd (Lazy.force sched_trace));
   ]
 
 (* [seeded_bytes systems] boots each system in turn, each handing
@@ -205,7 +259,7 @@ let suites =
               Alcotest.(check string)
                 (name ^ " digest") digest
                 (md5 (output ()))))
-        golden
+        (golden @ golden_traces)
       @ List.map
           (fun (name, expected, run) ->
             Alcotest.test_case name `Quick (fun () ->

@@ -1,9 +1,7 @@
 (* Regression tests for the KV service tier PR:
 
-   - both wire forms round-trip: the packed u64 ops (field-width
-     boundaries included) and the binary protocol (requests, values,
-     scan pages, errors), and the new KV errnos survive their integer
-     encoding,
+   - the packed u64 ops round-trip (field-width boundaries included)
+     and the new KV errnos survive their integer encoding,
    - [Kv_load.zipf_keys] is a pure function of its Rng (same seed,
      same draws) and actually skews (key 0 hottest), and
      [assign_keys] never perturbs a schedule's shape — arrival times,
@@ -17,7 +15,7 @@
      second apply; scan paginates exactly and a stale cursor answers
      [E_kv_cursor]; an oversized value answers [E_kv_too_large],
    - an application that merely constructs KV values (stores,
-     schedules, encodings) but starts nothing pays zero simulated
+     schedules, packed ops) but starts nothing pays zero simulated
      cycles: its event log is byte-identical to an oblivious run,
    - one full capacity cell of Fig. S2 (boot, shard mounts, pool,
      mount caches) is deterministic: same seed, same record. *)
@@ -69,38 +67,6 @@ let test_pack_validates () =
       ("negative key", Kv_wire.Delete { key = -1 });
       ("oversized cursor", Kv_wire.Scan { bucket = 0; cursor = 0x10000; limit = 1 });
       ("oversized limit", Kv_wire.Scan { bucket = 0; cursor = 0; limit = 256 });
-    ]
-
-(* --- binary wire form ---------------------------------------------------- *)
-
-let test_req_round_trip () =
-  List.iter
-    (fun rq ->
-      let rq' = Kv_wire.decode_req (Kv_wire.encode_req rq) in
-      check_bool (Kv_wire.req_name rq ^ " round-trips") true (rq = rq'))
-    [
-      Kv_wire.R_get { key = "b2/k001" };
-      Kv_wire.R_put { key = "k"; seq = 12345; value = String.make 992 'v' };
-      Kv_wire.R_put { key = ""; seq = 0; value = "" };
-      Kv_wire.R_delete { key = "gone" };
-      Kv_wire.R_scan { bucket = 2; cursor = 16; limit = 8 };
-      Kv_wire.R_stop;
-    ]
-
-let test_resp_round_trip () =
-  List.iter
-    (fun rp ->
-      let rp' = Kv_wire.decode_resp (Kv_wire.encode_resp rp) in
-      check_bool "response round-trips" true (rp = rp'))
-    [
-      Kv_wire.P_value { seq = 7; value = "hello" };
-      Kv_wire.P_value { seq = 0; value = "" };
-      Kv_wire.P_done;
-      Kv_wire.P_page { keys = [ "k0"; "k1"; "k2" ]; next = 3; more = true };
-      Kv_wire.P_page { keys = []; next = 0; more = false };
-      Kv_wire.P_err Errno.E_not_found;
-      Kv_wire.P_err Errno.E_kv_too_large;
-      Kv_wire.P_err Errno.E_kv_cursor;
     ]
 
 let test_kv_errnos_encode () =
@@ -238,9 +204,7 @@ let test_put_is_exactly_once () =
   run_store ~config:small_config (fun env store ->
       let key = Store.key_of_index store 3 in
       let value = Store.value_of store ~key ~seq:7 in
-      let put () =
-        Store.exec env store ~seq:7 (Kv_wire.R_put { key; seq = 7; value })
-      in
+      let put () = Store.exec env store ~seq:7 (Kv_wire.Put { key = 3; len = 0 }) in
       (match put () with
       | Kv_wire.P_done -> ()
       | _ -> Alcotest.fail "first put did not apply");
@@ -252,7 +216,7 @@ let test_put_is_exactly_once () =
       check_bool "seq 7 applied exactly once" true
         (Store.applied_once store ~seq:7);
       check_int "nothing double-applied" 0 (Store.double_applied store);
-      match Store.exec env store ~seq:0 (Kv_wire.R_get { key }) with
+      match Store.exec env store ~seq:0 (Kv_wire.Get { key = 3 }) with
       | Kv_wire.P_value { seq; value = v } ->
         check_int "get sees the applied seq" 7 seq;
         check_string "and the applied value" value v
@@ -260,9 +224,8 @@ let test_put_is_exactly_once () =
 
 let test_put_too_large () =
   run_store ~config:small_config (fun env store ->
-      let key = Store.key_of_index store 0 in
-      let value = String.make (small_config.Store.value_max + 1) 'x' in
-      match Store.exec env store ~seq:1 (Kv_wire.R_put { key; seq = 1; value }) with
+      let len = small_config.Store.value_max + 1 in
+      match Store.exec env store ~seq:1 (Kv_wire.Put { key = 0; len }) with
       | Kv_wire.P_err Errno.E_kv_too_large -> ()
       | _ -> Alcotest.fail "oversized put was not refused")
 
@@ -280,7 +243,7 @@ let test_scan_paginates () =
         if rounds > 32 then Alcotest.fail "scan never terminated";
         match
           Store.exec env store ~seq:0
-            (Kv_wire.R_scan { bucket = 0; cursor; limit = 2 })
+            (Kv_wire.Scan { bucket = 0; cursor; limit = 2 })
         with
         | Kv_wire.P_page { keys; next; more } ->
           check_bool "page within limit" true (List.length keys <= 2);
@@ -293,15 +256,15 @@ let test_scan_paginates () =
         (List.sort compare seen = List.sort compare !expected);
       match
         Store.exec env store ~seq:0
-          (Kv_wire.R_scan { bucket = 0; cursor = last + 8; limit = 2 })
+          (Kv_wire.Scan { bucket = 0; cursor = last + 8; limit = 2 })
       with
       | Kv_wire.P_err Errno.E_kv_cursor -> ()
       | _ -> Alcotest.fail "stale cursor was not refused")
 
 (* --- zero-cost guard ----------------------------------------------------- *)
 
-(* Constructing KV values — a store object, a keyed schedule, wire
-   encodings — is host-side only. A run that builds them but starts
+(* Constructing KV values — a store object, a keyed schedule, packed
+   ops — is host-side only. A run that builds them but starts
    nothing must be byte-identical to one that never mentions kv. *)
 let logged_run ~with_kv_values =
   let engine = Engine.create () in
@@ -324,7 +287,7 @@ let logged_run ~with_kv_values =
               schedule
           in
           ignore (Store.path_of_key store (Store.key_of_index store 5));
-          ignore (Kv_wire.encode_req (Kv_wire.R_get { key = "k" }));
+          ignore (Kv_wire.pack (Kv_wire.Get { key = 5 }));
           ignore (Load.offered_rate schedule)
         end;
         for _ = 1 to 20 do
@@ -367,8 +330,6 @@ let suites =
       [
         tc' "packed ops round-trip" test_pack_round_trip;
         tc' "packed ops validate widths" test_pack_validates;
-        tc' "binary requests round-trip" test_req_round_trip;
-        tc' "binary responses round-trip" test_resp_round_trip;
         tc' "kv errnos encode" test_kv_errnos_encode;
       ] );
     ( "kv.load",

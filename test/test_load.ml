@@ -1,13 +1,12 @@
-(* Regression tests for the non-Poisson load models:
+(* Regression tests for the load models beyond plain arrivals:
 
-   - every model ([mmpp], [diurnal], [flash], [think_times]) is a pure
-     function of its Rng: same seed, same schedule, cycle for cycle,
-   - the models honor the draw-order convention: attaching a client
-     picker never perturbs arrival times, and [flash]'s base stream is
-     byte-identical to plain [poisson] from the same seed — the crowd
-     is a pure extension of the draw stream,
-   - the shapes are real: mmpp's burst phase packs arrivals tighter
-     than its calm phase, the flash crowd lands inside its window with
+   - every model ([flash], [think_times]) is a pure function of its
+     Rng: same seed, same schedule, cycle for cycle,
+   - the draw-order convention holds: attaching a client picker to
+     [poisson] never perturbs arrival times or kinds, and [flash]'s
+     base stream is byte-identical to plain [poisson] from the same
+     seed — the crowd is a pure extension of the draw stream,
+   - the shapes are real: the flash crowd lands inside its window with
      fresh identities, and think times respect their floor,
    - bad arguments are refused up front. *)
 
@@ -30,73 +29,29 @@ let same_schedule name a b =
       check_bool (name ^ ": same request") true (x.Load.req = y.Load.req))
     a
 
-(* --- mmpp ---------------------------------------------------------------- *)
+(* --- poisson ------------------------------------------------------------- *)
 
-let mmpp ?clients ~seed () =
-  Load.mmpp ?clients ~rng:(Rng.create ~seed) ~calm_gap:2_000.0 ~burst_gap:200.0
-    ~p_burst:0.1 ~p_calm:0.3 ~count:300 ~mix ()
-
-let test_mmpp_deterministic () =
-  same_schedule "mmpp" (mmpp ~seed:41 ()) (mmpp ~seed:41 ())
-
-let test_mmpp_bursts () =
-  let s = mmpp ~seed:42 () in
-  let gaps =
-    Array.init (Array.length s - 1) (fun i -> s.(i + 1).Load.at - s.(i).Load.at)
+(* Client ids draw from the tail of the stream, after every gap and
+   kind: attaching a picker never moves an arrival or changes its
+   kind. A two-kind mix makes the kind check bite. *)
+let test_poisson_clients_do_not_perturb () =
+  let poisson ?clients () =
+    Load.poisson ?clients ~rng:(Rng.create ~seed:43) ~mean_gap:1_000.0
+      ~count:300
+      ~mix:[ (3, fun _ -> Wire.Echo 1_000); (1, fun seq -> Wire.Fs_stat seq) ]
+      ()
   in
-  Array.sort compare gaps;
-  (* With geometric sojourns at these switch probabilities the stream
-     spends real time in both phases: the tightest quartile of gaps
-     must be burst-like (well under the calm mean) and the loosest
-     calm-like (well over the burst mean). *)
-  let q1 = gaps.(Array.length gaps / 4)
-  and q4 = gaps.(Array.length gaps - 1) in
-  check_bool "burst gaps are tight" true (q1 < 1_000);
-  check_bool "calm gaps are loose" true (q4 > 1_000);
-  check_bool "arrivals are ordered" true (Array.for_all (fun g -> g >= 0) gaps)
-
-let test_mmpp_clients_do_not_perturb () =
-  let bare = mmpp ~seed:43 () in
-  let picked = mmpp ~clients:(Load.uniform_clients ~n:4) ~seed:43 () in
+  let bare = poisson () in
+  let picked = poisson ~clients:(Load.uniform_clients ~n:4) () in
   check_int "same length" (Array.length bare) (Array.length picked);
+  check_bool "the picker drew clients" true
+    (Array.exists (fun (a : Load.arrival) -> a.Load.client <> 0) picked);
   Array.iteri
     (fun i (x : Load.arrival) ->
-      check_int "picker does not move arrivals" x.Load.at picked.(i).Load.at)
+      let y = picked.(i) in
+      check_int "picker does not move arrivals" x.Load.at y.Load.at;
+      check_bool "picker does not change kinds" true (x.Load.req = y.Load.req))
     bare
-
-let test_mmpp_validates () =
-  List.iter
-    (fun (name, f) ->
-      match f () with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail (name ^ " was accepted"))
-    [
-      ( "non-positive gap",
-        fun () ->
-          Load.mmpp ~rng:(Rng.create ~seed:1) ~calm_gap:0.0 ~burst_gap:1.0
-            ~p_burst:0.1 ~p_calm:0.1 ~count:4 ~mix () );
-      ( "probability above one",
-        fun () ->
-          Load.mmpp ~rng:(Rng.create ~seed:1) ~calm_gap:1.0 ~burst_gap:1.0
-            ~p_burst:1.5 ~p_calm:0.1 ~count:4 ~mix () );
-    ]
-
-(* --- diurnal ------------------------------------------------------------- *)
-
-let diurnal ~seed () =
-  Load.diurnal ~rng:(Rng.create ~seed) ~mean_gap:1_000.0 ~amp:0.8
-    ~period:50_000 ~count:200 ~mix ()
-
-let test_diurnal_deterministic () =
-  same_schedule "diurnal" (diurnal ~seed:44 ()) (diurnal ~seed:44 ())
-
-let test_diurnal_validates () =
-  match
-    Load.diurnal ~rng:(Rng.create ~seed:1) ~mean_gap:1_000.0 ~amp:1.5
-      ~period:1_000 ~count:4 ~mix ()
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "amplitude above one was accepted"
 
 (* --- flash --------------------------------------------------------------- *)
 
@@ -174,13 +129,8 @@ let suites =
   [
     ( "serve.load-models",
       [
-        tc "mmpp is deterministic" test_mmpp_deterministic;
-        tc "mmpp bursts" test_mmpp_bursts;
-        tc "mmpp clients do not perturb arrivals"
-          test_mmpp_clients_do_not_perturb;
-        tc "mmpp validates arguments" test_mmpp_validates;
-        tc "diurnal is deterministic" test_diurnal_deterministic;
-        tc "diurnal validates arguments" test_diurnal_validates;
+        tc "poisson clients do not perturb arrivals"
+          test_poisson_clients_do_not_perturb;
         tc "flash is deterministic" test_flash_deterministic;
         tc "flash extends poisson" test_flash_extends_poisson;
         tc "flash crowd stays in its window" test_flash_crowd_in_window;

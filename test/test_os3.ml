@@ -1,5 +1,5 @@
-(* Third batch: user-level threads (§3.3/§4.5.5), pipe data integrity
-   under random chunking, and the VFS-transparent pipe file API. *)
+(* Third batch: pipe data integrity under random chunking, and the
+   VFS-transparent pipe file API. *)
 
 module Engine = M3_sim.Engine
 module Process = M3_sim.Process
@@ -13,7 +13,6 @@ module Errno = M3.Errno
 module Pipe = M3.Pipe
 module File = M3.File
 module Vpe_api = M3.Vpe_api
-module Uthread = M3.Uthread
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -26,105 +25,6 @@ let run_app ?(no_fs = true) main =
   let exit = Bootstrap.launch sys ~name:"app3" main in
   ignore (Engine.run engine);
   Bootstrap.expect_exit sys exit
-
-(* --- user-level threads ------------------------------------------------- *)
-
-let test_uthread_round_robin () =
-  run_app (fun env ->
-      let sched = Uthread.create env in
-      let log = ref [] in
-      let mk name =
-        Uthread.spawn sched (fun () ->
-            for i = 1 to 3 do
-              log := Printf.sprintf "%s%d" name i :: !log;
-              Uthread.yield sched
-            done)
-      in
-      let _a = mk "a" and _b = mk "b" in
-      Uthread.run_all sched;
-      Alcotest.(check (list string))
-        "strict round-robin interleaving"
-        [ "a1"; "b1"; "a2"; "b2"; "a3"; "b3" ]
-        (List.rev !log);
-      check_int "all finished" 0 (Uthread.live sched);
-      0)
-
-let test_uthread_join_and_result () =
-  run_app (fun env ->
-      let sched = Uthread.create env in
-      let result = ref 0 in
-      let t =
-        Uthread.spawn sched (fun () ->
-            Uthread.yield sched;
-            result := 42)
-      in
-      check_bool "not finished yet" false (Uthread.finished t);
-      Uthread.join sched t;
-      check_bool "finished" true (Uthread.finished t);
-      check_int "side effect visible" 42 !result;
-      0)
-
-let test_uthread_sleep_advances_time () =
-  run_app (fun env ->
-      let sched = Uthread.create env in
-      let woke = ref 0 in
-      let t0 = Engine.now env.Env.engine in
-      let _t =
-        Uthread.spawn sched (fun () ->
-            Uthread.sleep sched 10_000;
-            woke := Engine.now env.Env.engine)
-      in
-      Uthread.run_all sched;
-      check_bool "slept at least 10k cycles" true (!woke - t0 >= 10_000);
-      0)
-
-let test_uthread_spawn_from_thread () =
-  run_app (fun env ->
-      let sched = Uthread.create env in
-      let order = ref [] in
-      let _parent =
-        Uthread.spawn sched (fun () ->
-            order := "parent" :: !order;
-            let _child =
-              Uthread.spawn sched (fun () -> order := "child" :: !order)
-            in
-            Uthread.yield sched;
-            order := "parent-again" :: !order)
-      in
-      Uthread.run_all sched;
-      (* Round-robin fairness: the parent parked first, so it resumes
-         before the freshly spawned child gets its first slice. *)
-      Alcotest.(check (list string))
-        "spawn order respected"
-        [ "parent"; "parent-again"; "child" ]
-        (List.rev !order);
-      0)
-
-let test_uthread_interleaves_with_dtu_work () =
-  (* One thread pings the kernel (a real syscall), the other counts —
-     both multiplexed on one PE, no kernel support needed. *)
-  run_app (fun env ->
-      let sched = Uthread.create env in
-      let syscalls = ref 0 and counted = ref 0 in
-      let _a =
-        Uthread.spawn sched (fun () ->
-            for _ = 1 to 5 do
-              ok (M3.Syscalls.noop env);
-              incr syscalls;
-              Uthread.yield sched
-            done)
-      in
-      let _b =
-        Uthread.spawn sched (fun () ->
-            for _ = 1 to 20 do
-              incr counted;
-              Uthread.yield sched
-            done)
-      in
-      Uthread.run_all sched;
-      check_int "syscalls" 5 !syscalls;
-      check_int "counted" 20 !counted;
-      0)
 
 (* --- pipe data integrity -------------------------------------------------- *)
 
@@ -225,14 +125,6 @@ let tc name f = Alcotest.test_case name `Quick f
 
 let suites =
   [
-    ( "os3.uthread",
-      [
-        tc "round-robin interleaving" test_uthread_round_robin;
-        tc "join and completion" test_uthread_join_and_result;
-        tc "sleep advances simulated time" test_uthread_sleep_advances_time;
-        tc "spawn from a thread" test_uthread_spawn_from_thread;
-        tc "threads interleave with syscalls" test_uthread_interleaves_with_dtu_work;
-      ] );
     ( "os3.pipe_integrity",
       [ QCheck_alcotest.to_alcotest qcheck_pipe_integrity ] );
     ( "os3.pipe_as_file",

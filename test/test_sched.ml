@@ -9,9 +9,10 @@
      zero simulated cycles (a scheduler-less run is byte-identical
      whether or not host code builds a [Sched.t] on the side), and a
      kernel booted WITH a scheduler that no one uses changes no
-     behavior — same replies, same exit, zero captures and switches
-     (counted as [vpe.suspend], [vpe.resume] and [sched.switch] events
-     in the run's event log);
+     behavior — same replies, same exit, zero captures and restores
+     (counted as [vpe.suspend] and [vpe.resume] events in the run's
+     event log), and a kernel WITHOUT one refuses the scheduler's
+     queries at once;
    - reclamation: suspend/resume leaks no capabilities or endpoint
      bookkeeping, and a crash-abort of a VPE parked off its PE still
      tears everything down;
@@ -212,14 +213,13 @@ let test_no_scheduler_is_byte_identical () =
   ignore (Sched.suspend s ~vpe:1);
   check_int "fresh scheduler counted nothing" 0 plain.o_suspends;
   let with_values = run_scenario ~with_sched:false ~suspend_mid:false () in
-  check_int "still counted nothing" 0 (count "sched.switch" with_values.o_mem);
   check_bool "log not empty" true (String.length plain.o_log > 0);
   check_string "byte-identical event logs" plain.o_log with_values.o_log;
   check_int "identical final cycle" plain.o_final with_values.o_final
 
 (* The behavioral half: a kernel booted with a scheduler that nobody
    asks to suspend anything must not schedule — same replies, same
-   exit, zero captures, zero switches. (The logs are allowed to
+   exit, zero captures, zero restores. (The logs are allowed to
    differ: placement defensively wipes the DTU suspended flag when a
    scheduler is attached, which is itself a visible ext command.) *)
 let test_unused_scheduler_changes_nothing () =
@@ -229,6 +229,39 @@ let test_unused_scheduler_changes_nothing () =
   check_int "identical exit code" off.o_exit on_.o_exit;
   check_int "zero captures" 0 on_.o_suspends;
   check_int "zero restores" 0 on_.o_resumes
+
+(* Without a scheduler nothing is ever parked: [await_parked] must
+   answer [E_inv_args] at once, as [suspend] and [resume] do, instead
+   of polling until the child dies. *)
+let test_await_parked_without_scheduler () =
+  let engine = Engine.create () in
+  let sys = Bootstrap.start ~no_fs:true engine in
+  let answer = ref (Ok ()) and took = ref (-1) in
+  let exit =
+    Bootstrap.launch sys ~name:"parent" (fun env ->
+        let child =
+          ok
+            (Vpe_api.create env ~name:"sleeper"
+               ~core:M3_hw.Core_type.General_purpose)
+        in
+        ok
+          (Vpe_api.run env child (fun _ ->
+               Process.wait 200_000;
+               0));
+        let t0 = Engine.now engine in
+        answer := Vpe_api.await_parked env child;
+        took := Engine.now engine - t0;
+        ignore (Vpe_api.wait env child);
+        0)
+  in
+  ignore (Engine.run engine);
+  Bootstrap.expect_exit sys exit;
+  check_bool "await_parked answers E_inv_args" true
+    (!answer = Error Errno.E_inv_args);
+  check_bool
+    (Printf.sprintf "within 1,000 cycles (took %d)" !took)
+    true
+    (!took >= 0 && !took < 1_000)
 
 (* --- reclamation ------------------------------------------------------- *)
 
@@ -493,7 +526,7 @@ let show = function
   | Kill v -> Printf.sprintf "kill %d" v
 
 let gp = M3_hw.Core_type.General_purpose
-let cores = M3_hw.Core_type.[ General_purpose; Fft_accelerator; Timer_device ]
+let cores = M3_hw.Core_type.[ General_purpose; Fft_accelerator ]
 
 (* What the test knows without asking [Sched]: the dead VPEs, the
    suspensions it started and the resumes that overtook them, the
@@ -724,6 +757,8 @@ let suites =
           test_no_scheduler_is_byte_identical;
         tc "unused scheduler changes nothing"
           test_unused_scheduler_changes_nothing;
+        tc "await_parked without a scheduler is refused"
+          test_await_parked_without_scheduler;
       ] );
     ( "sched.reclaim",
       [
