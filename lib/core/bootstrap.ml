@@ -44,7 +44,7 @@ let start ?platform_config ?fs ?(fs_instances = 1) ?(no_fs = false) ?obs
       let ring =
         match names with
         | [ _ ] -> None
-        | _ -> Some (Shard.create ~names:(Array.of_list names) ())
+        | _ -> Some (Shard.create ~names:(Array.of_list names))
       in
       List.iteri
         (fun i name ->

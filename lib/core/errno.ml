@@ -21,7 +21,6 @@ type t =
   | E_throttled
   | E_unavailable
   | E_kv_too_large
-  | E_kv_cursor
   | E_dtu of string
 
 let to_string = function
@@ -47,7 +46,6 @@ let to_string = function
   | E_throttled -> "client over rate budget"
   | E_unavailable -> "backend unavailable (breaker open)"
   | E_kv_too_large -> "value exceeds the store's value budget"
-  | E_kv_cursor -> "invalid scan cursor"
   | E_dtu m -> "hardware error: " ^ m
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
@@ -75,7 +73,6 @@ let to_int = function
   | E_throttled -> 20
   | E_unavailable -> 21
   | E_kv_too_large -> 22
-  | E_kv_cursor -> 23
   | E_dtu _ -> 14
 
 let of_int = function
@@ -101,7 +98,6 @@ let of_int = function
   | 20 -> E_throttled
   | 21 -> E_unavailable
   | 22 -> E_kv_too_large
-  | 23 -> E_kv_cursor
   | _ -> E_dtu "remote"
 
 let equal a b = to_int a = to_int b

@@ -46,11 +46,6 @@ type t =
                          single-extent writes so a put is atomic in
                          the crash model, and an oversized value would
                          break that guarantee silently. *)
-  | E_kv_cursor      (** KV scan with a cursor past the end of the
-                         bucket (or otherwise malformed).  Cursors are
-                         plain resumption indices handed out by the
-                         previous page, so a bad one means the caller
-                         lost the pagination protocol. *)
   | E_dtu of string  (** unexpected hardware-level failure *)
 
 val equal : t -> t -> bool

@@ -24,9 +24,11 @@ let hash s =
   let h = h lxor (h lsr 32) in
   h land max_int
 
-let create ~names ?(vnodes = 64) () =
+(* Virtual nodes per shard on the ring. *)
+let vnodes = 64
+
+let create ~names =
   if Array.length names = 0 then invalid_arg "Shard.create: no shard names";
-  if vnodes <= 0 then invalid_arg "Shard.create: vnodes must be positive";
   let points =
     Array.init
       (Array.length names * vnodes)

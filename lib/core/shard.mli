@@ -10,10 +10,10 @@
 
 type t
 
-(** [create ~names ()] builds a ring for the given shard names.
-    [vnodes] is the number of virtual nodes per shard (default 64).
+(** [create ~names] builds a ring for the given shard names, with 64
+    virtual nodes per shard.
     @raise Invalid_argument if [names] is empty. *)
-val create : names:string array -> ?vnodes:int -> unit -> t
+val create : names:string array -> t
 
 val shards : t -> int
 

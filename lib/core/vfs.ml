@@ -67,7 +67,7 @@ let mount_sharded env ~path ~services =
           {
             sh_services;
             sh_mounts = Array.map (fun _ -> None) sh_services;
-            sh_ring = Shard.create ~names:sh_services ();
+            sh_ring = Shard.create ~names:sh_services;
             sh_cache = None;
             sh_cache_on = false;
           } )

@@ -294,17 +294,6 @@ let deliver_message t ~dst_ep ~(header : Header.t) ~payload ~msg =
     obs_drop t ~ep:dst_ep ~src_pe:header.sender_pe ~msg ~reason:"suspended";
     Rejected "suspended"
   end
-  else if
-    M3_fault.Plan.enabled (faults t)
-    && header.checksum <> Header.payload_checksum payload
-  then begin
-    t.msgs_dropped <- t.msgs_dropped + 1;
-    obs_drop t ~ep:dst_ep ~src_pe:header.sender_pe ~msg ~reason:"corrupt";
-    Log.warn (fun m ->
-        m "pe%d ep%d: dropped message from pe%d (checksum mismatch)" t.pe dst_ep
-          header.sender_pe);
-    Rejected "corrupt"
-  end
   else
     match
       if dst_ep < 0 || dst_ep >= Array.length t.eps then S_invalid
@@ -362,9 +351,8 @@ let deliver_message t ~dst_ep ~(header : Header.t) ~payload ~msg =
       Rejected "no recv ep"
 
 (* Failures that can clear on their own (transient loss, a momentarily
-   full ringbuffer, corruption) are worth retransmitting; a message
-   that does not fit the channel, or a target without a DTU, never
-   improves. *)
+   full ringbuffer) are worth retransmitting; a message that does not
+   fit the channel, or a target without a DTU, never improves. *)
 let retryable = function
   | "oversize" | "no recv ep" | "no dtu" -> false
   | _ -> true
@@ -392,28 +380,18 @@ let rec transmit t ~dst_pe ~dst_ep ~(header : Header.t) ~payload ~msg ~attempt =
       ~on_deliver:(fun () ->
         handle_failure t ~dst_pe ~dst_ep ~header ~payload ~msg ~attempt reason)
   in
-  let deliver payload =
-    match t.dtu_of dst_pe with
-    | Some dst when not dst.failed -> (
-      match deliver_message dst ~dst_ep ~header ~payload ~msg with
-      | Accepted -> ()
-      | Rejected reason -> nack reason)
-    | Some _ | None ->
-      (* A crashed DTU is indistinguishable from a missing one. *)
-      t.msgs_dropped <- t.msgs_dropped + 1;
-      nack "no dtu"
-  in
   Fabric.transfer ~msg t.fabric ~src:t.pe ~dst:dst_pe ~bytes:wire
-    ~on_fault:(fun fault ->
-      match fault with
-      | Fabric.Lost reason -> nack reason
-      | Fabric.Corrupted ->
-        (* Damage a copy; the receiving DTU's checksum check turns the
-           corruption into a NACK. *)
-        let damaged = Bytes.copy payload in
-        M3_fault.Plan.corrupt_bytes (faults t) damaged;
-        deliver damaged)
-    ~on_deliver:(fun () -> deliver payload)
+    ~on_drop:(fun () -> nack "drop")
+    ~on_deliver:(fun () ->
+      match t.dtu_of dst_pe with
+      | Some dst when not dst.failed -> (
+        match deliver_message dst ~dst_ep ~header ~payload ~msg with
+        | Accepted -> ()
+        | Rejected reason -> nack reason)
+      | Some _ | None ->
+        (* A crashed DTU is indistinguishable from a missing one. *)
+        t.msgs_dropped <- t.msgs_dropped + 1;
+        nack "no dtu")
 
 and handle_failure t ~dst_pe ~dst_ep ~(header : Header.t) ~payload ~msg ~attempt
     reason =
@@ -425,7 +403,7 @@ and handle_failure t ~dst_pe ~dst_ep ~(header : Header.t) ~payload ~msg ~attempt
   if plan_retry || (reason = "suspended" && attempt < suspend_max_retries)
   then begin
     let backoff =
-      if plan_retry then M3_fault.Plan.backoff plan ~attempt
+      if plan_retry then M3_fault.Plan.backoff ~attempt
       else suspend_backoff ~attempt
     in
     let obs = Fabric.obs t.fabric in
@@ -484,11 +462,11 @@ and retransmit_suspended t ~dst_pe ~dst_ep ~(header : Header.t) ~payload ~msg
     | S_park _ | S_invalid | S_recv _ | S_mem _ ->
       transmit t ~dst_pe ~dst_ep ~header ~payload ~msg ~attempt
 
-(* DTU command acceptance: the fixed decode latency, plus any stall or
-   permanent crash an attached fault plan injects. A crash marks the
-   whole PE dead — the DTU stops accepting deliveries and ext commands
-   — and kills the program mid-command by raising [Process.Killed], so
-   the victim never reaches its normal exit path; only the kernel's
+(* DTU command acceptance: the fixed decode latency, plus any permanent
+   crash an attached fault plan schedules. A crash marks the whole PE
+   dead — the DTU stops accepting deliveries and ext commands — and
+   kills the program mid-command by raising [Process.Killed], so the
+   victim never reaches its normal exit path; only the kernel's
    heartbeat prober can discover it. *)
 let accept_command t =
   Process.wait cmd_latency;
@@ -501,13 +479,6 @@ let accept_command t =
       if Obs.enabled obs then Obs.emit obs (Event.Fault_pe_crash { pe = t.pe });
       Log.warn (fun m -> m "pe%d: PE crashed (fault plan)" t.pe);
       raise Process.Killed
-    end;
-    let extra = M3_fault.Plan.stall plan ~pe:t.pe in
-    if extra > 0 then begin
-      let obs = Fabric.obs t.fabric in
-      if Obs.enabled obs then
-        Obs.emit obs (Event.Fault_stall { pe = t.pe; cycles = extra });
-      Process.wait extra
     end
   end
 
@@ -557,10 +528,6 @@ let rec send ?(block = true) t ~ep ~payload ?reply () =
             reply_label;
             has_reply;
             is_reply = false;
-            checksum =
-              (if M3_fault.Plan.enabled (faults t) then
-                 Header.payload_checksum payload
-               else 0);
           }
         in
         let obs = Fabric.obs t.fabric in
@@ -606,10 +573,6 @@ let reply t ~ep ~slot ~payload =
           reply_label = 0L;
           has_reply = false;
           is_reply = true;
-          checksum =
-            (if M3_fault.Plan.enabled (faults t) then
-               Header.payload_checksum payload
-             else 0);
         }
       in
       (* Replying acks the slot: the reply info must not be reusable. *)
@@ -805,7 +768,6 @@ type ext_action =
   | Config of int * Endpoint.config
   | Invalidate of int
   | Set_privileged of bool
-  | Raw_write of int * Bytes.t
   | Raw_read of int * int
   | Reset
   | Suspend
@@ -831,9 +793,6 @@ let apply_ext t ~from_privileged action =
       Ok Bytes.empty
     | Set_privileged v ->
       t.privileged <- v;
-      Ok Bytes.empty
-    | Raw_write (addr, data) ->
-      Store.write_bytes t.spm ~addr data ~pos:0 ~len:(Bytes.length data);
       Ok Bytes.empty
     | Raw_read (addr, len) -> Ok (Store.read_bytes t.spm ~addr ~len)
     | Reset ->
@@ -919,13 +878,6 @@ let ext_set_privileged t ~target v =
   unit_result
     (ext_command t ~target ~wire_out:ext_cmd_bytes ~wire_back:request_bytes
        (Set_privileged v))
-
-let ext_write t ~target ~addr ~payload =
-  unit_result
-    (ext_command t ~target
-       ~wire_out:(ext_cmd_bytes + Bytes.length payload)
-       ~wire_back:request_bytes
-       (Raw_write (addr, Bytes.copy payload)))
 
 let ext_read t ~target ~addr ~len =
   ext_command t ~target ~wire_out:ext_cmd_bytes ~wire_back:(request_bytes + len)

@@ -136,11 +136,6 @@ val ext_invalidate : t -> target:int -> ep:int -> (unit, Dtu_error.t) result
     privilege flag of the target DTU. *)
 val ext_set_privileged : t -> target:int -> bool -> (unit, Dtu_error.t) result
 
-(** [ext_write t ~target ~addr ~payload] writes raw bytes into the
-    target PE's SPM (used by the kernel for application loading). *)
-val ext_write :
-  t -> target:int -> addr:int -> payload:Bytes.t -> (unit, Dtu_error.t) result
-
 (** [ext_read t ~target ~addr ~len] reads raw bytes from the target
     PE's SPM. *)
 val ext_read :
@@ -241,10 +236,11 @@ val failed : t -> bool
 val msgs_sent : t -> int
 val msgs_received : t -> int
 
-(** [msgs_dropped t] counts rejected deliveries (ringbuffer overruns,
-    oversize, unconfigured endpoint, checksum mismatch) plus in-flight
-    losses injected by a fault plan — 0 when senders respect their
-    credits and no plan is attached. *)
+(** [msgs_dropped t] counts deliveries this DTU rejected (ringbuffer
+    full, oversize, no receive endpoint, suspended) plus its sends
+    that found no live DTU at the target. Losses a fault plan injects
+    in flight are not counted here: they show as {!retransmits} or
+    {!msgs_expired}. *)
 val msgs_dropped : t -> int
 
 (** [credits_refunded t] counts send credits handed back by the NACK

@@ -9,24 +9,12 @@ type t = {
   reply_label : int64;
   has_reply : bool;
   is_reply : bool;
-  checksum : int;
 }
 
 let size = 32
 
 let flag_has_reply = 1
 let flag_is_reply = 2
-
-(* FNV-1a folded to 32 bits: a cheap end-to-end integrity check for
-   injected corruption, not a cryptographic digest. The sending DTU
-   stores 0 when no fault plan is attached, which keeps the serialized
-   header bit-identical to the pre-checksum wire format. *)
-let payload_checksum payload =
-  let h = ref 0x811c9dc5 in
-  Bytes.iter
-    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xffffffff)
-    payload;
-  !h
 
 let write store ~addr h =
   Store.write_u32 store ~addr h.length;
@@ -41,7 +29,8 @@ let write store ~addr h =
   Store.write_i64 store ~addr:(addr + 8) h.label;
   Store.write_i64 store ~addr:(addr + 16) h.reply_label;
   Store.write_u32 store ~addr:(addr + 24) h.sender_pe;
-  Store.write_u32 store ~addr:(addr + 28) h.checksum
+  (* Bytes 28-31 are reserved. *)
+  Store.write_u32 store ~addr:(addr + 28) 0
 
 let read store ~addr =
   let length = Store.read_u32 store ~addr in
@@ -55,5 +44,4 @@ let read store ~addr =
     sender_pe = Store.read_u32 store ~addr:(addr + 24);
     has_reply = flags land flag_has_reply <> 0;
     is_reply = flags land flag_is_reply <> 0;
-    checksum = Store.read_u32 store ~addr:(addr + 28);
   }

@@ -16,16 +16,11 @@ type t = {
   reply_label : int64; (** label carried by the reply *)
   has_reply : bool;    (** whether a reply is permitted *)
   is_reply : bool;     (** whether this message itself is a reply *)
-  checksum : int;      (** payload integrity check; 0 = unchecked *)
 }
 
-(** Bytes a header occupies on the wire and in a ringbuffer slot. *)
+(** Bytes a header occupies on the wire and in a ringbuffer slot; the
+    last four are reserved and written as zero. *)
 val size : int
-
-(** [payload_checksum payload] is the 32-bit integrity checksum the
-    sending DTU stamps into {!field-checksum} when a fault plan is
-    attached (FNV-1a; 0 is reserved for "unchecked"). *)
-val payload_checksum : Bytes.t -> int
 
 (** [write store ~addr h] serializes [h] into a store. *)
 val write : M3_mem.Store.t -> addr:int -> t -> unit

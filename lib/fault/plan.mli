@@ -2,10 +2,10 @@
 
     A plan is a seeded stream of fault decisions that the NoC fabric
     and DTUs consult at well-defined points: once per message transfer
-    (drop / corrupt / deliver) and once per DTU command (stall). All
-    randomness comes from one {!M3_sim.Rng} seeded at [create] time, so
-    the same seed over the same workload reproduces the exact same
-    fault schedule and final cycle counts.
+    (drop or deliver) and once per DTU command (crash). All randomness
+    comes from one {!M3_sim.Rng} seeded at [create] time, so the same
+    seed over the same workload reproduces the exact same fault
+    schedule and final cycle counts.
 
     Like the observability bus, the subsystem is zero-cost when
     disabled: {!none} answers [enabled = false] and every injection
@@ -14,82 +14,53 @@
 
 type t
 
-type config = {
-  drop_prob : float;  (** probability a message transfer is silently dropped *)
-  link_fault_prob : float;
-      (** probability of a link transient fault (a second, independently
-          drawn drop cause — modelled as a lost packet) *)
-  corrupt_prob : float;  (** probability a delivered payload is corrupted *)
-  stall_prob : float;  (** probability a DTU command stalls its PE *)
-  stall_cycles : int;  (** maximum extra cycles of an injected stall *)
-  crash_prob : float;
-      (** probability a DTU command permanently kills its PE (core and
-          DTU stop answering — unlike [stall], a crash never recovers) *)
-  crashes : (int * int) list;
-      (** explicit crash schedule: [(pe, after)] kills [pe] on its
-          [after]-th accepted DTU command. Checked without consuming
-          RNG draws, so adding an entry does not perturb the
-          drop/stall stream. Each PE crashes at most once. *)
-  max_retries : int;  (** retransmit attempts before the DTU gives up *)
-  retry_base : int;  (** backoff is [retry_base * 2^attempt] cycles *)
-}
-
-(** Drops only, no corruption or stalls: 5% drop, 1% link fault,
-    4 retries with a 64-cycle base backoff. *)
-val default_config : config
-
-(** The disabled plan: [enabled] is [false], [xfer_outcome] always
-    delivers, [stall] is always 0. *)
+(** The disabled plan: [enabled] is [false], [drop_now] and
+    [crash_now] are always [false]. *)
 val none : t
 
-val create : ?config:config -> seed:int -> unit -> t
+(** [create ?drop ?crashes ?max_retries ~seed ()] is an enabled plan.
+    [drop] (default 0) is the probability a message transfer is
+    silently dropped. [crashes] (default none) is an explicit crash
+    schedule: [(pe, after)] kills [pe] on its [after]-th accepted DTU
+    command; each PE crashes at most once. [max_retries] (default 4)
+    bounds the DTU's retransmit attempts.
+    @raise Invalid_argument on a negative probability or retry count,
+    or a crash entry with a negative PE or [after < 1]. *)
+val create :
+  ?drop:float -> ?crashes:(int * int) list -> ?max_retries:int -> seed:int ->
+  unit -> t
 
 val enabled : t -> bool
 
-val config : t -> config
-
-(** Fate of one message transfer. *)
-type outcome =
-  | Deliver
-  | Drop of string  (** reason, e.g. ["drop"] or ["link fault"] *)
-  | Corrupt
-
-(** [xfer_outcome t ~src ~dst ~bytes] draws the fate of one message
-    transfer from [src] to [dst]. Counts injected faults. *)
-val xfer_outcome : t -> src:int -> dst:int -> bytes:int -> outcome
-
-(** [stall t ~pe] draws an extra stall duration (0 when no stall) for
-    one DTU command on [pe]. *)
-val stall : t -> pe:int -> int
+(** [drop_now t ~src ~dst ~bytes] draws the fate of one message
+    transfer from [src] to [dst]: [true] when the plan drops it. One
+    uniform draw per call, whatever [drop] is, so the schedule is a
+    pure function of the seed and the transfer order. *)
+val drop_now : t -> src:int -> dst:int -> bytes:int -> bool
 
 (** [crash_now t ~pe ~cmd] decides whether [pe] dies on its [cmd]-th
-    accepted DTU command (1-based). A fired crash is permanent and
-    recorded; a PE crashes at most once. *)
+    accepted DTU command (1-based). Checked without consuming RNG
+    draws, so a crash schedule does not perturb the drop stream. A
+    fired crash is permanent and recorded; a PE crashes at most once. *)
 val crash_now : t -> pe:int -> cmd:int -> bool
 
-(** [can_crash t] is true when the plan is enabled and configured with
-    any crash fault at all — the kernel arms its heartbeat prober only
-    then, keeping crash-free plans' cycle counts untouched. *)
+(** [can_crash t] is true when the plan schedules any crash at all —
+    the kernel arms its heartbeat prober only then, keeping crash-free
+    plans' cycle counts untouched. *)
 val can_crash : t -> bool
 
-(** [more_crashes_possible t] is true while another crash could still
-    fire (probabilistic crashes, or unfired schedule entries). *)
+(** [more_crashes_possible t] is true while a schedule entry has not
+    fired yet. *)
 val more_crashes_possible : t -> bool
 
-(** [corrupt_bytes t buf] flips one byte of [buf] in place (no-op on an
-    empty buffer). *)
-val corrupt_bytes : t -> Bytes.t -> unit
-
-(** [backoff t ~attempt] is the retransmit delay in simulated cycles
-    before retry number [attempt] (0-based): [retry_base * 2^attempt]. *)
-val backoff : t -> attempt:int -> int
+(** [backoff ~attempt] is the retransmit delay in simulated cycles
+    before retry number [attempt] (0-based): [64 * 2^attempt]. *)
+val backoff : attempt:int -> int
 
 val max_retries : t -> int
 
 (** Counters of faults injected so far. *)
 
 val drops_injected : t -> int
-
-val corrupts_injected : t -> int
 
 val crashes_injected : t -> int

@@ -60,18 +60,6 @@ let file_seed =
       sd_blocks_per_extent = 256; sd_dir = false };
   ]
 
-(* Crashes only: every other fault class off, so a failure here is
-   attributable to the crash path alone. *)
-let crash_config ~victim_pe ~after =
-  {
-    Plan.default_config with
-    drop_prob = 0.0;
-    link_fault_prob = 0.0;
-    corrupt_prob = 0.0;
-    stall_prob = 0.0;
-    crashes = [ (victim_pe, after) ];
-  }
-
 (* --- roles ----------------------------------------------------------- *)
 
 (* Deterministic PE assignment (lowest free PE wins): kernel = 0;
@@ -199,9 +187,10 @@ let count_events () =
 
 let run_cell ~role ~fs ~victim_pe ~main ~after =
   let engine = Engine.create () in
+  (* Crashes only, no drops: a failure here is attributable to the
+     crash path alone. *)
   let plan =
-    Plan.create
-      ~config:(crash_config ~victim_pe ~after)
+    Plan.create ~crashes:[ (victim_pe, after) ]
       ~seed:(0xC4A5 + (after * 37) + String.length role)
       ()
   in

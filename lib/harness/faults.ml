@@ -19,7 +19,7 @@ let ok = Errno.ok_exn
 type point = {
   p_drop : float;  (* injected drop probability per message transfer *)
   p_cycles : int;  (* measured completion cycles of the workload *)
-  p_injected : int;  (* faults the plan injected (drops + link faults) *)
+  p_injected : int;  (* drops the plan injected *)
   p_retransmits : int;  (* retry attempts summed over all DTUs *)
   p_refunds : int;  (* credits handed back by the NACK path *)
   p_expired : int;  (* messages abandoned after the retry budget *)
@@ -32,18 +32,6 @@ type t = {
 }
 
 let drop_rates = [ 0.0; 0.02; 0.05; 0.10 ]
-
-(* More retries than the default: at a 10% drop rate the workload must
-   ride through thousands of transfers without a single expiry on the
-   kernel path. *)
-let config ~drop =
-  {
-    Plan.default_config with
-    drop_prob = drop *. 0.9;
-    link_fault_prob = drop *. 0.1;
-    max_retries = 6;
-    retry_base = 64;
-  }
 
 let total_bytes = 256 * 1024
 let buf_size = 4096
@@ -120,9 +108,11 @@ let run_point ~exp ~fs ~workload ~index ~drop =
   (* Seed derived from experiment and sweep position only, so the same
      invocation replays the same fault schedule. *)
   let seed = 0xFA17 + (index * 1000) + String.length exp + Char.code exp.[0] in
+  (* More retries than the default: at a 10% drop rate the workload
+     must ride through thousands of transfers without a single expiry
+     on the kernel path. *)
   let plan =
-    if drop = 0.0 then Plan.none
-    else Plan.create ~config:(config ~drop) ~seed ()
+    if drop = 0.0 then Plan.none else Plan.create ~drop ~max_retries:6 ~seed ()
   in
   let retransmits = ref 0 and refunds = ref 0 in
   let expired = ref 0 and dropped = ref 0 in
@@ -144,7 +134,7 @@ let run_point ~exp ~fs ~workload ~index ~drop =
   {
     p_drop = drop;
     p_cycles = measure.Runner.m_cycles;
-    p_injected = Plan.drops_injected plan + Plan.corrupts_injected plan;
+    p_injected = Plan.drops_injected plan;
     p_retransmits = !retransmits;
     p_refunds = !refunds;
     p_expired = !expired;

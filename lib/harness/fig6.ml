@@ -183,7 +183,7 @@ let benches () =
     ("sqlite", trace_bench (fun () -> Workloads.sqlite ~seed:workload_seed));
   ]
 
-let run ?(counts = counts) () =
+let run () =
   List.map
     (fun (name, (pes_per_instance, seeds_of, body)) ->
       (* cat+tr needs two PEs per instance; with 1 instance there is no

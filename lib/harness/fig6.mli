@@ -51,8 +51,7 @@ val run_multi :
   unit ->
   int
 
-(** [run ?counts ()] — [counts] defaults to {!counts}; tests pass a
-    smaller list. *)
-val run : ?counts:int list -> unit -> curve list
+(** [run ()] runs every benchmark at each of {!counts} instances. *)
+val run : unit -> curve list
 
 val print : Format.formatter -> curve list -> unit

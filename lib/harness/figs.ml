@@ -232,18 +232,6 @@ let admission_cell ~workers ~requests ~seed ~low_p99 =
     a_rejected = cr.Pool.cr_rejected;
   }
 
-(* Crashes only, so the run measures the crash path and nothing else
-   (same shape as the crash harness). *)
-let crash_config ~victim_pe ~after =
-  {
-    Plan.default_config with
-    drop_prob = 0.0;
-    link_fault_prob = 0.0;
-    corrupt_prob = 0.0;
-    stall_prob = 0.0;
-    crashes = [ (victim_pe, after) ];
-  }
-
 (* PE layout without fs (lowest free PE wins): kernel 0, client 1,
    dispatcher 2, workers 3..2+n; the replacement lands on 3+n. Killing
    PE 3 kills worker seat 0. *)
@@ -260,10 +248,10 @@ let crash_cell ~workers ~requests ~seed =
   let healthy_cr, _ =
     run_pool ~label:"crash-healthy" ~cfg ~schedule:(schedule_of seed) ()
   in
+  (* Crashes only, so the run measures the crash path and nothing
+     else. *)
   let plan =
-    Plan.create
-      ~config:(crash_config ~victim_pe:crash_victim_pe ~after:40)
-      ~seed:(seed lxor 0xC4A5) ()
+    Plan.create ~crashes:[ (crash_victim_pe, 40) ] ~seed:(seed lxor 0xC4A5) ()
   in
   let degraded_cr, degraded_st =
     run_pool ~plan ~label:"crash-degraded" ~cfg ~schedule:(schedule_of seed) ()

@@ -385,16 +385,6 @@ let knee_cell ~keys ~requests ~seed =
 let crash_victim_pe = 5
 let crash_workers = 4
 
-let crash_config ~victim_pe ~after =
-  {
-    Plan.default_config with
-    drop_prob = 0.0;
-    link_fault_prob = 0.0;
-    corrupt_prob = 0.0;
-    stall_prob = 0.0;
-    crashes = [ (victim_pe, after) ];
-  }
-
 let crash_cell ~keys ~requests ~seed =
   let store = Store.create ~config:(store_config ~keys) ~name:"kv" () in
   let rng = Rng.create ~seed in
@@ -406,9 +396,7 @@ let crash_cell ~keys ~requests ~seed =
     Kv_load.assign_keys ~rng ~sample:(Kv_load.zipf_keys ~n:keys ~theta) schedule
   in
   let plan =
-    Plan.create
-      ~config:(crash_config ~victim_pe:crash_victim_pe ~after:40)
-      ~seed:(seed lxor 0xC4A5) ()
+    Plan.create ~crashes:[ (crash_victim_pe, 40) ] ~seed:(seed lxor 0xC4A5) ()
   in
   let cfg = Pool.default_config ~name:"kvcrash" ~workers:crash_workers () in
   let cr, st, _ =

@@ -2,8 +2,8 @@
     the bursty and closed-loop load models.
 
     Not a figure from the paper — the capstone experiment for the
-    service stack this repository grew around §5: a get/put/delete/scan
-    store whose state is ordinary m3fs files spread over shard mounts,
+    service stack this repository grew around §5: a get/put store
+    whose state is ordinary m3fs files spread over shard mounts,
     served by {!M3_serve.Pool} workers behind the admission gateway.
     Four cells:
 

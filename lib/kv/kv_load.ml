@@ -23,23 +23,19 @@ let op_mix ~reads ~writes : Load.mix =
 
 let read_heavy = op_mix ~reads:9 ~writes:1
 
-let rekey op key =
-  match (op : Kv_wire.op) with
-  | Kv_wire.Get _ -> Kv_wire.Get { key }
-  | Kv_wire.Put { len; _ } -> Kv_wire.Put { key; len }
-  | Kv_wire.Delete _ -> Kv_wire.Delete { key }
-  | Kv_wire.Scan _ as s -> s
+let rekey arg key =
+  Kv_wire.pack
+    (match Kv_wire.unpack arg with
+    | Kv_wire.Get _ -> Kv_wire.Get { key }
+    | Kv_wire.Put { len; _ } -> Kv_wire.Put { key; len })
 
 let assign_keys ~rng ~sample schedule =
   Array.map
     (fun (a : Load.arrival) ->
       match a.Load.req.Wire.rk with
-      | Wire.Kv arg -> (
-        match Kv_wire.unpack arg with
-        | Kv_wire.Scan _ -> a
-        | op ->
-          let arg = Kv_wire.pack (rekey op (sample rng)) in
-          { a with Load.req = { a.Load.req with Wire.rk = Wire.Kv arg } })
+      | Wire.Kv arg ->
+        let arg = rekey arg (sample rng) in
+        { a with Load.req = { a.Load.req with Wire.rk = Wire.Kv arg } }
       | _ -> a)
     schedule
 
@@ -54,10 +50,7 @@ let closed_kinds ~rng ~sample ~mix ~count =
   done;
   for i = 0 to count - 1 do
     match kinds.(i) with
-    | Wire.Kv arg -> (
-      match Kv_wire.unpack arg with
-      | Kv_wire.Scan _ -> ()
-      | op -> kinds.(i) <- Wire.Kv (Kv_wire.pack (rekey op (sample rng))))
+    | Wire.Kv arg -> kinds.(i) <- Wire.Kv (rekey arg (sample rng))
     | _ -> ()
   done;
   fun seq -> kinds.(seq mod count)

@@ -5,10 +5,10 @@
     {!op_mix} emits placeholder ops (key 0), so a schedule's arrival
     times, client ids and read/write pattern are fully drawn before
     {!assign_keys} stamps keys from the tail of the Rng stream — one
-    draw per get/put/delete, none for scans. Swapping the key
-    distribution (uniform ↔ Zipf) therefore never perturbs the
-    schedule shape, and schedules drawn before key assignment are
-    byte-identical to runs without it. *)
+    draw per get or put. Swapping the key distribution (uniform ↔
+    Zipf) therefore never perturbs the schedule shape, and schedules
+    drawn before key assignment are byte-identical to runs without
+    it. *)
 
 (** A key-index distribution: one draw per keyed operation. *)
 type sampler = M3_sim.Rng.t -> int
@@ -28,10 +28,9 @@ val op_mix : reads:int -> writes:int -> M3_serve.Load.mix
 
 val read_heavy : M3_serve.Load.mix  (** 90% get / 10% put *)
 
-(** [assign_keys ~rng ~sample schedule] rewrites every keyed KV op's
-    key with one [sample] draw, in schedule order; scans and non-KV
-    requests pass through untouched (and burn no draw). Returns a
-    fresh array. *)
+(** [assign_keys ~rng ~sample schedule] rewrites every KV op's key
+    with one [sample] draw, in schedule order; non-KV requests pass
+    through untouched (and burn no draw). Returns a fresh array. *)
 val assign_keys :
   rng:M3_sim.Rng.t ->
   sample:sampler ->

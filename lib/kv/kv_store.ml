@@ -17,9 +17,6 @@ type config = {
   keys : int;
   value_len : int;
   value_max : int;
-  scan_limit : int;
-  cache : bool;
-  op_cycles : int;
 }
 
 let default_config =
@@ -28,16 +25,14 @@ let default_config =
     keys = 128;
     value_len = 64;
     value_max = 1024;
-    scan_limit = 8;
-    cache = true;
-    op_cycles = 300;
   }
+
+(* Application compute charged per operation. *)
+let op_cycles = 300
 
 type stats = {
   mutable k_gets : int;
   mutable k_puts : int;
-  mutable k_deletes : int;
-  mutable k_scans : int;
   mutable k_applied : int;
   mutable k_dup_skips : int;
   mutable k_misses : int;
@@ -65,8 +60,6 @@ let create ?(config = default_config) ~name () =
       {
         k_gets = 0;
         k_puts = 0;
-        k_deletes = 0;
-        k_scans = 0;
         k_applied = 0;
         k_dup_skips = 0;
         k_misses = 0;
@@ -121,16 +114,15 @@ let parse_header s =
 
 (* --- per-VPE init -------------------------------------------------------- *)
 
-(* Executing VPEs (pool workers, the preloading client) mount the shard set themselves; the store only flips their
-   mount to coherent caching, once per VPE — hot keys then exercise
-   the mount cache and its invalidation protocol under skew. *)
+(* Executing VPEs (pool workers, the preloading client) mount the
+   shard set themselves; the store only flips their mount to coherent
+   caching, once per VPE — hot keys then exercise the mount cache and
+   its invalidation protocol under skew. *)
 let ensure_init env t =
-  if t.cfg.cache then begin
-    let uid = env.Env.uid in
-    if not (Hashtbl.mem t.inited uid) then begin
-      Hashtbl.replace t.inited uid ();
-      ignore (Vfs.enable_cache env ~path:"/")
-    end
+  let uid = env.Env.uid in
+  if not (Hashtbl.mem t.inited uid) then begin
+    Hashtbl.replace t.inited uid ();
+    ignore (Vfs.enable_cache env ~path:"/")
   end
 
 (* --- operations ---------------------------------------------------------- *)
@@ -141,7 +133,7 @@ let emit env t ~op ~bucket ~dup =
     Obs.emit obs
       (Event.Kv_op { pe = M3_hw.Pe.id env.Env.pe; store = t.name; op; bucket; dup })
 
-let read_file env _t ~path ~max =
+let read_file env ~path ~max =
   match Vfs.open_ env path ~flags:Fs_proto.o_read with
   | Error e -> Error e
   | Ok f ->
@@ -152,7 +144,7 @@ let read_file env _t ~path ~max =
 let get env t key =
   t.st.k_gets <- t.st.k_gets + 1;
   let bucket = bucket_of_key t key in
-  match read_file env t ~path:(path_of_key t key)
+  match read_file env ~path:(path_of_key t key)
           ~max:(header_len + t.cfg.value_max) with
   | Error Errno.E_not_found ->
     t.st.k_misses <- t.st.k_misses + 1;
@@ -176,7 +168,7 @@ let put env t ~seq key value =
        never host state: a re-execution on any worker, before or after
        a restart, reaches the same verdict deterministically. *)
     let stored =
-      match read_file env t ~path:(path_of_key t key) ~max:header_len with
+      match read_file env ~path:(path_of_key t key) ~max:header_len with
       | Ok s -> (match parse_header s with Some (st, _) -> Some st | None -> None)
       | Error _ -> None
     in
@@ -212,54 +204,12 @@ let put env t ~seq key value =
           Kv_wire.P_done))
   end
 
-let delete env t key =
-  t.st.k_deletes <- t.st.k_deletes + 1;
-  let bucket = bucket_of_key t key in
-  emit env t ~op:"delete" ~bucket ~dup:false;
-  match Vfs.unlink env (path_of_key t key) with
-  | Ok () -> Kv_wire.P_done
-  | Error e -> Kv_wire.P_err e
-
-let scan env t ~bucket ~cursor ~limit =
-  t.st.k_scans <- t.st.k_scans + 1;
-  if bucket < 0 || bucket >= t.cfg.buckets || cursor < 0 then
-    Kv_wire.P_err Errno.E_inv_args
-  else begin
-    emit env t ~op:"scan" ~bucket ~dup:false;
-    let dir = bucket_dir bucket in
-    let limit =
-      if limit <= 0 then t.cfg.scan_limit else min limit t.cfg.scan_limit
-    in
-    let rec page idx acc =
-      if idx - cursor >= limit then Ok (List.rev acc, idx, true)
-      else
-        match Vfs.readdir env dir ~index:idx with
-        | Error e -> Error e
-        | Ok None -> Ok (List.rev acc, idx, false)
-        | Ok (Some (name, _)) -> page (idx + 1) (name :: acc)
-    in
-    match page cursor [] with
-    | Error e -> Kv_wire.P_err e
-    | Ok ([], _, false) when cursor > 0 ->
-      (* Past the end: the previous page said [more = false]; a caller
-         still resuming lost the pagination protocol. *)
-      Kv_wire.P_err Errno.E_kv_cursor
-    | Ok (keys, next, true) -> (
-      (* A full page must still answer [more] honestly: probe one
-         entry past it (dir-cache cheap) so the exact-boundary page
-         does not promise a phantom continuation. *)
-      match Vfs.readdir env dir ~index:next with
-      | Ok (Some _) -> Kv_wire.P_page { keys; next; more = true }
-      | Ok None | Error _ -> Kv_wire.P_page { keys; next; more = false })
-    | Ok (keys, next, more) -> Kv_wire.P_page { keys; next; more }
-  end
-
 (* Values are generated, not carried: [len = 0] (or the generated
    length) writes [value_of key seq]; any other length writes that
    many bytes, so an oversized [len] reaches the [value_max] check. *)
 let exec env t ~seq (op : Kv_wire.op) =
   ensure_init env t;
-  Env.charge env Account.App t.cfg.op_cycles;
+  Env.charge env Account.App op_cycles;
   match op with
   | Kv_wire.Get { key } -> get env t (key_of_index t key)
   | Kv_wire.Put { key; len } ->
@@ -271,14 +221,12 @@ let exec env t ~seq (op : Kv_wire.op) =
       else v
     in
     put env t ~seq key value
-  | Kv_wire.Delete { key } -> delete env t (key_of_index t key)
-  | Kv_wire.Scan { bucket; cursor; limit } -> scan env t ~bucket ~cursor ~limit
 
 (* --- pool adapter --------------------------------------------------------- *)
 
 let errno_of_resp = function
   | Kv_wire.P_err e -> e
-  | Kv_wire.P_value _ | Kv_wire.P_done | Kv_wire.P_page _ -> Errno.E_ok
+  | Kv_wire.P_value _ | Kv_wire.P_done -> Errno.E_ok
 
 let pool_exec t =
   fun env ~seq arg ->
@@ -308,7 +256,7 @@ let prepare env t =
         match put env t ~seq:(-1) key (value_of t ~key ~seq:(-1)) with
         | Kv_wire.P_done -> load (i + 1)
         | Kv_wire.P_err e -> Error e
-        | Kv_wire.P_value _ | Kv_wire.P_page _ -> Error Errno.E_inv_args
+        | Kv_wire.P_value _ -> Error Errno.E_inv_args
     in
     load 0
 

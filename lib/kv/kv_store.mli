@@ -1,4 +1,4 @@
-(** The KV store proper: get/put/delete/scan over keys persisted as
+(** The KV store proper: get/put over keys persisted as
     one m3fs file per key, sharded across bucket directories.
 
     The store object itself is {e host-side} configuration plus
@@ -20,19 +20,16 @@
     sequence number for the crash cell's gate (zero double-applies).
 
     Executing VPEs mount the shard set themselves; {!exec} flips each
-    VPE's mount to coherent caching on first use (when [cache] is
-    set), so hot keys under Zipfian skew are served from the mount
-    cache and cross-VPE overwrites exercise its invalidation
-    protocol. *)
+    VPE's mount to coherent caching on first use, so hot keys under
+    Zipfian skew are served from the mount cache and cross-VPE
+    overwrites exercise its invalidation protocol. Every operation
+    charges 300 cycles of application compute. *)
 
 type config = {
   buckets : int;     (** bucket directories; must divide keys sensibly *)
   keys : int;        (** preloaded keyspace size for {!prepare} *)
   value_len : int;   (** generated-value length on the packed plane *)
   value_max : int;   (** puts beyond this answer [E_kv_too_large] *)
-  scan_limit : int;  (** hard page-size cap for {!scan} *)
-  cache : bool;      (** enable the coherent mount cache per VPE *)
-  op_cycles : int;   (** application compute charged per operation *)
 }
 
 val default_config : config
@@ -40,8 +37,6 @@ val default_config : config
 type stats = {
   mutable k_gets : int;
   mutable k_puts : int;
-  mutable k_deletes : int;
-  mutable k_scans : int;
   mutable k_applied : int;    (** puts that wrote (incl. preload) *)
   mutable k_dup_skips : int;  (** puts skipped by the dedup header *)
   mutable k_misses : int;     (** gets answering [E_not_found] *)

@@ -184,11 +184,7 @@ let pure_latency t ~src ~dst ~bytes =
     + serialization t (last_chunk + packet_header_bytes)
   end
 
-type fault =
-  | Lost of string
-  | Corrupted
-
-let transfer ?(msg = 0) ?on_fault t ~src ~dst ~bytes ~on_deliver =
+let transfer ?(msg = 0) ?on_drop t ~src ~dst ~bytes ~on_deliver =
   if bytes < 0 then invalid_arg "Fabric.transfer: negative size";
   let now = Engine.now t.engine in
   if src = dst then begin
@@ -196,15 +192,12 @@ let transfer ?(msg = 0) ?on_fault t ~src ~dst ~bytes ~on_deliver =
     Engine.schedule t.engine ~delay:1 on_deliver
   end
   else begin
-    (* Faults are drawn only for transfers whose issuer can react to
-       them ([on_fault] given, i.e. the DTU message path) and only when
+    (* Drops are drawn only for transfers whose issuer can react to
+       them ([on_drop] given, i.e. the DTU message path) and only when
        a plan is attached — otherwise this is the exact pre-existing
        delivery path. *)
-    let outcome =
-      match on_fault with
-      | Some _ when M3_fault.Plan.enabled t.faults ->
-        M3_fault.Plan.xfer_outcome t.faults ~src ~dst ~bytes
-      | _ -> M3_fault.Plan.Deliver
+    let dropped =
+      Option.is_some on_drop && M3_fault.Plan.drop_now t.faults ~src ~dst ~bytes
     in
     let route = route t ~src ~dst in
     let remaining = ref bytes and depart = ref now and arrival = ref now in
@@ -220,23 +213,14 @@ let transfer ?(msg = 0) ?on_fault t ~src ~dst ~bytes ~on_deliver =
       remaining := !remaining - chunk;
       if !remaining <= 0 then continue := false
     done;
-    match (outcome, on_fault) with
-    | M3_fault.Plan.Drop reason, Some fail ->
+    match on_drop with
+    | Some drop when dropped ->
       (* The packets still occupied their links; the loss is observed
          at the would-be arrival time. *)
       if Obs.enabled t.obs then
-        Obs.emit t.obs (Event.Fault_drop { src; dst; bytes; msg; reason });
-      Engine.schedule_at t.engine ~time:!arrival (fun () -> fail (Lost reason))
-    | M3_fault.Plan.Corrupt, Some fail ->
-      if Obs.enabled t.obs then begin
-        Obs.emit t.obs
-          (Event.Noc_xfer
-             { src; dst; bytes; depart = now; arrive = !arrival; msg });
-        Obs.emit t.obs (Event.Fault_corrupt { src; dst; bytes; msg })
-      end;
-      Engine.schedule_at t.engine ~time:!arrival (fun () -> fail Corrupted)
-    | (M3_fault.Plan.Deliver | M3_fault.Plan.Drop _ | M3_fault.Plan.Corrupt), _
-      ->
+        Obs.emit t.obs (Event.Fault_drop { src; dst; bytes; msg });
+      Engine.schedule_at t.engine ~time:!arrival drop
+    | _ ->
       if Obs.enabled t.obs then
         Obs.emit t.obs
           (Event.Noc_xfer

@@ -56,13 +56,6 @@ val faults : t -> M3_fault.Plan.t
 
 val set_faults : t -> M3_fault.Plan.t -> unit
 
-(** What an attached fault plan did to a transfer. *)
-type fault =
-  | Lost of string  (** dropped in flight; the payload never arrives *)
-  | Corrupted
-      (** arrives on time but damaged — the issuer must deliver a
-          corrupted copy so end-to-end checks can catch it *)
-
 (** [transfer t ~src ~dst ~bytes ~on_deliver] injects [bytes] payload
     (plus per-packet header overhead) at node [src] for node [dst] and
     calls [on_deliver ()] at the cycle the last byte arrives at [dst].
@@ -71,15 +64,15 @@ type fault =
     [Noc_xfer]/[Noc_link] events (0 = uncorrelated); it never affects
     timing.
 
-    [?on_fault] opts the transfer into fault injection: when a plan is
-    attached ({!set_faults}) and it faults this transfer, [on_fault] is
+    [?on_drop] opts the transfer into fault injection: when a plan is
+    attached ({!set_faults}) and it drops this transfer, [on_drop] is
     called at the (would-be) arrival cycle {e instead of} [on_deliver].
-    Transfers without [on_fault] — and all transfers when no plan is
+    Transfers without [on_drop] — and all transfers when no plan is
     attached — follow the exact unfaulted path.
     @raise Invalid_argument on a negative byte count or a node out of
     the topology's range. *)
 val transfer :
-  ?msg:int -> ?on_fault:(fault -> unit) -> t -> src:int -> dst:int ->
+  ?msg:int -> ?on_drop:(unit -> unit) -> t -> src:int -> dst:int ->
   bytes:int -> on_deliver:(unit -> unit) -> unit
 
 (** [pure_latency t ~src ~dst ~bytes] is the congestion-free transfer

@@ -250,23 +250,12 @@ let record t ~at (ev : Event.t) =
     let pid = pe_pid t pe in
     ensure_tid t pid tid_core ~name:"core";
     marker t ~pid ~tid:tid_core ~at ~name:"halt" ~cat:"pe" []
-  | Event.Fault_drop { src; dst; bytes; msg; reason } ->
+  | Event.Fault_drop { src; dst; bytes; msg } ->
     let pid = noc_pid t in
     let tid = (src * 100) + dst in
     ensure_tid t pid tid ~name:(Printf.sprintf "xfer %d>%d" src dst);
-    marker t ~pid ~tid ~at ~name:("fault.drop:" ^ reason) ~cat:"fault"
+    marker t ~pid ~tid ~at ~name:"fault.drop:drop" ~cat:"fault"
       (args_of [ ("bytes", bytes); ("msg", msg) ])
-  | Event.Fault_corrupt { src; dst; bytes; msg } ->
-    let pid = noc_pid t in
-    let tid = (src * 100) + dst in
-    ensure_tid t pid tid ~name:(Printf.sprintf "xfer %d>%d" src dst);
-    marker t ~pid ~tid ~at ~name:"fault.corrupt" ~cat:"fault"
-      (args_of [ ("bytes", bytes); ("msg", msg) ])
-  | Event.Fault_stall { pe; cycles } ->
-    let pid = pe_pid t pe in
-    ensure_tid t pid tid_core ~name:"core";
-    slice t ~pid ~tid:tid_core ~ts:at ~dur:cycles ~name:"fault.stall"
-      ~cat:"fault" []
   | Event.Dtu_nack { pe; ep; dst_pe; msg; reason } ->
     let pid = pe_pid t pe in
     let tid = ep_tid t pid ep in
@@ -379,11 +368,17 @@ let record t ~at (ev : Event.t) =
 let sink t =
   { Obs.sink_name = "chrome"; sink_emit = (fun ~at ev -> record t ~at ev) }
 
-let to_string t =
-  Printf.sprintf "{\"traceEvents\":[%s],\"displayTimeUnit\":\"ms\"}"
-    (Buffer.contents t.buf)
+let prefix = "{\"traceEvents\":["
+let suffix = "],\"displayTimeUnit\":\"ms\"}"
 
-let write_channel t oc = output_string oc (to_string t)
+let to_string t = String.concat "" [ prefix; Buffer.contents t.buf; suffix ]
+
+(* Straight from the buffer: a trace of a hundred megabytes is never
+   copied into a string. *)
+let write_channel t oc =
+  output_string oc prefix;
+  Buffer.output_buffer oc t.buf;
+  output_string oc suffix
 
 let write_file t path =
   let oc = open_out path in

@@ -26,7 +26,8 @@ val begin_run : t -> unit
 
 val sink : t -> Obs.sink
 
-(** [to_string t] is the complete JSON document. *)
+(** [to_string t] is the complete JSON document; {!write_file} writes
+    the same bytes without building it. *)
 val to_string : t -> string
 
 val write_file : t -> string -> unit

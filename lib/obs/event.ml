@@ -46,9 +46,7 @@ type t =
   | Pipe_pop of { vpe : int; pe : int; bytes : int }
   | Pe_spawn of { pe : int; name : string }
   | Pe_halt of { pe : int }
-  | Fault_drop of { src : int; dst : int; bytes : int; msg : int; reason : string }
-  | Fault_corrupt of { src : int; dst : int; bytes : int; msg : int }
-  | Fault_stall of { pe : int; cycles : int }
+  | Fault_drop of { src : int; dst : int; bytes : int; msg : int }
   | Dtu_nack of { pe : int; ep : int; dst_pe : int; msg : int; reason : string }
   | Dtu_retry of { pe : int; dst_pe : int; msg : int; attempt : int; backoff : int }
   | Fault_pe_crash of { pe : int }
@@ -97,8 +95,6 @@ let name = function
   | Pe_spawn _ -> "pe.spawn"
   | Pe_halt _ -> "pe.halt"
   | Fault_drop _ -> "fault.drop"
-  | Fault_corrupt _ -> "fault.corrupt"
-  | Fault_stall _ -> "fault.stall"
   | Dtu_nack _ -> "dtu.nack"
   | Dtu_retry _ -> "dtu.retry"
   | Fault_pe_crash _ -> "fault.pe_crash"
@@ -164,11 +160,8 @@ let pp ppf t =
   | Pipe_pop { vpe; pe; bytes } -> f "pipe.pop vpe%d pe%d bytes=%d" vpe pe bytes
   | Pe_spawn { pe; name } -> f "pe.spawn pe%d %s" pe name
   | Pe_halt { pe } -> f "pe.halt pe%d" pe
-  | Fault_drop { src; dst; bytes; msg; reason } ->
-    f "fault.drop %d -> %d bytes=%d msg=%d (%s)" src dst bytes msg reason
-  | Fault_corrupt { src; dst; bytes; msg } ->
-    f "fault.corrupt %d -> %d bytes=%d msg=%d" src dst bytes msg
-  | Fault_stall { pe; cycles } -> f "fault.stall pe%d cycles=%d" pe cycles
+  | Fault_drop { src; dst; bytes; msg } ->
+    f "fault.drop %d -> %d bytes=%d msg=%d (drop)" src dst bytes msg
   | Dtu_nack { pe; ep; dst_pe; msg; reason } ->
     f "dtu.nack pe%d.ep%d <- pe%d msg=%d (%s)" pe ep dst_pe msg reason
   | Dtu_retry { pe; dst_pe; msg; attempt; backoff } ->

@@ -80,12 +80,8 @@ type t =
   | Pipe_pop of { vpe : int; pe : int; bytes : int }
   | Pe_spawn of { pe : int; name : string }
   | Pe_halt of { pe : int }
-  | Fault_drop of { src : int; dst : int; bytes : int; msg : int; reason : string }
+  | Fault_drop of { src : int; dst : int; bytes : int; msg : int }
       (** an attached fault plan dropped this transfer in flight *)
-  | Fault_corrupt of { src : int; dst : int; bytes : int; msg : int }
-      (** an attached fault plan corrupted this transfer's payload *)
-  | Fault_stall of { pe : int; cycles : int }
-      (** an attached fault plan stalled a DTU command on [pe] *)
   | Dtu_nack of { pe : int; ep : int; dst_pe : int; msg : int; reason : string }
       (** sender-side: delivery to [dst_pe] failed and the send credit
           was refunded (the message may still be retransmitted) *)
@@ -142,8 +138,8 @@ type t =
           unit (["worker<i>"] or an m3fs service), [cycles] is the
           swap latency from drain start to the new generation serving *)
   | Kv_op of { pe : int; store : string; op : string; bucket : int; dup : bool }
-      (** store [store] executed a KV operation ([op] one of "get"
-          "put" "delete" "scan") against bucket directory [bucket];
+      (** store [store] executed a KV operation ([op] "get" or
+          "put") against bucket directory [bucket];
           [dup] marks a put skipped by the exactly-once dedup header.
           The event name is [kv.<op>]. *)
 

@@ -179,8 +179,8 @@ let record t (ev : Event.t) =
   | Event.Dtu_receive _ | Event.Syscall_enter _ | Event.Fs_request _
   | Event.Vpe_start _ | Event.Pe_spawn _ | Event.Pe_halt _ | Event.Vpe_crash _
   | Event.Vpe_abort _ | Event.Vpe_restart _ | Event.Kernel_heartbeat _ | Event.Kv_op _
-  | Event.Fs_inval_send _ | Event.Fault_drop _ | Event.Fault_corrupt _ | Event.Fault_stall _
-  | Event.Fault_pe_crash _ | Event.Dtu_nack _ ->
+  | Event.Fs_inval_send _ | Event.Fault_drop _ | Event.Fault_pe_crash _
+  | Event.Dtu_nack _ ->
     ()
 
 let sink t =

@@ -340,15 +340,10 @@ let watchdogs t =
         | Some k ->
           (* Slow is not provably dead: trip the breaker but keep the
              worker, so a half-open probe can test it; the generation
-             bump retires the reply it still owes. After [lethal]
-             trips in a row, replace it. *)
+             bump retires the reply it still owes. *)
           if Gateway.on_timeout k ~now:(now t) then breaker_moved t s Gateway.Open;
           s.gen <- Wire.next_gen s.gen;
-          idle t s;
-          if Gateway.is_lethal k then begin
-            replace t s;
-            Gateway.reset k
-          end);
+          idle t s);
         true
       | _ -> progress)
     false t.seats

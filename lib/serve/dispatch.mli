@@ -12,10 +12,9 @@
     the queue and the worker is replaced on a fresh PE, once per seat.
     With {!Gateway} breakers the expiry trips the seat's breaker
     instead: the worker stays (slow is not provably dead) and is
-    retested by a single half-open probe, replaced only after [lethal]
-    trips in a row; while every live seat cools down, requests
-    fast-fail with [E_unavailable]. Token buckets shed over-budget
-    clients with [E_throttled].
+    retested by a single half-open probe; while every live seat cools
+    down, requests fast-fail with [E_unavailable]. Token buckets shed
+    over-budget clients with [E_throttled].
 
     Every recovery bumps the seat's generation. Completions are
     deduplicated by sequence number, and late replies of retired

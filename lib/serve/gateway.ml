@@ -43,18 +43,16 @@ let take t ~client ~now =
   end
   else false
 
-type breaker_config = {
-  window : int;
-  trip : int;
-  cooldown : int;
-  lethal : int;
-}
+type breaker_config = { cooldown : int }
 
-let breaker ?(window = 200_000) ?(trip = 2) ?(lethal = 0) ~cooldown () =
-  if window < 1 then invalid_arg "Gateway.breaker: window < 1";
-  if trip < 1 then invalid_arg "Gateway.breaker: trip < 1";
+let breaker ~cooldown () =
   if cooldown < 1 then invalid_arg "Gateway.breaker: cooldown < 1";
-  { window; trip; cooldown; lethal }
+  { cooldown }
+
+(* A closed breaker opens on [trip_errors] errors within [window]
+   cycles. *)
+let window = 200_000
+let trip_errors = 2
 
 type phase = Closed | Open | Half_open
 
@@ -68,17 +66,15 @@ type breaker_state = {
   mutable k_phase : phase;
   mutable k_since : int;  (* cycle the current phase was entered *)
   mutable k_errors : int list;  (* error cycles, newest first *)
-  mutable k_strikes : int;  (* consecutive trips without a close *)
 }
 
 let breaker_state cfg =
-  { k_cfg = cfg; k_phase = Closed; k_since = 0; k_errors = []; k_strikes = 0 }
+  { k_cfg = cfg; k_phase = Closed; k_since = 0; k_errors = [] }
 
 let reset t =
   t.k_phase <- Closed;
   t.k_since <- 0;
-  t.k_errors <- [];
-  t.k_strikes <- 0
+  t.k_errors <- []
 
 type verdict = Allow | Probe | Deny
 
@@ -102,8 +98,7 @@ let on_probe t ~now =
 let trip t ~now =
   t.k_phase <- Open;
   t.k_since <- now;
-  t.k_errors <- [];
-  t.k_strikes <- t.k_strikes + 1
+  t.k_errors <- []
 
 let on_error t ~now =
   match t.k_phase with
@@ -113,9 +108,9 @@ let on_error t ~now =
       true
   | Open -> false
   | Closed ->
-      let floor = now - t.k_cfg.window in
+      let floor = now - window in
       t.k_errors <- now :: List.filter (fun c -> c > floor) t.k_errors;
-      if List.length t.k_errors >= t.k_cfg.trip then begin
+      if List.length t.k_errors >= trip_errors then begin
         trip t ~now;
         true
       end
@@ -123,7 +118,7 @@ let on_error t ~now =
 
 let on_timeout t ~now =
   (* A watchdog expiry is conclusive evidence — trip immediately rather
-     than waiting for [trip] occurrences, since each one costs a full
+     than waiting for two errors, since each one costs a full
      watchdog wait. *)
   match t.k_phase with
   | Open -> false
@@ -136,11 +131,8 @@ let on_success t =
   | Half_open ->
       t.k_phase <- Closed;
       t.k_errors <- [];
-      t.k_strikes <- 0;
       true
   | Closed | Open -> false
-
-let is_lethal t = t.k_cfg.lethal > 0 && t.k_strikes >= t.k_cfg.lethal
 
 type config = {
   g_bucket : bucket_config option;

@@ -40,18 +40,12 @@ val take : buckets -> client:int -> now:int -> bool
 
 (** {1 Circuit breakers} *)
 
-type breaker_config = {
-  window : int;  (** error-counting window, cycles *)
-  trip : int;  (** errors within [window] that open the breaker *)
-  cooldown : int;  (** Open dwell before a half-open probe, cycles *)
-  lethal : int;  (** consecutive trips before the seat is replaced;
-                     0 disables replacement *)
-}
+type breaker_config = { cooldown : int }
+(** [cooldown] is the Open dwell before a half-open probe, in cycles. *)
 
-val breaker :
-  ?window:int -> ?trip:int -> ?lethal:int -> cooldown:int -> unit ->
-  breaker_config
-(** Defaults: [window]=200_000, [trip]=2, [lethal]=0. *)
+val breaker : cooldown:int -> unit -> breaker_config
+(** Raises [Invalid_argument] unless [cooldown] is at least 1.  Two
+    errors within 200,000 cycles open a closed breaker. *)
 
 type phase = Closed | Open | Half_open
 
@@ -89,8 +83,8 @@ val on_probe : breaker_state -> now:int -> unit
 
 val on_error : breaker_state -> now:int -> bool
 (** Record a failed request (error reply, send failure).  Returns
-    [true] if this tripped the breaker (Closed with [trip] errors
-    inside [window], or a failed half-open probe). *)
+    [true] if this tripped the breaker (Closed with two errors inside
+    200,000 cycles, or a failed half-open probe). *)
 
 val on_timeout : breaker_state -> now:int -> bool
 (** Record a watchdog expiry.  Trips immediately from [Closed] or
@@ -99,12 +93,7 @@ val on_timeout : breaker_state -> now:int -> bool
 
 val on_success : breaker_state -> bool
 (** Record a successful completion.  Returns [true] iff this closed a
-    half-open breaker (probe succeeded); strikes reset to 0. *)
-
-val is_lethal : breaker_state -> bool
-(** [true] when [lethal] > 0 and the breaker tripped that many times
-    in a row — the pool should stop probing and replace the seat's
-    worker. *)
+    half-open breaker (probe succeeded). *)
 
 (** {1 Gateway config} *)
 

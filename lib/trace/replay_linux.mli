@@ -5,6 +5,6 @@
     pre-boot seeding). *)
 val apply_seeds : M3_linux.Machine.t -> M3.M3fs.seed list -> unit
 
-(** [run machine ?buf_size trace] replays the trace; read/write use
-    [buf_size] chunks (4 KiB — the sweet spot on Linux, §5.4). *)
-val run : M3_linux.Machine.t -> ?buf_size:int -> Trace.t -> unit
+(** [run machine trace] replays the trace; read/write use 4 KiB chunks
+    (the sweet spot on Linux, §5.4). *)
+val run : M3_linux.Machine.t -> Trace.t -> unit

@@ -9,7 +9,10 @@ let ( let* ) r f = match r with Error e -> Error e | Ok v -> f v
 
 let max_slots = 8
 
-let run env ?(buf_size = 4096) trace =
+(* Transfer buffer in the SPM: 4 KiB like the Linux runs. *)
+let buf_size = 4096
+
+let run env trace =
   let buf = Env.alloc_spm env ~size:buf_size in
   let slots = Array.make max_slots None in
   let slot i =

@@ -4,6 +4,6 @@
     on Linux; [T_sendfile] becomes a read/write loop since M3 needs no
     in-kernel copy path. *)
 
-(** [run env ?buf_size trace] — [buf_size] is the transfer buffer in
-    the SPM (4 KiB like the Linux runs by default). *)
-val run : M3.Env.t -> ?buf_size:int -> Trace.t -> (unit, M3.Errno.t) result
+(** [run env trace] replays [trace] through a 4 KiB transfer buffer in
+    the SPM, like the Linux runs. *)
+val run : M3.Env.t -> Trace.t -> (unit, M3.Errno.t) result

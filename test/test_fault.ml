@@ -51,16 +51,9 @@ let credits_of dtu ~ep =
   | _ -> -1
 
 (* A plan whose schedule never injects anything: exercises the
-   plan-enabled code paths (checksums, watchdog arming) without
+   plan-enabled code paths (drop draws, watchdog arming) without
    perturbing the simulation. *)
-let quiet_config =
-  {
-    Plan.default_config with
-    drop_prob = 0.0;
-    link_fault_prob = 0.0;
-    corrupt_prob = 0.0;
-    stall_prob = 0.0;
-  }
+let quiet ~seed = Plan.create ~seed ()
 
 (* --- bugfix 1: dropped deliveries refund the sender's credit --------- *)
 
@@ -299,22 +292,14 @@ let test_no_plan_is_zero_cost () =
   let base_cycles, base_retx, _ = roundtrips ~rounds:10 () in
   check_int "no retransmit machinery without a plan" 0 base_retx;
   (* An attached plan that never fires must not shift time either:
-     checksums and outcome draws are free in simulated cycles. *)
-  let quiet = Plan.create ~config:quiet_config ~seed:3 () in
+     drop draws are free in simulated cycles. *)
+  let quiet = quiet ~seed:3 in
   let quiet_cycles, quiet_retx, _ = roundtrips ~plan:quiet ~rounds:10 () in
   check_int "quiet plan: no retransmits" 0 quiet_retx;
   check_int "quiet plan: identical cycle count" base_cycles quiet_cycles
 
-let lossy_config =
-  {
-    quiet_config with
-    drop_prob = 0.2;
-    max_retries = 8;
-    retry_base = 16;
-  }
-
 let lossy_run ~seed =
-  roundtrips ~plan:(Plan.create ~config:lossy_config ~seed ()) ~rounds:30 ()
+  roundtrips ~plan:(Plan.create ~drop:0.2 ~max_retries:8 ~seed ()) ~rounds:30 ()
 
 let test_seeded_plan_is_deterministic () =
   let c1, r1, e1 = lossy_run ~seed:42 in
@@ -364,9 +349,8 @@ let supervised_run ?faults () =
    cycle with no plan and with a quiet one. *)
 let test_supervision_is_zero_cost () =
   let base = supervised_run () in
-  let quiet = Plan.create ~config:quiet_config ~seed:9 () in
   check_int "quiet plan: identical completion cycle" base
-    (supervised_run ~faults:quiet ())
+    (supervised_run ~faults:(quiet ~seed:9) ())
 
 (* One seeded PE crash mid-workload, full event log captured. Two runs
    with the same seed must produce byte-identical logs — the prober,
@@ -378,8 +362,7 @@ let crash_event_log ~seed =
   Obs.attach obs (Obs.Memory.sink mem);
   (* no_fs placement: main = pe1, worker = pe2; kill the worker's PE
      on its 10th DTU command, deep in the noop loop. *)
-  let config = { quiet_config with crashes = [ (2, 10) ] } in
-  let plan = Plan.create ~config ~seed () in
+  let plan = Plan.create ~crashes:[ (2, 10) ] ~seed () in
   let sys = Bootstrap.start ~no_fs:true ~obs ~faults:plan engine in
   let exit =
     Bootstrap.launch sys ~name:"main" (fun env ->
@@ -410,7 +393,7 @@ let test_seeded_crash_identical_logs () =
 
 let test_dead_service_times_out () =
   let engine = Engine.create () in
-  let plan = Plan.create ~config:quiet_config ~seed:11 () in
+  let plan = quiet ~seed:11 in
   let sys = Bootstrap.start ~no_fs:true ~faults:plan engine in
   ignore
     (Bootstrap.launch sys ~name:"dead-srv" (fun env ->

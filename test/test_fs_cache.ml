@@ -404,7 +404,7 @@ let test_cross_vpe_rename_is_seen () =
 (* Two top-level directories the 2-shard ring assigns to different
    shards (scanned, not hard-coded — same idiom as test_shard). *)
 let disjoint_dirs () =
-  let ring = Shard.create ~names:[| "m3fs.0"; "m3fs.1" |] () in
+  let ring = Shard.create ~names:[| "m3fs.0"; "m3fs.1" |] in
   let dir_of shard =
     let rec scan i =
       if i > 64 then Alcotest.failf "no directory hashing to shard %d" shard
@@ -477,23 +477,11 @@ let test_crash_restart_recovery () =
           | Event.Fs_cache_flush { reason; _ } -> flushes := reason :: !flushes
           | _ -> ());
     };
-  let plan =
-    Plan.create
-      ~config:
-        {
-          Plan.default_config with
-          drop_prob = 0.0;
-          link_fault_prob = 0.0;
-          corrupt_prob = 0.0;
-          stall_prob = 0.0;
-          (* Low crash point: the warm cache means re-opens never reach
-             the server, so its DTU only accepts a handful of commands
-             (session setup, the cold open/close, the uncached stats).
-             10 lands inside the stat loop. *)
-          crashes = [ (1, 10) ];
-        }
-      ~seed:0xF5 ()
-  in
+  (* Low crash point: the warm cache means re-opens never reach the
+     server, so its DTU only accepts a handful of commands (session
+     setup, the cold open/close, the uncached stats). 10 lands inside
+     the stat loop. *)
+  let plan = Plan.create ~crashes:[ (1, 10) ] ~seed:0xF5 () in
   let sys = Bootstrap.start ~no_fs:true ~obs ~faults:plan engine in
   let dram = Platform.dram sys.Bootstrap.platform in
   let fs_config =

@@ -27,6 +27,13 @@ let md5 s = Digest.to_hex (Digest.string s)
 let printed print lazy_result =
   Format.asprintf "%a" print (Lazy.force lazy_result)
 
+(* [swept print results] is what [m3_repro faults] and [m3_repro
+   crash] print for [results]: each one followed by a blank line. *)
+let swept print results =
+  Format.asprintf "%a"
+    (fun ppf -> List.iter (fun r -> Format.fprintf ppf "%a@." print r))
+    results
+
 let fig6x_quick = lazy (Fig6x.run ~quick:true ())
 let figs2_quick = lazy (Figs2.run ~quick:true ())
 
@@ -52,6 +59,15 @@ let golden =
         Figs.to_json (Lazy.force Test_serve.figs_quick));
     ("figS2 --quick JSON", "71ead41236aa34f022db871e8a8be04b", fun () ->
         Figs2.to_json (Lazy.force figs2_quick));
+    ("faults sweep", "869c72268b16330777906ddc8be6bf21", fun () ->
+        swept Faults.print (List.map Faults.run Faults.names));
+    ("crash sweep", "c2b82d989d607898558470e3c9d38c2a", fun () ->
+        let results = List.map Crash.run Crash.names in
+        swept Crash.print results
+        ^
+        if List.for_all Crash.all_pass results then
+          "crash sweep: all cells passed\n"
+        else "crash sweep: FAILURES (see verdicts above)\n");
   ]
 
 (* [observing attach run] runs [run] with [attach] hooked onto the

@@ -1,7 +1,8 @@
 (* Regression tests for the KV service tier PR:
 
-   - the packed u64 ops round-trip (field-width boundaries included)
-     and the new KV errnos survive their integer encoding,
+   - the packed u64 ops round-trip (field-width boundaries included),
+     op codes no operation uses are refused by the unpacker and by
+     the pool adapter, and the KV errno survives its integer encoding,
    - [Kv_load.zipf_keys] is a pure function of its Rng (same seed,
      same draws) and actually skews (key 0 hottest), and
      [assign_keys] never perturbs a schedule's shape — arrival times,
@@ -12,8 +13,7 @@
      any worker (or test) can compute placement without coordination,
    - the store's durable header makes puts exactly-once under
      at-least-once dispatch: a replayed put is a dup-skip, never a
-     second apply; scan paginates exactly and a stale cursor answers
-     [E_kv_cursor]; an oversized value answers [E_kv_too_large],
+     second apply; an oversized value answers [E_kv_too_large],
    - an application that merely constructs KV values (stores,
      schedules, packed ops) but starts nothing pays zero simulated
      cycles: its event log is byte-identical to an oblivious run,
@@ -51,9 +51,6 @@ let test_pack_round_trip () =
       Kv_wire.Get { key = 0xFFFFFF };
       Kv_wire.Put { key = 1; len = 992 };
       Kv_wire.Put { key = 0xFFFFFF; len = 0xFFFFFF };
-      Kv_wire.Delete { key = 42 };
-      Kv_wire.Scan { bucket = 0; cursor = 0; limit = 0 };
-      Kv_wire.Scan { bucket = 3; cursor = 0xFFFF; limit = 0xFF };
     ]
 
 let test_pack_validates () =
@@ -64,17 +61,41 @@ let test_pack_validates () =
       | _ -> Alcotest.fail (name ^ ": oversized field was packed"))
     [
       ("oversized key", Kv_wire.Get { key = 0x1_000_000 });
-      ("negative key", Kv_wire.Delete { key = -1 });
-      ("oversized cursor", Kv_wire.Scan { bucket = 0; cursor = 0x10000; limit = 1 });
-      ("oversized limit", Kv_wire.Scan { bucket = 0; cursor = 0; limit = 256 });
+      ("negative key", Kv_wire.Put { key = -1; len = 0 });
+      ("oversized len", Kv_wire.Put { key = 0; len = 0x1_000_000 });
     ]
 
 let test_kv_errnos_encode () =
+  check_bool "E_kv_too_large survives its integer encoding" true
+    (Errno.of_int (Errno.to_int Errno.E_kv_too_large) = Errno.E_kv_too_large)
+
+(* Op codes 2 and 3 name no operation: the unpacker refuses them, and
+   the pool adapter answers [E_inv_args] before touching the store. *)
+let test_malformed_ops_refused () =
+  let args = List.map (fun code -> (code lsl 48) lor (5 lsl 24)) [ 2; 3 ] in
+  List.iter
+    (fun arg ->
+      match Kv_wire.unpack arg with
+      | exception Invalid_argument _ -> ()
+      | op -> Alcotest.failf "%#x unpacked as a %s" arg (Kv_wire.op_name op))
+    args;
+  let engine = Engine.create () in
+  let sys = Bootstrap.start ~no_fs:true engine in
+  let store = Store.create ~name:"kv" () in
+  let answers = ref [] in
+  let exit =
+    Bootstrap.launch sys ~name:"app" (fun env ->
+        answers := List.map (Store.pool_exec store env ~seq:1) args;
+        0)
+  in
+  ignore (Engine.run engine);
+  Bootstrap.expect_exit sys exit;
+  check_int "one answer per op" 2 (List.length !answers);
   List.iter
     (fun e ->
-      check_bool (Errno.to_string e ^ " survives its integer encoding") true
-        (Errno.of_int (Errno.to_int e) = e))
-    [ Errno.E_kv_too_large; Errno.E_kv_cursor ]
+      check_string "pool_exec answer" (Errno.to_string Errno.E_inv_args)
+        (Errno.to_string e))
+    !answers
 
 (* --- key distribution ---------------------------------------------------- *)
 
@@ -103,7 +124,7 @@ let test_uniform_keys_cover () =
   Array.iter (fun k -> freq.(k) <- freq.(k) + 1) ks;
   Array.iter (fun c -> check_bool "every key drawn" true (c > 0)) freq
 
-(* [assign_keys] must only rewrite the keys of keyed KV ops: arrival
+(* [assign_keys] must only rewrite the keys of KV ops: arrival
    times, client ids, sequence numbers and the operation kinds
    themselves are those of the unkeyed schedule, byte for byte. *)
 let test_assign_keys_does_not_perturb () =
@@ -127,14 +148,11 @@ let test_assign_keys_does_not_perturb () =
       match (a.Load.req.Wire.rk, b.Load.req.Wire.rk) with
       | Wire.Kv pa, Wire.Kv pb -> (
         match (Kv_wire.unpack pa, Kv_wire.unpack pb) with
-        | Kv_wire.Get _, Kv_wire.Get { key } | Kv_wire.Delete _, Kv_wire.Delete { key }
-          ->
+        | Kv_wire.Get _, Kv_wire.Get { key } ->
           check_bool "key in range" true (key >= 0 && key < 32)
         | Kv_wire.Put { len = la; _ }, Kv_wire.Put { key; len = lb } ->
           check_int "same value length" la lb;
           check_bool "key in range" true (key >= 0 && key < 32)
-        | Kv_wire.Scan _, Kv_wire.Scan _ ->
-          check_int "scans pass through untouched" pa pb
         | _ -> Alcotest.fail "operation kind changed")
       | ra, rb ->
         check_bool "non-KV requests pass through untouched" true (ra = rb))
@@ -229,38 +247,6 @@ let test_put_too_large () =
       | Kv_wire.P_err Errno.E_kv_too_large -> ()
       | _ -> Alcotest.fail "oversized put was not refused")
 
-(* Scan pages through a bucket exactly: every preloaded key of the
-   bucket appears once, the last page says [more = false], and
-   resuming past the end answers [E_kv_cursor]. *)
-let test_scan_paginates () =
-  run_store ~config:small_config (fun env store ->
-      let expected = ref [] in
-      for i = 0 to small_config.Store.keys - 1 do
-        let key = Store.key_of_index store i in
-        if Store.bucket_of_key store key = 0 then expected := key :: !expected
-      done;
-      let rec pages cursor acc rounds =
-        if rounds > 32 then Alcotest.fail "scan never terminated";
-        match
-          Store.exec env store ~seq:0
-            (Kv_wire.Scan { bucket = 0; cursor; limit = 2 })
-        with
-        | Kv_wire.P_page { keys; next; more } ->
-          check_bool "page within limit" true (List.length keys <= 2);
-          let acc = acc @ keys in
-          if more then pages next acc (rounds + 1) else (acc, next)
-        | _ -> Alcotest.fail "scan failed"
-      in
-      let seen, last = pages 0 [] 0 in
-      check_bool "every key of the bucket, exactly once" true
-        (List.sort compare seen = List.sort compare !expected);
-      match
-        Store.exec env store ~seq:0
-          (Kv_wire.Scan { bucket = 0; cursor = last + 8; limit = 2 })
-      with
-      | Kv_wire.P_err Errno.E_kv_cursor -> ()
-      | _ -> Alcotest.fail "stale cursor was not refused")
-
 (* --- zero-cost guard ----------------------------------------------------- *)
 
 (* Constructing KV values — a store object, a keyed schedule, packed
@@ -331,6 +317,7 @@ let suites =
         tc' "packed ops round-trip" test_pack_round_trip;
         tc' "packed ops validate widths" test_pack_validates;
         tc' "kv errnos encode" test_kv_errnos_encode;
+        tc' "malformed ops stay refused" test_malformed_ops_refused;
       ] );
     ( "kv.load",
       [
@@ -344,7 +331,6 @@ let suites =
         tc' "placement is stable" test_placement_is_stable;
         tc "put is exactly-once" `Slow test_put_is_exactly_once;
         tc "oversized put refused" `Slow test_put_too_large;
-        tc "scan paginates" `Slow test_scan_paginates;
         tc' "kv off, no cost" test_kv_off_is_zero_cost;
         tc "figS2 cell deterministic" `Slow test_figs2_cell_is_deterministic;
       ] );

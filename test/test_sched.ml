@@ -339,18 +339,7 @@ let test_abort_of_suspended_vpe () =
 let b_sel = 3001
 
 let isolation ~b_gate () =
-  let quiet =
-    M3_fault.Plan.create ~seed:5
-      ~config:
-        {
-          M3_fault.Plan.default_config with
-          drop_prob = 0.0;
-          link_fault_prob = 0.0;
-          corrupt_prob = 0.0;
-          stall_prob = 0.0;
-        }
-      ()
-  in
+  let quiet = M3_fault.Plan.create ~seed:5 () in
   let engine, mem, sys = logged_system ~faults:quiet ~with_sched:true () in
   let k = sys.Bootstrap.kernel in
   let recv_gate cenv ~sel =

@@ -47,7 +47,7 @@ let test_top_component () =
   Alcotest.(check string) "root" "" (Shard.top_component "/")
 
 let test_single_shard_owner_is_zero () =
-  let ring = Shard.create ~names:[| "m3fs" |] () in
+  let ring = Shard.create ~names:[| "m3fs" |] in
   List.iter
     (fun p -> check_int ("owner of " ^ p) 0 (Shard.owner ring ~path:p))
     [ "/"; "/a"; "/i13/deep/file"; "x" ]
@@ -60,7 +60,7 @@ let test_ring_balance () =
   List.iter
     (fun shards ->
       let names = Array.init shards (Printf.sprintf "m3fs.%d") in
-      let ring = Shard.create ~names () in
+      let ring = Shard.create ~names in
       check_int "shards" shards (Shard.shards ring);
       let load = Array.make shards 0 in
       for i = 0 to 15 do
@@ -78,8 +78,8 @@ let test_ring_balance () =
     [ 2; 4 ]
 
 let test_owner_is_deterministic () =
-  let ring1 = Shard.create ~names:[| "m3fs.0"; "m3fs.1"; "m3fs.2" |] () in
-  let ring2 = Shard.create ~names:[| "m3fs.0"; "m3fs.1"; "m3fs.2" |] () in
+  let ring1 = Shard.create ~names:[| "m3fs.0"; "m3fs.1"; "m3fs.2" |] in
+  let ring2 = Shard.create ~names:[| "m3fs.0"; "m3fs.1"; "m3fs.2" |] in
   for i = 0 to 31 do
     let p = Printf.sprintf "/dir%d/f" i in
     check_int ("stable owner of " ^ p) (Shard.owner ring1 ~path:p)
@@ -169,7 +169,7 @@ let test_duplicate_service_name_is_e_exists () =
    different shards; found by scanning so the test does not bake in
    hash values. *)
 let disjoint_dirs () =
-  let ring = Shard.create ~names:[| "m3fs.0"; "m3fs.1" |] () in
+  let ring = Shard.create ~names:[| "m3fs.0"; "m3fs.1" |] in
   let dir_of shard =
     let rec scan i =
       if i > 64 then Alcotest.failf "no directory hashing to shard %d" shard
