@@ -150,7 +150,7 @@ let demo_cmd =
     setup_logs verbose;
     let engine = M3_sim.Engine.create () in
     let sys = M3.Bootstrap.start engine in
-    let exit =
+    let status =
       M3.Bootstrap.launch sys ~name:"demo" (fun env ->
           M3.Errno.ok_exn (M3.Vfs.mount_root env);
           let file =
@@ -172,10 +172,14 @@ let demo_cmd =
           0)
     in
     let cycles = M3_sim.Engine.run engine in
-    match M3_sim.Process.Ivar.peek exit with
+    match M3_sim.Process.Ivar.peek status with
     | Some 0 -> Format.fprintf ppf "demo completed after %d cycles@." cycles
-    | Some c -> Format.fprintf ppf "demo FAILED with code %d@." c
-    | None -> Format.fprintf ppf "demo did not terminate@."
+    | Some c ->
+      Format.fprintf ppf "demo FAILED with code %d@." c;
+      exit 1
+    | None ->
+      Format.fprintf ppf "demo did not terminate@.";
+      exit 1
   in
   let doc = "Boot the system and exercise the filesystem once." in
   Cmd.v (Cmd.info "demo" ~doc) Term.(const demo $ verbose)
@@ -315,7 +319,7 @@ let stats_cmd =
     let engine = M3_sim.Engine.create () in
     let sys = M3.Bootstrap.start engine in
     (* A small workload so the counters have something to say. *)
-    let exit =
+    let status =
       M3.Bootstrap.launch sys ~name:"workload" (fun env ->
           M3.Errno.ok_exn (M3.Vfs.mount_root env);
           let f =
@@ -331,9 +335,9 @@ let stats_cmd =
           0)
     in
     let cycles = M3_sim.Engine.run engine in
-    (match M3_sim.Process.Ivar.peek exit with
-    | Some 0 -> ()
-    | _ -> Format.fprintf ppf "warning: workload did not finish cleanly@.");
+    let clean = M3_sim.Process.Ivar.peek status = Some 0 in
+    if not clean then
+      Format.fprintf ppf "warning: workload did not finish cleanly@.";
     let platform = sys.M3.Bootstrap.platform in
     Format.fprintf ppf
       "Counters after writing a 256 KiB file (%d simulated cycles):@." cycles;
@@ -355,7 +359,8 @@ let stats_cmd =
           Format.fprintf ppf
             "  pe%-3d dtu: %4d msgs out, %4d in, %d dropped, %8d B read, %8d B written@."
             (M3_hw.Pe.id pe) sent recv dropped rd wr)
-      (M3_hw.Platform.pes platform)
+      (M3_hw.Platform.pes platform);
+    if not clean then exit 1
   in
   let doc = "Run a small workload and dump hardware/OS counters." in
   Cmd.v (Cmd.info "stats" ~doc) Term.(const stats $ const ())

@@ -14,10 +14,8 @@ module R = Msgbuf.R
 type 'a result_ = ('a, Errno.t) result
 
 type mount = {
-  (* session plumbing; mutable so a crash-restarted service can be
-     re-attached in place (the handles keep pointing at this mount) *)
-  mutable m_sess_sel : int;
-  mutable m_sgate : Gate.send_gate;
+  m_sess_sel : int;
+  m_sgate : Gate.send_gate;
   m_reply : Gate.recv_gate;
   m_service : string;
   mutable m_append_blocks : int;
@@ -28,9 +26,6 @@ type mount = {
   mutable m_dir_cache : (string * int * (string * int) list) option;
   (* mount cache; [None] = caching off, the seed's exact behavior *)
   mutable m_cache : Fs_cache.t option;
-  mutable m_notify_label : int64;
-  mutable m_notify_sel : int; (* our sgate cap, delegated to the service *)
-  mutable m_session_gen : int; (* bumped on crash-recovery re-mount *)
 }
 
 type extent = Fs_cache.extent = {
@@ -50,7 +45,6 @@ type regular = {
   f_entry : Fs_cache.fentry;
   mutable f_pos : int;
   f_writable : bool;
-  mutable f_sess_gen : int; (* mount generation the fid belongs to *)
 }
 
 type t =
@@ -127,9 +121,6 @@ let mount_m3fs env ~service =
           m_calls = 0;
           m_dir_cache = None;
           m_cache = None;
-          m_notify_label = 0L;
-          m_notify_sel = -1;
-          m_session_gen = 0;
         })
 
 let set_append_blocks m n = if n > 0 then m.m_append_blocks <- n
@@ -173,16 +164,6 @@ let notify_state (env : Env.t) =
       Hashtbl.replace (notify_states env) env.uid ns;
       Ok ns)
 
-let flush_cache (env : Env.t) m ~reason =
-  match m.m_cache with
-  | None -> ()
-  | Some c ->
-    Fs_cache.flush c;
-    m.m_dir_cache <- None;
-    emit env
-      (Event.Fs_cache_flush
-         { pe = Pe.id env.pe; gen = Fs_cache.generation c; reason })
-
 (* Applies one decoded notification to the owning mount's cache. On a
    sequence gap at least one notification was lost — any entry may be
    stale, so the whole mount flushes conservatively. *)
@@ -191,7 +172,12 @@ let apply_notification (env : Env.t) m ~kind ~seq ~ino ~size ~path =
   | None -> ()
   | Some c -> (
     match Fs_cache.note_seq c ~seq with
-    | `Gap -> flush_cache env m ~reason:"gap"
+    | `Gap ->
+      Fs_cache.flush c;
+      m.m_dir_cache <- None;
+      emit env
+        (Event.Fs_cache_flush
+           { pe = Pe.id env.pe; gen = Fs_cache.generation c })
     | `Ok ->
       (match kind with
       | 0 -> ignore (Fs_cache.inval_ino c ~ino ~size)
@@ -199,7 +185,7 @@ let apply_notification (env : Env.t) m ~kind ~seq ~ino ~size ~path =
         ignore (Fs_cache.inval_path c ~path);
         m.m_dir_cache <- None
       | _ ->
-        ignore (Fs_cache.inval_remove c ~ino ~size ~path);
+        ignore (Fs_cache.inval_remove c ~ino ~path);
         m.m_dir_cache <- None);
       let name =
         match kind with 0 -> "ino" | 1 -> "path" | _ -> "both"
@@ -234,11 +220,11 @@ let drain (env : Env.t) m =
       in
       loop ()
 
-(* Registration: delegate our per-mount send gate into the service's
-   capability table ([Delegate_sess]), then hand it the service-side
-   selector over the exchange channel ([Fs_reg_notify]). *)
-let register_notify (env : Env.t) m =
-  match Syscalls.delegate_sess env ~sess_sel:m.m_sess_sel ~own_sel:m.m_notify_sel with
+(* Registration: delegate our per-mount send gate [sel] into the
+   service's capability table ([Delegate_sess]), then hand it the
+   service-side selector over the exchange channel ([Fs_reg_notify]). *)
+let register_notify (env : Env.t) m ~sel =
+  match Syscalls.delegate_sess env ~sess_sel:m.m_sess_sel ~own_sel:sel with
   | Error e -> Error e
   | Ok srv_sel -> (
     let args = W.create () in
@@ -252,7 +238,7 @@ let register_notify (env : Env.t) m =
     | Error e -> Error e
     | Ok _ -> Ok ())
 
-let enable_cache ?config (env : Env.t) m =
+let enable_cache (env : Env.t) m =
   match m.m_cache with
   | Some _ -> Ok () (* already on *)
   | None -> (
@@ -266,59 +252,13 @@ let enable_cache ?config (env : Env.t) m =
       with
       | Error e -> Error e
       | Ok _ -> (
-        m.m_notify_label <- label;
-        m.m_notify_sel <- sel;
-        match register_notify env m with
+        match register_notify env m ~sel with
         | Error e -> Error e
         | Ok () ->
           ns.ns_next_label <- Int64.add label 1L;
           ns.ns_mounts <- (label, m) :: ns.ns_mounts;
-          let c = Fs_cache.create ?config () in
-          Fs_cache.reset_seq c;
-          m.m_cache <- Some c;
+          m.m_cache <- Some (Fs_cache.create ());
           Ok ())))
-
-(* --- crash recovery ------------------------------------------------------ *)
-
-(* A dead service PE surfaces as a DTU failure or a watchdog timeout;
-   anything else is a normal protocol error. *)
-let is_crash = function
-  | Errno.E_dtu _ | Errno.E_timeout | Errno.E_vpe_dead | Errno.E_vpe_gone ->
-    true
-  | _ -> false
-
-(* Data-path faults additionally surface as [E_no_sel]: the crashed
-   service's capability tree was revoked, so activating a cached
-   extent capability hits a hole in our table. *)
-let is_data_fault e = is_crash e || e = Errno.E_no_sel
-
-(* Re-attach a crash-restarted service: flush the cache (its
-   generation bump tells handles their mem capabilities are dead),
-   open a fresh session and re-register the notification channel.
-   Only caching mounts recover — a plain mount keeps the seed's
-   fail-fast behavior. *)
-let recover (env : Env.t) m =
-  match m.m_cache with
-  | None -> Error Errno.E_vpe_dead
-  | Some c -> (
-    flush_cache env m ~reason:"crash";
-    match open_retry env ~service:m.m_service with
-    | Error e -> Error e
-    | Ok (sess_sel, sgate_sel) ->
-      m.m_sess_sel <- sess_sel;
-      m.m_sgate <- Gate.send_gate_of_sel sgate_sel;
-      m.m_session_gen <- m.m_session_gen + 1;
-      Fs_cache.reset_seq c;
-      register_notify env m)
-
-(* Runs [thunk] and, when the service looks dead and this mount
-   caches, recovers once and retries — instead of retry-looping
-   against dead capabilities. *)
-let with_recovery (env : Env.t) m thunk =
-  match thunk () with
-  | Error e when is_crash e && m.m_cache <> None -> (
-    match recover env m with Error e -> Error e | Ok () -> thunk ())
-  | r -> r
 
 (* --- extent cache -------------------------------------------------------- *)
 
@@ -344,14 +284,6 @@ let absorb_extents (f : Fs_cache.fentry) out sels =
     end
   in
   go 0 sels
-
-(* A fid minted by a previous incarnation of the service means
-   nothing to its replacement. *)
-let sync_generation f =
-  if f.f_sess_gen <> f.f_mount.m_session_gen then begin
-    f.f_fid <- None;
-    f.f_sess_gen <- f.f_mount.m_session_gen
-  end
 
 (* Revalidates the size of a held fid over the exchange channel —
    cheaper than a second open, and it does not mint another
@@ -381,7 +313,6 @@ let fstat_fid (env : Env.t) f fid =
    the reply's size is authoritative, which matters after a flush
    marked the entry suspect. *)
 let ensure_fid (env : Env.t) f =
-  sync_generation f;
   match f.f_fid with
   | Some fid when f.f_entry.Fs_cache.fe_valid -> Ok fid
   | Some fid -> fstat_fid env f fid
@@ -398,21 +329,17 @@ let ensure_fid (env : Env.t) f =
      with
     | Error e -> Error e
     | Ok r ->
+      (* a registered session's extras (ino, extent count) stay unread *)
       let fid = R.u64 r in
       let size = R.u64 r in
-      (match mount.m_cache with
-      | Some _ ->
-        (* skip the registered-session extras (ino, extent count) *)
-        ()
-      | None -> ());
       f.f_fid <- Some fid;
       f.f_entry.Fs_cache.fe_size <- size;
       f.f_entry.Fs_cache.fe_valid <- true;
       Ok fid)
 
-(* Asks m3fs for the next batch of extent locations; E_not_found means
-   the file has no more extents. *)
-let fetch_locs env f =
+(* One extent exchange: [xop] with the fid and the words [args], for
+   up to [caps] capabilities; the answer's extents join the entry. *)
+let extent_exchange env f xop ~args ~caps =
   match ensure_fid env f with
   | Error e -> Error e
   | Ok fid -> (
@@ -420,40 +347,29 @@ let fetch_locs env f =
     mount.m_loc_requests <- mount.m_loc_requests + 1;
     mount.m_calls <- mount.m_calls + 1;
     Env.charge env Account.Os Cost_model.file_extent_request;
-    let args = W.create () in
-    W.u8 args (Fs_proto.xop_to_int Fs_proto.Fs_get_locs);
-    W.u64 args fid;
-    W.u64 args f.f_entry.Fs_cache.fe_fetched;
-    W.u64 args mount.m_loc_batch;
+    let w = W.create () in
+    W.u8 w (Fs_proto.xop_to_int xop);
+    W.u64 w fid;
+    List.iter (W.u64 w) args;
     match
-      Syscalls.exchange_sess env ~sess_sel:mount.m_sess_sel
-        ~args:(W.contents args) ~caps:mount.m_loc_batch
+      Syscalls.exchange_sess env ~sess_sel:mount.m_sess_sel ~args:(W.contents w)
+        ~caps
     with
     | Error e -> Error e
     | Ok (out, sels) ->
       absorb_extents f.f_entry out sels;
       Ok ())
 
+(* Asks m3fs for the next batch of extent locations; E_not_found means
+   the file has no more extents. *)
+let fetch_locs env f =
+  let batch = f.f_mount.m_loc_batch in
+  extent_exchange env f Fs_proto.Fs_get_locs
+    ~args:[ f.f_entry.Fs_cache.fe_fetched; batch ] ~caps:batch
+
 let append_alloc env f =
-  match ensure_fid env f with
-  | Error e -> Error e
-  | Ok fid -> (
-    let mount = f.f_mount in
-    mount.m_loc_requests <- mount.m_loc_requests + 1;
-    mount.m_calls <- mount.m_calls + 1;
-    Env.charge env Account.Os Cost_model.file_extent_request;
-    let args = W.create () in
-    W.u8 args (Fs_proto.xop_to_int Fs_proto.Fs_append);
-    W.u64 args fid;
-    W.u64 args mount.m_append_blocks;
-    match
-      Syscalls.exchange_sess env ~sess_sel:mount.m_sess_sel
-        ~args:(W.contents args) ~caps:1
-    with
-    | Error e -> Error e
-    | Ok (out, sels) ->
-      absorb_extents f.f_entry out sels;
-      Ok ())
+  extent_exchange env f Fs_proto.Fs_append
+    ~args:[ f.f_mount.m_append_blocks ] ~caps:1
 
 let locate (f : Fs_cache.fentry) pos =
   List.find_opt
@@ -506,7 +422,6 @@ let open_ env mount path ~flags =
            f_entry = entry;
            f_pos = 0;
            f_writable = false;
-           f_sess_gen = mount.m_session_gen;
          })
   | None ->
     if
@@ -514,59 +429,57 @@ let open_ env mount path ~flags =
       && flags land (Fs_proto.o_create lor Fs_proto.o_trunc lor Fs_proto.o_write)
          = 0
     then cache_miss env "open";
-    with_recovery env mount (fun () ->
-        Env.charge env Account.Os
-          (Cost_model.file_call_overhead + Cost_model.file_meta_client);
-        match
-          call env mount (fun w ->
-              W.u8 w (Fs_proto.op_to_int Fs_proto.Fs_open);
-              W.str w path;
-              W.u64 w flags)
-        with
-        | Error e -> Error e
-        | Ok r ->
-          let fid = R.u64 r in
-          let size = R.u64 r in
-          let size = if flags land Fs_proto.o_trunc <> 0 then 0 else size in
-          (* Creating or truncating through this mount invalidates its
-             own single-entry readdir cache — the server's broadcast
-             deliberately excludes the requester. *)
-          if flags land Fs_proto.o_create <> 0 then mount.m_dir_cache <- None;
-          let entry =
-            match mount.m_cache with
-            | None -> private_entry ~size
-            | Some c ->
-              (* registered sessions get two extra words: ino and
-                 extent count *)
-              let ino = R.u64 r in
-              let nextents = R.u64 r in
-              let now = now_of env in
-              let e = Fs_cache.refresh_file c ~now ~ino ~size in
-              if flags land Fs_proto.o_trunc <> 0 then begin
-                e.Fs_cache.fe_extents <- [];
-                e.Fs_cache.fe_fetched <- 0;
-                e.Fs_cache.fe_alloc_end <- 0
-              end;
-              Fs_cache.insert_attr c ~now ~path
-                {
-                  Fs_proto.st_size = size;
-                  st_is_dir = false;
-                  st_ino = ino;
-                  st_extents = nextents;
-                };
-              e
-          in
-          Ok
-            (Regular
-               {
-                 f_mount = mount;
-                 f_path = path;
-                 f_fid = Some fid;
-                 f_entry = entry;
-                 f_pos = 0;
-                 f_writable = flags land Fs_proto.o_write <> 0;
-                 f_sess_gen = mount.m_session_gen;
-               }))
+    Env.charge env Account.Os
+      (Cost_model.file_call_overhead + Cost_model.file_meta_client);
+    match
+      call env mount (fun w ->
+          W.u8 w (Fs_proto.op_to_int Fs_proto.Fs_open);
+          W.str w path;
+          W.u64 w flags)
+    with
+    | Error e -> Error e
+    | Ok r ->
+      let fid = R.u64 r in
+      let size = R.u64 r in
+      let size = if flags land Fs_proto.o_trunc <> 0 then 0 else size in
+      (* Creating or truncating through this mount invalidates its own
+         single-entry readdir cache — the server's broadcast
+         deliberately excludes the requester. *)
+      if flags land Fs_proto.o_create <> 0 then mount.m_dir_cache <- None;
+      let entry =
+        match mount.m_cache with
+        | None -> private_entry ~size
+        | Some c ->
+          (* registered sessions get two extra words: ino and extent
+             count *)
+          let ino = R.u64 r in
+          let nextents = R.u64 r in
+          let now = now_of env in
+          let e = Fs_cache.refresh_file c ~now ~ino ~size in
+          if flags land Fs_proto.o_trunc <> 0 then begin
+            e.Fs_cache.fe_extents <- [];
+            e.Fs_cache.fe_fetched <- 0;
+            e.Fs_cache.fe_alloc_end <- 0
+          end;
+          Fs_cache.insert_attr c ~now ~path
+            {
+              Fs_proto.st_size = size;
+              st_is_dir = false;
+              st_ino = ino;
+              st_extents = nextents;
+            };
+          e
+      in
+      Ok
+        (Regular
+           {
+             f_mount = mount;
+             f_path = path;
+             f_fid = Some fid;
+             f_entry = entry;
+             f_pos = 0;
+             f_writable = flags land Fs_proto.o_write <> 0;
+           })
 
 let of_pipe_reader r = Pipe_reader r
 let of_pipe_writer w = Pipe_writer w
@@ -577,45 +490,32 @@ let close env t =
   | Pipe_writer w -> Pipe.close_writer env w
   | Regular f -> (
     drain env f.f_mount;
-    sync_generation f;
-    match f.f_fid with
-    | None when not f.f_writable ->
+    let release fid ~final =
+      Env.charge env Account.Os
+        (Cost_model.file_call_overhead + Cost_model.file_meta_client);
+      match
+        call env f.f_mount (fun w ->
+            W.u8 w (Fs_proto.op_to_int Fs_proto.Fs_close);
+            W.u64 w fid;
+            W.u64 w final)
+      with
+      | Error e -> Error e
+      | Ok _ ->
+        f.f_fid <- None;
+        Ok ()
+    in
+    match (f.f_writable, f.f_fid) with
+    | false, None ->
       (* never touched the server; nothing to release *)
       Env.charge env Account.Os Cost_model.file_call_overhead;
       Ok ()
-    | _ ->
-      with_recovery env f.f_mount (fun () ->
-          sync_generation f;
-          match (f.f_writable, f.f_fid) with
-          | false, None ->
-            (* the fid died with the old service incarnation; nothing
-               to release on its replacement *)
-            Ok ()
-          | writable, _ -> (
-            (* a writer must reach the server: close is the commit
-               point that truncates to the real size and broadcasts
-               it, even if that means re-opening after a crash *)
-            match
-              if writable then ensure_fid env f
-              else Ok (Option.get f.f_fid)
-            with
-            | Error e -> Error e
-            | Ok fid ->
-              Env.charge env Account.Os
-                (Cost_model.file_call_overhead + Cost_model.file_meta_client);
-              let final =
-                if writable then f.f_entry.Fs_cache.fe_size else -1
-              in
-              (match
-                 call env f.f_mount (fun w ->
-                     W.u8 w (Fs_proto.op_to_int Fs_proto.Fs_close);
-                     W.u64 w fid;
-                     W.u64 w final)
-               with
-              | Error e -> Error e
-              | Ok _ ->
-                f.f_fid <- None;
-                Ok ()))))
+    | false, Some fid -> release fid ~final:(-1)
+    | true, _ -> (
+      (* a writer must reach the server: close is the commit point that
+         truncates to the real size and broadcasts it *)
+      match ensure_fid env f with
+      | Error e -> Error e
+      | Ok fid -> release fid ~final:f.f_entry.Fs_cache.fe_size))
 
 (* --- read/write -------------------------------------------------------------- *)
 
@@ -629,12 +529,6 @@ let rec read_chunks env f ~local ~len ~done_ =
       let off_in_ext = f.f_pos - x.x_foff in
       let chunk = min remaining (x.x_len - off_in_ext) in
       match Gate.read env x.x_gate ~off:off_in_ext ~local ~len:chunk with
-      | Error err when is_data_fault err && f.f_mount.m_cache <> None -> (
-        (* dead mem capability (service crash-restart revoked it):
-           recover the mount, refetch locations, then resume *)
-        match recover env f.f_mount with
-        | Error e -> Error e
-        | Ok () -> read_chunks env f ~local ~len ~done_)
       | Error e -> Error e
       | Ok () ->
         f.f_pos <- f.f_pos + chunk;
@@ -644,14 +538,9 @@ let rec read_chunks env f ~local ~len ~done_ =
       match fetch_locs env f with
       | Ok () -> read_chunks env f ~local ~len ~done_
       | Error Errno.E_not_found -> Ok done_ (* no more extents *)
-      | Error err when is_data_fault err && f.f_mount.m_cache <> None -> (
-        match recover env f.f_mount with
-        | Error e -> Error e
-        | Ok () -> read_chunks env f ~local ~len ~done_)
       | Error e -> Error e)
 
 let revalidate env f =
-  sync_generation f;
   if f.f_entry.Fs_cache.fe_valid then Ok ()
   else match ensure_fid env f with Error e -> Error e | Ok _ -> Ok ()
 
@@ -689,10 +578,6 @@ let rec write_chunks env f ~local ~len =
       let off_in_ext = f.f_pos - x.x_foff in
       let chunk = min len (x.x_len - off_in_ext) in
       match Gate.write env x.x_gate ~off:off_in_ext ~local ~len:chunk with
-      | Error err when is_data_fault err && f.f_mount.m_cache <> None -> (
-        match recover env f.f_mount with
-        | Error e -> Error e
-        | Ok () -> write_chunks env f ~local ~len)
       | Error e -> Error e
       | Ok () ->
         f.f_pos <- f.f_pos + chunk;
@@ -731,10 +616,6 @@ let size = function
   | Regular f -> f.f_entry.Fs_cache.fe_size
   | Pipe_reader _ | Pipe_writer _ -> 0
 
-let pos = function
-  | Regular f -> f.f_pos
-  | Pipe_reader _ | Pipe_writer _ -> 0
-
 (* --- meta operations ----------------------------------------------------------- *)
 
 let stat env mount path =
@@ -751,38 +632,32 @@ let stat env mount path =
     Ok st
   | None ->
     if mount.m_cache <> None then cache_miss env "attr";
-    with_recovery env mount (fun () ->
-        Env.charge env Account.Os
-          (Cost_model.file_call_overhead + Cost_model.file_meta_client);
-        match
-          call env mount (fun w ->
-              W.u8 w (Fs_proto.op_to_int Fs_proto.Fs_stat);
-              W.str w path)
-        with
-        | Error e -> Error e
-        | Ok r ->
-          let st_size = R.u64 r in
-          let st_is_dir = R.u8 r = 1 in
-          let st_ino = R.u64 r in
-          let st_extents = R.u64 r in
-          let st = { Fs_proto.st_size; st_is_dir; st_ino; st_extents } in
-          (match mount.m_cache with
-          | Some c -> Fs_cache.insert_attr c ~now:(now_of env) ~path st
-          | None -> ());
-          Ok st)
+    Env.charge env Account.Os
+      (Cost_model.file_call_overhead + Cost_model.file_meta_client);
+    match
+      call env mount (fun w ->
+          W.u8 w (Fs_proto.op_to_int Fs_proto.Fs_stat);
+          W.str w path)
+    with
+    | Error e -> Error e
+    | Ok r ->
+      let st_size = R.u64 r in
+      let st_is_dir = R.u8 r = 1 in
+      let st_ino = R.u64 r in
+      let st_extents = R.u64 r in
+      let st = { Fs_proto.st_size; st_is_dir; st_ino; st_extents } in
+      (match mount.m_cache with
+      | Some c -> Fs_cache.insert_attr c ~now:(now_of env) ~path st
+      | None -> ());
+      Ok st
 
 let simple_meta env mount op path =
   drain env mount;
-  with_recovery env mount (fun () ->
-      Env.charge env Account.Os
-        (Cost_model.file_call_overhead + Cost_model.file_meta_client);
-      match
-        call env mount (fun w ->
-            W.u8 w (Fs_proto.op_to_int op);
-            W.str w path)
-      with
-      | Error e -> Error e
-      | Ok r -> Ok r)
+  Env.charge env Account.Os
+    (Cost_model.file_call_overhead + Cost_model.file_meta_client);
+  call env mount (fun w ->
+      W.u8 w (Fs_proto.op_to_int op);
+      W.str w path)
 
 let local_inval (env : Env.t) mount kind =
   if mount.m_cache <> None then
@@ -812,35 +687,10 @@ let unlink env mount path =
       (* registered sessions get the unlinked inode in the reply — the
          broadcast excludes the requester, so it cleans up locally *)
       let ino = R.u64 r in
-      ignore (Fs_cache.inval_remove c ~ino ~size:0 ~path);
+      ignore (Fs_cache.inval_remove c ~ino ~path);
       local_inval env mount "local"
     | None -> ());
     Ok ()
-
-let rename env mount ~src ~dst =
-  drain env mount;
-  with_recovery env mount (fun () ->
-      Env.charge env Account.Os
-        (Cost_model.file_call_overhead + Cost_model.file_meta_client);
-      match
-        call env mount (fun w ->
-            W.u8 w (Fs_proto.op_to_int Fs_proto.Fs_rename);
-            W.str w src;
-            W.str w dst)
-      with
-      | Error e -> Error e
-      | Ok r ->
-        mount.m_dir_cache <- None;
-        (match mount.m_cache with
-        | Some c ->
-          let ino = R.u64 r in
-          let size = R.u64 r in
-          (* the inode keeps its blocks: surviving handles read on *)
-          ignore (Fs_cache.inval_remove c ~ino ~size ~path:src);
-          ignore (Fs_cache.inval_path c ~path:dst);
-          local_inval env mount "local"
-        | None -> ());
-        Ok ())
 
 (* Hot-upgrade barrier: one [Fs_drain] round trip. The service flushes
    every pending invalidation broadcast before its reply leaves the
@@ -849,17 +699,16 @@ let rename env mount ~src ~dst =
    the shard's new generation. *)
 let drain_service env mount =
   drain env mount;
-  with_recovery env mount (fun () ->
-      Env.charge env Account.Os
-        (Cost_model.file_call_overhead + Cost_model.file_meta_client);
-      match
-        call env mount (fun w -> W.u8 w (Fs_proto.op_to_int Fs_proto.Fs_drain))
-      with
-      | Error e -> Error e
-      | Ok r ->
-        let gen = R.u64 r in
-        drain env mount;
-        Ok gen)
+  Env.charge env Account.Os
+    (Cost_model.file_call_overhead + Cost_model.file_meta_client);
+  match
+    call env mount (fun w -> W.u8 w (Fs_proto.op_to_int Fs_proto.Fs_drain))
+  with
+  | Error e -> Error e
+  | Ok r ->
+    let gen = R.u64 r in
+    drain env mount;
+    Ok gen
 
 let service_name mount = mount.m_service
 
@@ -882,29 +731,28 @@ let readdir env mount path ~index =
     Ok (Some entry)
   | None ->
     if mount.m_cache <> None then cache_miss env "dir";
-    with_recovery env mount (fun () ->
-        Env.charge env Account.Os
-          (Cost_model.file_call_overhead + Cost_model.file_meta_client);
-        match
-          call env mount (fun w ->
-              W.u8 w (Fs_proto.op_to_int Fs_proto.Fs_readdir);
-              W.str w path;
-              W.u64 w index)
-        with
-        | Error Errno.E_not_found -> Ok None
-        | Error e -> Error e
-        | Ok r ->
-          let count = R.u64 r in
-          let entries =
-            List.init count (fun _ ->
-                let name = R.str r in
-                let ino = R.u64 r in
-                (name, ino))
-          in
-          mount.m_dir_cache <- Some (path, index, entries);
-          (match entries with
-          | first :: _ -> Ok (Some first)
-          | [] -> Ok None))
+    Env.charge env Account.Os
+      (Cost_model.file_call_overhead + Cost_model.file_meta_client);
+    match
+      call env mount (fun w ->
+          W.u8 w (Fs_proto.op_to_int Fs_proto.Fs_readdir);
+          W.str w path;
+          W.u64 w index)
+    with
+    | Error Errno.E_not_found -> Ok None
+    | Error e -> Error e
+    | Ok r ->
+      let count = R.u64 r in
+      let entries =
+        List.init count (fun _ ->
+            let name = R.str r in
+            let ino = R.u64 r in
+            (name, ino))
+      in
+      mount.m_dir_cache <- Some (path, index, entries);
+      (match entries with
+      | first :: _ -> Ok (Some first)
+      | [] -> Ok None)
 
 (* --- convenience (scratch-buffer copies) ------------------------------------------ *)
 

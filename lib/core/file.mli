@@ -27,15 +27,18 @@ val set_append_blocks : mount -> int -> unit
     fetches (1 in the paper's client). *)
 val set_loc_batch : mount -> int -> unit
 
-(** [enable_cache ?config env m] switches the mount to coherent
-    caching: attrs, extent locations and the memory capabilities
-    wrapping them are kept in a shared {!Fs_cache} across opens, and
-    an invalidation channel is registered with the service — m3fs
-    notifies the mount when another session appends, truncates,
-    creates, removes or renames, and a notification gap or a service
-    crash-restart flushes the cache wholesale. With caching off (the
-    default) every path is byte-identical to the uncached client. *)
-val enable_cache : ?config:Fs_cache.config -> Env.t -> mount -> unit result_
+(** [enable_cache env m] switches the mount to coherent caching:
+    attrs, extent locations and the memory capabilities wrapping them
+    are kept in a shared {!Fs_cache} across opens, and an invalidation
+    channel is registered with the service — m3fs notifies the mount
+    when another session appends, truncates, creates or removes, and a
+    notification gap flushes the cache wholesale. A caching mount does
+    not recover from a service crash: a request that reaches the dead
+    service or one of its revoked extent capabilities fails with its
+    errno, as on a plain mount, while attr and open hits keep answering
+    until their TTL runs out. With caching off (the default) every path
+    is byte-identical to the uncached client. *)
+val enable_cache : Env.t -> mount -> unit result_
 
 (** Cache counters of this mount; [None] with caching off. *)
 val cache_stats : mount -> Fs_cache.stats option
@@ -79,7 +82,6 @@ val write : Env.t -> t -> local:int -> len:int -> unit result_
 val seek : Env.t -> t -> int -> unit result_
 
 val size : t -> int
-val pos : t -> int
 
 (** [close env t] flushes the final size (writers) and releases the
     file id; closing a pipe writer sends end-of-stream. *)
@@ -90,10 +92,6 @@ val close : Env.t -> t -> unit result_
 val stat : Env.t -> mount -> string -> Fs_proto.stat result_
 val mkdir : Env.t -> mount -> string -> unit result_
 val unlink : Env.t -> mount -> string -> unit result_
-
-(** [rename env m ~src ~dst] renames within one mount; the inode and
-    its extents are untouched. [E_exists] if [dst] exists. *)
-val rename : Env.t -> mount -> src:string -> dst:string -> unit result_
 
 (** [readdir env m path ~index] is the [index]-th entry. *)
 val readdir : Env.t -> mount -> string -> index:int -> (string * int) option result_

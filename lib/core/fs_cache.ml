@@ -11,8 +11,7 @@
    Coherence bookkeeping lives here too: the per-session notification
    sequence number (a gap means the service dropped a notification
    and the whole mount must be flushed conservatively) and the cache
-   generation (bumped on wholesale flushes, e.g. after a shard
-   crash-restart revoked every capability the entries wrap). *)
+   generation, bumped on each such flush. *)
 
 type extent = { x_foff : int; x_len : int; x_gate : Gate.mem_gate }
 
@@ -35,28 +34,21 @@ type sentry = {
   mutable se_expire : int;
 }
 
-type config = {
-  c_ttl : int;  (* cycles an untouched entry stays servable *)
-  c_capacity : int;  (* max entries per table before eviction *)
-  c_half_life : int;  (* cycles over which a hit loses half its weight *)
-}
-
-let default_config =
-  { c_ttl = 50_000_000; c_capacity = 64; c_half_life = 1_000_000 }
+let ttl = 50_000_000 (* cycles an untouched entry stays servable *)
+let capacity = 64 (* max entries per table before eviction *)
+let half_life = 1_000_000 (* cycles over which a hit loses half its weight *)
 
 type stats = {
   mutable s_hits : int;
   mutable s_misses : int;
   mutable s_invals : int;
   mutable s_evictions : int;
-  mutable s_flushes : int;
   mutable s_kept : int;
       (* extents preserved across ino invalidations: each one is a
          delegated mem cap the trim saved from re-derivation *)
 }
 
 type t = {
-  cfg : config;
   files : (int, fentry) Hashtbl.t;
   attrs : (string, sentry) Hashtbl.t;
   mutable gen : int;
@@ -64,16 +56,14 @@ type t = {
   stats : stats;
 }
 
-let create ?(config = default_config) () =
+let create () =
   {
-    cfg = config;
     files = Hashtbl.create 16;
     attrs = Hashtbl.create 16;
     gen = 0;
     expected_seq = 0;
     stats =
-      { s_hits = 0; s_misses = 0; s_invals = 0; s_evictions = 0;
-        s_flushes = 0; s_kept = 0 };
+      { s_hits = 0; s_misses = 0; s_invals = 0; s_evictions = 0; s_kept = 0 };
   }
 
 let generation t = t.gen
@@ -81,15 +71,12 @@ let stats t = t.stats
 
 (* Importance = hits halved once per elapsed half-life. Integer
    shifts keep the score exact and the eviction order reproducible. *)
-let score t ~now ~hits ~stamp =
+let score ~now ~hits ~stamp =
   let age = max 0 (now - stamp) in
-  let halvings = min 62 (age / t.cfg.c_half_life) in
+  let halvings = min 62 (age / half_life) in
   hits asr halvings
 
-let touch t ~now ~hits ~stamp ~expire =
-  ignore stamp;
-  ignore expire;
-  (hits + 1, now, now + t.cfg.c_ttl)
+let touch ~now ~hits = (hits + 1, now, now + ttl)
 
 (* {2 File entries} *)
 
@@ -97,7 +84,7 @@ let evict_file t ~now =
   let victim =
     Hashtbl.fold
       (fun ino e acc ->
-        let s = score t ~now ~hits:e.fe_hits ~stamp:e.fe_stamp in
+        let s = score ~now ~hits:e.fe_hits ~stamp:e.fe_stamp in
         match acc with
         | Some (_, best_s, best_ino) when
             best_s < s || (best_s = s && best_ino < ino) ->
@@ -114,9 +101,7 @@ let evict_file t ~now =
 let file_entry t ~now ~ino =
   match Hashtbl.find_opt t.files ino with
   | Some e when now <= e.fe_expire ->
-    let hits, stamp, expire =
-      touch t ~now ~hits:e.fe_hits ~stamp:e.fe_stamp ~expire:e.fe_expire
-    in
+    let hits, stamp, expire = touch ~now ~hits:e.fe_hits in
     e.fe_hits <- hits;
     e.fe_stamp <- stamp;
     e.fe_expire <- expire;
@@ -136,7 +121,7 @@ let insert_file t ~now ~ino ~size =
   (match Hashtbl.find_opt t.files ino with
   | Some _ -> Hashtbl.remove t.files ino
   | None -> ());
-  if Hashtbl.length t.files >= t.cfg.c_capacity then evict_file t ~now;
+  if Hashtbl.length t.files >= capacity then evict_file t ~now;
   let e =
     {
       fe_ino = ino;
@@ -147,7 +132,7 @@ let insert_file t ~now ~ino ~size =
       fe_valid = true;
       fe_hits = 1;
       fe_stamp = now;
-      fe_expire = now + t.cfg.c_ttl;
+      fe_expire = now + ttl;
     }
   in
   Hashtbl.replace t.files ino e;
@@ -163,7 +148,7 @@ let refresh_file t ~now ~ino ~size =
     e.fe_size <- size;
     e.fe_valid <- true;
     e.fe_stamp <- now;
-    e.fe_expire <- now + t.cfg.c_ttl;
+    e.fe_expire <- now + ttl;
     e
   | None -> insert_file t ~now ~ino ~size
 
@@ -173,7 +158,7 @@ let evict_attr t ~now =
   let victim =
     Hashtbl.fold
       (fun path e acc ->
-        let s = score t ~now ~hits:e.se_hits ~stamp:e.se_stamp in
+        let s = score ~now ~hits:e.se_hits ~stamp:e.se_stamp in
         match acc with
         | Some (best_s, best_path) when
             best_s < s || (best_s = s && best_path < path) ->
@@ -190,9 +175,7 @@ let evict_attr t ~now =
 let attr t ~now ~path =
   match Hashtbl.find_opt t.attrs path with
   | Some e when now <= e.se_expire ->
-    let hits, stamp, expire =
-      touch t ~now ~hits:e.se_hits ~stamp:e.se_stamp ~expire:e.se_expire
-    in
+    let hits, stamp, expire = touch ~now ~hits:e.se_hits in
     e.se_hits <- hits;
     e.se_stamp <- stamp;
     e.se_expire <- expire;
@@ -211,11 +194,11 @@ let insert_attr t ~now ~path st =
   | Some e ->
     e.se_stat <- st;
     e.se_stamp <- now;
-    e.se_expire <- now + t.cfg.c_ttl
+    e.se_expire <- now + ttl
   | None ->
-    if Hashtbl.length t.attrs >= t.cfg.c_capacity then evict_attr t ~now;
+    if Hashtbl.length t.attrs >= capacity then evict_attr t ~now;
     Hashtbl.replace t.attrs path
-      { se_stat = st; se_hits = 1; se_stamp = now; se_expire = now + t.cfg.c_ttl }
+      { se_stat = st; se_hits = 1; se_stamp = now; se_expire = now + ttl }
 
 (* {2 Invalidation} *)
 
@@ -259,45 +242,39 @@ let inval_ino t ~ino ~size =
   if !found then t.stats.s_invals <- t.stats.s_invals + 1;
   !found
 
-(* Namespace entry appeared (create/mkdir/rename destination): only
-   attr state can be stale. We cache no negative entries, so dropping
-   any attr under the path is enough; the caller clears its dir
-   cache. *)
+(* Namespace entry appeared (create/mkdir): only attr state can be
+   stale. We cache no negative entries, so dropping any attr under the
+   path is enough; the caller clears its dir cache. *)
 let inval_path t ~path =
   let found = Hashtbl.mem t.attrs path in
   Hashtbl.remove t.attrs path;
   if found then t.stats.s_invals <- t.stats.s_invals + 1;
   found
 
-(* Entry removed (unlink / rename source): the fentry must leave the
-   table — the path is gone and, for an unlink, the inode may be freed
-   and its number reused. [size] distinguishes the two cases on the
-   wire: an unlink sends 0, so handles still holding the record see
-   EOF rather than reading through capabilities to reallocated blocks;
-   a rename source sends the current size — the inode and its blocks
-   are unchanged, so surviving handles keep reading. *)
-let inval_remove t ~ino ~size ~path =
+(* Entry removed (unlink): the fentry must leave the table — the path
+   is gone, the inode may be freed and its number reused. Handles still
+   holding the record are zeroed, so they see EOF rather than reading
+   through capabilities to reallocated blocks. *)
+let inval_remove t ~ino ~path =
   let found = ref (Hashtbl.mem t.attrs path) in
   Hashtbl.remove t.attrs path;
   (match Hashtbl.find_opt t.files ino with
   | Some e ->
     found := true;
-    e.fe_size <- size;
-    if size = 0 then begin
-      e.fe_extents <- [];
-      e.fe_fetched <- 0;
-      e.fe_alloc_end <- 0
-    end;
+    e.fe_size <- 0;
+    e.fe_extents <- [];
+    e.fe_fetched <- 0;
+    e.fe_alloc_end <- 0;
     e.fe_valid <- true;
     Hashtbl.remove t.files ino
   | None -> ());
   if !found then t.stats.s_invals <- t.stats.s_invals + 1;
   !found
 
-(* Wholesale flush: a notification gap or a shard crash-restart means
-   any entry may be stale and any wrapped capability dead. Sizes can
-   no longer be trusted, so surviving handles must revalidate
-   ([fe_valid = false]) before serving size-dependent operations. *)
+(* Wholesale flush: after a notification gap any entry may be stale.
+   Sizes can no longer be trusted, so surviving handles must
+   revalidate ([fe_valid = false]) before serving size-dependent
+   operations. *)
 let flush t =
   Hashtbl.iter
     (fun _ e ->
@@ -308,15 +285,12 @@ let flush t =
     t.files;
   Hashtbl.reset t.files;
   Hashtbl.reset t.attrs;
-  t.gen <- t.gen + 1;
-  t.stats.s_flushes <- t.stats.s_flushes + 1
+  t.gen <- t.gen + 1
 
 (* {2 Notification sequencing} *)
 
-(* A fresh registration (initial, or re-registration with a restarted
-   service) starts its sequence space at zero. *)
-let reset_seq t = t.expected_seq <- 0
-
+(* A fresh cache expects sequence 0, where the service starts a new
+   registration's sequence space. *)
 let note_seq t ~seq =
   if seq = t.expected_seq then begin
     t.expected_seq <- seq + 1;

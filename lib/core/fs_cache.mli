@@ -12,9 +12,9 @@
 
     Coherence state lives here too: the expected notification
     sequence number (a gap ⇒ a dropped notification ⇒ conservative
-    wholesale flush) and the cache generation, bumped on every flush
-    (e.g. after a shard crash-restart revoked the capabilities the
-    cached extents wrap). *)
+    wholesale flush) and the cache generation, bumped on every flush.
+    A notification gap is the only flush: a service crash flushes
+    nothing. *)
 
 type extent = { x_foff : int; x_len : int; x_gate : Gate.mem_gate }
 
@@ -34,20 +34,24 @@ type fentry = {
   mutable fe_expire : int;
 }
 
-type config = {
-  c_ttl : int;  (** cycles an untouched entry stays servable *)
-  c_capacity : int;  (** max entries per table before eviction *)
-  c_half_life : int;  (** cycles over which a hit loses half its weight *)
-}
+(** Cycles an untouched entry stays servable (50 M). A hit refreshes
+    it. It bounds staleness when notifications are lost and no later
+    one reveals the gap. *)
+val ttl : int
 
-val default_config : config
+(** Entries per table before the lowest-importance one is evicted
+    (64). *)
+val capacity : int
+
+(** Idle cycles over which a hit loses half its weight in the eviction
+    score (1 M). *)
+val half_life : int
 
 type stats = {
   mutable s_hits : int;
   mutable s_misses : int;
   mutable s_invals : int;
   mutable s_evictions : int;
-  mutable s_flushes : int;
   mutable s_kept : int;
       (** extents preserved across {!inval_ino} trims — delegated mem
           caps the sharing handles kept using instead of re-deriving
@@ -56,7 +60,7 @@ type stats = {
 
 type t
 
-val create : ?config:config -> unit -> t
+val create : unit -> t
 val generation : t -> int
 val stats : t -> stats
 
@@ -84,25 +88,19 @@ val insert_attr : t -> now:int -> path:string -> Fs_proto.stat -> unit
     committed blocks keep their delegated mem caps, so an in-place
     overwrite from another VPE costs sharing handles zero location
     refetches; only the tail past [size] (append growth, truncation)
-    is dropped. [inval_path] drops an attr entry (create / mkdir /
-    rename destination); [inval_remove] evicts the inode for good
-    (unlink / rename source) — with [size = 0] (unlink) surviving
-    handles are zeroed to EOF, with the current size (rename) they
-    keep reading through their extents. *)
+    is dropped. [inval_path] drops an attr entry (create / mkdir);
+    [inval_remove] evicts the inode and the path for good (unlink) and
+    zeroes surviving handles to EOF. *)
 
 val inval_ino : t -> ino:int -> size:int -> bool
 val inval_path : t -> path:string -> bool
-val inval_remove : t -> ino:int -> size:int -> path:string -> bool
+val inval_remove : t -> ino:int -> path:string -> bool
 
 (** Wholesale flush: drops everything, marks surviving handles
     revalidate-before-use, bumps the generation. *)
 val flush : t -> unit
 
-(** [note_seq t ~seq] advances the expected notification sequence;
-    [`Gap] means at least one notification was dropped and the caller
-    must {!flush}. *)
+(** [note_seq t ~seq] advances the expected notification sequence,
+    which starts at 0 in a fresh cache; [`Gap] means at least one
+    notification was dropped and the caller must {!flush}. *)
 val note_seq : t -> seq:int -> [ `Ok | `Gap ]
-
-(** [reset_seq t] restarts the expected sequence at zero — call when
-    (re-)registering the notification channel with a service. *)
-val reset_seq : t -> unit

@@ -471,32 +471,6 @@ let unlink t path =
         Ok ()
       end)
 
-(* Rename moves a dirent, not data: the inode keeps its number and
-   extents. Regular files only — directory renames would also have to
-   re-anchor shard ownership of everything beneath them. *)
-let rename t ~src ~dst =
-  match lookup_parent t src with
-  | Error e -> Error e
-  | Ok (src_parent, src_name, _) -> (
-    match dir_find t ~dir:src_parent ~name:src_name with
-    | None, _ -> Error Errno.E_not_found
-    | Some (ino, src_slot), _ ->
-      if is_dir t ~ino then Error Errno.E_is_dir
-      else (
-        match lookup_parent t dst with
-        | Error e -> Error e
-        | Ok (dst_parent, dst_name, _) -> (
-          match dir_find t ~dir:dst_parent ~name:dst_name with
-          | Some _, _ -> Error Errno.E_exists
-          | None, _ -> (
-            match dir_add t ~dir:dst_parent ~name:dst_name ~ino with
-            | Error e -> Error e
-            | Ok () ->
-              (* Only after the new entry exists: a failed rename must
-                 leave the file reachable under its old name. *)
-              dirent_write t src_slot ~used:false ~name:"" ~ino:0;
-              Ok ino))))
-
 let stat t ~ino =
   if ino < 0 || ino >= t.inode_count || not (ino_used t ino) then
     Error Errno.E_not_found

@@ -58,11 +58,6 @@ val mkdir : t -> string -> (unit, Errno.t) result
 (** [unlink t path] removes a file or an empty directory. *)
 val unlink : t -> string -> (unit, Errno.t) result
 
-(** [rename t ~src ~dst] moves a regular file's dirent; the inode and
-    its extents stay put. Returns the inode. [E_is_dir] for
-    directories, [E_exists] if [dst] already exists. *)
-val rename : t -> src:string -> dst:string -> (int, Errno.t) result
-
 (** [readdir t ~dir ~index] is the [index]-th live entry; [None] for
     a negative [index]. *)
 val readdir : t -> dir:int -> index:int -> (string * int) option

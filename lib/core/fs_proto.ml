@@ -5,7 +5,6 @@ type op =
   | Fs_mkdir
   | Fs_unlink
   | Fs_readdir
-  | Fs_rename
   | Fs_drain
 
 let op_to_int = function
@@ -15,7 +14,6 @@ let op_to_int = function
   | Fs_mkdir -> 3
   | Fs_unlink -> 4
   | Fs_readdir -> 5
-  | Fs_rename -> 6
   | Fs_drain -> 7
 
 let op_of_int = function
@@ -25,7 +23,6 @@ let op_of_int = function
   | 3 -> Some Fs_mkdir
   | 4 -> Some Fs_unlink
   | 5 -> Some Fs_readdir
-  | 6 -> Some Fs_rename
   | 7 -> Some Fs_drain
   | _ -> None
 
@@ -36,7 +33,6 @@ let op_name = function
   | Fs_mkdir -> "mkdir"
   | Fs_unlink -> "unlink"
   | Fs_readdir -> "readdir"
-  | Fs_rename -> "rename"
   | Fs_drain -> "drain"
 
 type xop =
@@ -92,7 +88,7 @@ let srv_kchannel_slots = 8
 type inval_kind =
   | Inval_ino  (** extent/size change: ino + new size are valid *)
   | Inval_path  (** namespace entry appeared: path is valid *)
-  | Inval_both  (** entry removed/renamed away: ino and path valid *)
+  | Inval_both  (** entry removed (unlink): ino and path valid, size 0 *)
 
 let inval_kind_to_int = function
   | Inval_ino -> 0

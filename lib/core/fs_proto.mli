@@ -14,7 +14,6 @@ type op =
   | Fs_mkdir     (** path → () *)
   | Fs_unlink    (** path → () *)
   | Fs_readdir   (** path, index → name, inode (E_not_found past end) *)
-  | Fs_rename    (** src path, dst path → () (regular files only) *)
   | Fs_drain
       (** () → new generation number.  Hot-upgrade barrier: because it
           travels the session channel, the service flushes every
@@ -22,6 +21,9 @@ type op =
           reply is in hand, no stale-cache window can survive the
           handoff — then bumps its generation counter. *)
 
+(** Codes 0–5 in declaration order, then 7 for [Fs_drain]. Code 6 is
+    unassigned: [op_of_int 6] is [None] and m3fs answers it with
+    [E_inv_args]. *)
 val op_to_int : op -> int
 val op_of_int : int -> op option
 
@@ -80,7 +82,9 @@ val srv_kchannel_slots : int
 type inval_kind =
   | Inval_ino  (** extent/size change: ino + new size are valid *)
   | Inval_path  (** namespace entry appeared: path is valid *)
-  | Inval_both  (** entry removed/renamed away: ino and path valid *)
+  | Inval_both
+      (** entry removed (unlink): ino and path valid; the size word is
+          always 0 *)
 
 val inval_kind_to_int : inval_kind -> int
 

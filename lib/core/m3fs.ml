@@ -110,9 +110,6 @@ let current_image engine = image_of ~engine ~srv_name:program_name
 let open_sessions ~engine ~srv_name =
   Option.map (fun t -> Hashtbl.length t.sessions) (server ~engine ~srv_name)
 
-let generation ~engine ~srv_name =
-  Option.map (fun t -> t.gen) (server ~engine ~srv_name)
-
 let forget ~engine = Hashtbl.reset (servers engine)
 
 let charge_meta t ~scanned =
@@ -324,27 +321,6 @@ let h_unlink t sess r =
     reply_ok (fun w -> if sess.notify <> None then W.u64 w ino)
   | Error e -> reply_err e
 
-let h_rename t sess r =
-  let src = R.str r in
-  let dst = R.str r in
-  charge_meta t ~scanned:4;
-  match Fs_image.rename t.fs ~src ~dst with
-  | Ok ino ->
-    (* The inode and its extents are untouched, so the broadcast
-       carries the current size: receivers unbind [src] and refetch
-       locations, but surviving handles keep reading. *)
-    let size = Fs_image.file_size t.fs ~ino in
-    broadcast_inval t ~except:sess.ident Fs_proto.Inval_both ~ino ~size
-      ~path:src;
-    broadcast_inval t ~except:sess.ident Fs_proto.Inval_path ~ino ~size
-      ~path:dst;
-    reply_ok (fun w ->
-        if sess.notify <> None then begin
-          W.u64 w ino;
-          W.u64 w size
-        end)
-  | Error e -> reply_err e
-
 let h_readdir t r =
   let path = R.str r in
   let index = R.u64 r in
@@ -390,7 +366,6 @@ let handle_client t sess r =
   | Some Fs_proto.Fs_mkdir -> h_mkdir t sess r
   | Some Fs_proto.Fs_unlink -> h_unlink t sess r
   | Some Fs_proto.Fs_readdir -> h_readdir t r
-  | Some Fs_proto.Fs_rename -> h_rename t sess r
   | Some Fs_proto.Fs_drain -> h_drain t sess
   | None -> reply_err Errno.E_inv_args
 
@@ -483,7 +458,7 @@ let h_append t sess r =
           put_cap_descr t w e))
 
 (* Revalidation by fid: a client whose cached size may be stale (after
-   a notification gap or crash flush) asks for the current committed
+   a notification gap flushed its cache) asks for the current committed
    size without a path walk. Exchange-channel reply shape: payload
    bytes + zero capabilities. *)
 let h_fstat t sess r =

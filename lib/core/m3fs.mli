@@ -63,14 +63,8 @@ val image_of : engine:M3_sim.Engine.t -> srv_name:string -> Fs_image.t option
     harness assert that a dead client's session was reaped. *)
 val open_sessions : engine:M3_sim.Engine.t -> srv_name:string -> int option
 
-(** [generation ~engine ~srv_name] — how many {!Fs_proto.Fs_drain}
-    barriers this instance has served ([None] until initialized). The
-    upgrade-under-load harness reads it to assert the shard really
-    turned its generation over. *)
-val generation : engine:M3_sim.Engine.t -> srv_name:string -> int option
-
 (** [forget ~engine] empties [engine]'s table of m3fs instances, so
-    {!image_of}, {!open_sessions} and {!generation} answer [None] for
-    it. Nothing needs it to reclaim memory: the table belongs to the
-    engine and is collected with it. *)
+    {!image_of} and {!open_sessions} answer [None] for it. Nothing
+    needs it to reclaim memory: the table belongs to the engine and is
+    collected with it. *)
 val forget : engine:M3_sim.Engine.t -> unit

@@ -2,9 +2,9 @@
 
     Paths are assigned to an m3fs shard by hashing their first path
     component onto a ring of virtual nodes, so all files under one
-    top-level directory live on one shard (renames and extent sharing
-    within a workload's directory never cross shards) and adding a
-    shard only moves a [1/n] fraction of directories. The ring is a
+    top-level directory live on one shard (extent sharing within a
+    workload's directory never crosses shards) and adding a shard only
+    moves a [1/n] fraction of directories. The ring is a
     pure function of the shard names — clients and [Bootstrap] build
     identical rings independently, with no coordination traffic. *)
 

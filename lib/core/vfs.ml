@@ -13,9 +13,8 @@ type shard_set = {
   sh_services : string array;
   sh_mounts : File.mount option array;
   sh_ring : Shard.t;
-  (* caching policy for this shard set: shard sessions open lazily, so
-     the choice must be remembered and applied at open time *)
-  mutable sh_cache : Fs_cache.config option;
+  (* shard sessions open lazily, so whether they cache must be
+     remembered and applied at open time *)
   mutable sh_cache_on : bool;
 }
 
@@ -68,7 +67,6 @@ let mount_sharded env ~path ~services =
             sh_services;
             sh_mounts = Array.map (fun _ -> None) sh_services;
             sh_ring = Shard.create ~names:sh_services;
-            sh_cache = None;
             sh_cache_on = false;
           } )
       :: s.mounts;
@@ -86,7 +84,7 @@ let shard_mount env sh shard =
       sh.sh_mounts.(shard) <- Some m;
       if not sh.sh_cache_on then Ok m
       else
-        match File.enable_cache ?config:sh.sh_cache env m with
+        match File.enable_cache env m with
         | Ok () -> Ok m
         | Error e -> Error e))
 
@@ -161,33 +159,22 @@ let readdir env path ~index =
   | Error e -> Error e
   | Ok (m, rel) -> File.readdir env m rel ~index
 
-(* Rename stays within one service: m3fs owns both dirents or the
-   operation cannot be atomic. Cross-mount (or cross-shard, where the
-   hash ring puts src and dst on different instances) is rejected. *)
-let rename env ~src ~dst =
-  match (resolve env src, resolve env dst) with
-  | Error e, _ | _, Error e -> Error e
-  | Ok (m_src, rel_src), Ok (m_dst, rel_dst) ->
-    if m_src != m_dst then Error Errno.E_inv_args
-    else File.rename env m_src ~src:rel_src ~dst:rel_dst
-
 (* [enable_cache env ~path] switches the mount entry at prefix [path]
    to coherent caching; for a shard set, already-open shard sessions
    switch now and lazily-opened ones at open time. *)
-let enable_cache ?config env ~path =
+let enable_cache env ~path =
   let path = normalize path in
   match List.assoc_opt path (state env).mounts with
   | None -> Error Errno.E_not_found
-  | Some (Single m) -> File.enable_cache ?config env m
+  | Some (Single m) -> File.enable_cache env m
   | Some (Sharded sh) ->
-    sh.sh_cache <- config;
     sh.sh_cache_on <- true;
     Array.fold_left
       (fun acc m ->
         match (acc, m) with
         | Error e, _ -> Error e
         | Ok (), None -> Ok ()
-        | Ok (), Some m -> File.enable_cache ?config env m)
+        | Ok (), Some m -> File.enable_cache env m)
       (Ok ()) sh.sh_mounts
 
 let entry_mounts = function

@@ -21,9 +21,6 @@ val mount_sharded : Env.t -> path:string -> services:string list -> unit result_
 (** [mount_root env] mounts ["m3fs"] at ["/"]. *)
 val mount_root : Env.t -> unit result_
 
-(** [resolve env path] finds the longest matching mount. *)
-val resolve : Env.t -> string -> (File.mount * string) result_
-
 (** [the_mount env] is the root mount (convenience for tuning knobs
     like {!File.set_append_blocks}). *)
 val the_mount : Env.t -> File.mount result_
@@ -34,16 +31,12 @@ val mkdir : Env.t -> string -> unit result_
 val unlink : Env.t -> string -> unit result_
 val readdir : Env.t -> string -> index:int -> (string * int) option result_
 
-(** [rename env ~src ~dst] renames within one mount (and, under a
-    shard set, one shard — m3fs must own both dirents for atomicity);
-    [E_inv_args] otherwise. *)
-val rename : Env.t -> src:string -> dst:string -> unit result_
-
-(** [enable_cache ?config env ~path] switches the mount entry at
-    prefix [path] (as given to {!mount} / {!mount_sharded}) to
-    coherent caching ({!File.enable_cache}). Shard sessions that open
-    lazily later inherit the setting. *)
-val enable_cache : ?config:Fs_cache.config -> Env.t -> path:string -> unit result_
+(** [enable_cache env ~path] switches the mount entry at prefix
+    [path] (as given to {!mount} / {!mount_sharded}) to coherent
+    caching with {!Fs_cache}'s fixed TTL, capacity and half-life
+    ({!File.enable_cache}). Shard sessions that open lazily later
+    inherit the setting. *)
+val enable_cache : Env.t -> path:string -> unit result_
 
 (** [drain env ~path] runs the hot-upgrade barrier on every shard of
     the mount entry at prefix [path] (as given to {!mount} /

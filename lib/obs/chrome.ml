@@ -208,8 +208,8 @@ let record t ~at (ev : Event.t) =
   | Event.Fs_cache_inval { pe; kind } ->
     marker t ~pid:(pe_pid t pe) ~tid:0 ~at ~name:("fs.cache.inval:" ^ kind)
       ~cat:"fs" []
-  | Event.Fs_cache_flush { pe; gen; reason } ->
-    marker t ~pid:(pe_pid t pe) ~tid:0 ~at ~name:("fs.cache.flush:" ^ reason)
+  | Event.Fs_cache_flush { pe; gen } ->
+    marker t ~pid:(pe_pid t pe) ~tid:0 ~at ~name:"fs.cache.flush:gap"
       ~cat:"fs"
       (args_of [ ("gen", gen) ])
   | Event.Fs_inval_send { pe; srv; session; kind } ->

@@ -37,7 +37,7 @@ type t =
   | Fs_cache_hit of { pe : int; kind : string }
   | Fs_cache_miss of { pe : int; kind : string }
   | Fs_cache_inval of { pe : int; kind : string }
-  | Fs_cache_flush of { pe : int; gen : int; reason : string }
+  | Fs_cache_flush of { pe : int; gen : int }
   | Fs_inval_send of { pe : int; srv : string; session : int; kind : string }
   | Vpe_create of { vpe : int; pe : int; name : string }
   | Vpe_start of { vpe : int; pe : int; name : string }
@@ -149,8 +149,7 @@ let pp ppf t =
   | Fs_cache_hit { pe; kind } -> f "fs.cache.hit pe%d %s" pe kind
   | Fs_cache_miss { pe; kind } -> f "fs.cache.miss pe%d %s" pe kind
   | Fs_cache_inval { pe; kind } -> f "fs.cache.inval pe%d %s" pe kind
-  | Fs_cache_flush { pe; gen; reason } ->
-    f "fs.cache.flush pe%d gen=%d (%s)" pe gen reason
+  | Fs_cache_flush { pe; gen } -> f "fs.cache.flush pe%d gen=%d (gap)" pe gen
   | Fs_inval_send { pe; srv; session; kind } ->
     f "fs.inval.send pe%d %s sess%d %s" pe srv session kind
   | Vpe_create { vpe; pe; name } -> f "vpe.create vpe%d pe%d %s" vpe pe name

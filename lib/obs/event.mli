@@ -67,9 +67,9 @@ type t =
       (** client-side: a notification (or local mutation) dropped or
           refreshed cached state; [kind] is the wire kind ("ino",
           "path", "both") or "local" *)
-  | Fs_cache_flush of { pe : int; gen : int; reason : string }
-      (** client-side wholesale flush; [gen] is the new cache
-          generation, [reason] "gap", "crash" or "manual" *)
+  | Fs_cache_flush of { pe : int; gen : int }
+      (** client-side wholesale flush after a notification sequence
+          gap; [gen] is the new cache generation *)
   | Fs_inval_send of { pe : int; srv : string; session : int; kind : string }
       (** server-side: m3fs broadcast one invalidation to a registered
           session (attempted — the send may still be dropped) *)

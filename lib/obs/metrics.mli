@@ -47,7 +47,7 @@ val cache_hits : t -> (string * int) list
 val cache_misses : t -> (string * int) list
 val cache_invals : t -> (string * int) list
 
-(** Client-side wholesale cache flushes (gap/crash/manual). *)
+(** Client-side wholesale cache flushes, one per notification gap. *)
 val cache_flushes : t -> int
 
 (** hits / (hits + misses) over all kinds; 0.0 when no cache traffic. *)

@@ -1,23 +1,26 @@
-(* Regression tests for the mount-cache PR:
+(* Tests of the mount cache:
 
-   - the {!Fs_cache} policy in isolation: TTL expiry, the
-     importance-decay eviction order, notification sequencing and the
+   - the {!Fs_cache} policy in isolation, on its fixed settings: TTL
+     expiry at multiples of {!Fs_cache.ttl}, the importance-decay
+     eviction order at {!Fs_cache.capacity} entries and over
+     {!Fs_cache.half_life}s, notification sequencing and the
      invalidation primitives' exact semantics,
-   - bugfix: the single-entry readdir cache is dropped when a create,
-     unlink or rename goes through the same mount (it used to keep
-     serving the stale listing),
+   - bugfix: the single-entry readdir cache is dropped when a create
+     or unlink goes through the same mount (it used to keep serving
+     the stale listing),
    - bugfix: a reader holding an open handle sees bytes another VPE
      appended — the close-commit broadcast refreshes the cached size
      in place (it used to return a short read forever),
-   - bugfix: after an m3fs crash-restart, a caching client flushes and
-     re-attaches instead of retry-looping against revoked capabilities,
    - warm paths: re-opening and re-reading a hot file through the
      cache costs zero service round-trips (≥1.5× fewer than cold, the
      gate the harness cells also enforce), and warm stats hit the attr
      table,
-   - the invalidation matrix across VPEs: append, truncate, unlink and
-     rename each propagate to a caching observer, and under a sharded
-     mount only the owning shard's cache is disturbed,
+   - the invalidation matrix across VPEs: append, truncate and unlink
+     each propagate to a caching observer, and under a sharded mount
+     only the owning shard's cache is disturbed,
+   - a dead service: once m3fs has crashed, a caching mount fails its
+     next request exactly as a plain mount does, without trying to
+     re-open a session,
    - zero cost when off: a cache-off run emits no cache events and is
      byte-identical across repeats; a cache-on run is deterministic
      too. *)
@@ -39,7 +42,6 @@ module M3fs = M3.M3fs
 module Shard = M3.Shard
 module Vpe_api = M3.Vpe_api
 module Obs = M3_obs.Obs
-module Event = M3_obs.Event
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -55,61 +57,71 @@ let contains s sub =
 
 (* --- the policy module in isolation ------------------------------------ *)
 
-let cfg ?(ttl = 1_000_000) ?(capacity = 64) ?(half_life = 1_000) () =
-  { Fs_cache.c_ttl = ttl; c_capacity = capacity; c_half_life = half_life }
+let ttl = Fs_cache.ttl
+let half_life = Fs_cache.half_life
 
 let test_ttl_expiry () =
-  let c = Fs_cache.create ~config:(cfg ~ttl:100 ()) () in
+  let c = Fs_cache.create () in
   ignore (Fs_cache.insert_file c ~now:0 ~ino:1 ~size:10);
-  check_bool "within TTL: hit" true (Fs_cache.file_entry c ~now:100 ~ino:1 <> None);
-  (* the hit refreshed the TTL: servable at 200, gone at 201 *)
-  check_bool "refreshed TTL: hit" true (Fs_cache.file_entry c ~now:200 ~ino:1 <> None);
-  check_bool "expired: miss" true (Fs_cache.file_entry c ~now:301 ~ino:1 = None);
+  check_bool "within TTL: hit" true (Fs_cache.file_entry c ~now:ttl ~ino:1 <> None);
+  (* the hit refreshed the TTL: servable at 2 TTL, gone just after 3 *)
+  check_bool "refreshed TTL: hit" true
+    (Fs_cache.file_entry c ~now:(2 * ttl) ~ino:1 <> None);
+  check_bool "expired: miss" true
+    (Fs_cache.file_entry c ~now:((3 * ttl) + 1) ~ino:1 = None);
   check_bool "expired entry was dropped" true
     (Fs_cache.file_entry c ~now:0 ~ino:1 = None);
   let st = { Fs_proto.st_size = 1; st_is_dir = false; st_ino = 9; st_extents = 1 } in
   Fs_cache.insert_attr c ~now:0 ~path:"/a" st;
-  check_bool "attr within TTL" true (Fs_cache.attr c ~now:50 ~path:"/a" <> None);
-  check_bool "attr expired" true (Fs_cache.attr c ~now:400 ~path:"/a" = None);
+  check_bool "attr within TTL" true
+    (Fs_cache.attr c ~now:(ttl / 2) ~path:"/a" <> None);
+  check_bool "attr expired" true (Fs_cache.attr c ~now:(4 * ttl) ~path:"/a" = None);
   let s = Fs_cache.stats c in
   check_bool "hits and misses were counted" true
     (s.Fs_cache.s_hits = 3 && s.Fs_cache.s_misses = 3)
 
+(* Inserts one-hit entries [first..last] at [now]. *)
+let fill c ~now ~first ~last =
+  for ino = first to last do
+    ignore (Fs_cache.insert_file c ~now ~ino ~size:1)
+  done
+
 (* At capacity the entry with the lowest decayed importance goes —
    recency can beat raw hit count. *)
 let test_decay_eviction_order () =
-  let c = Fs_cache.create ~config:(cfg ~capacity:2 ()) () in
-  (* hot beats cold at equal age *)
+  let capacity = Fs_cache.capacity in
+  (* hot beats cold at equal age; among equal scores the lowest inode
+     goes *)
+  let c = Fs_cache.create () in
   ignore (Fs_cache.insert_file c ~now:0 ~ino:1 ~size:1);
   for _ = 1 to 5 do ignore (Fs_cache.file_entry c ~now:0 ~ino:1) done;
-  ignore (Fs_cache.insert_file c ~now:0 ~ino:2 ~size:1);
-  ignore (Fs_cache.insert_file c ~now:0 ~ino:3 ~size:1);
+  fill c ~now:0 ~first:2 ~last:capacity;
+  check_int "full, nothing evicted yet" 0 (Fs_cache.stats c).Fs_cache.s_evictions;
+  fill c ~now:0 ~first:(capacity + 1) ~last:(capacity + 1);
   check_bool "hot entry survives" true (Fs_cache.file_entry c ~now:0 ~ino:1 <> None);
   check_bool "one-shot entry evicted" true
     (Fs_cache.file_entry c ~now:0 ~ino:2 = None);
   check_int "exactly one eviction" 1 (Fs_cache.stats c).Fs_cache.s_evictions;
   (* a once-hot but idle entry decays below a recent one: 8 hits
      halved over 5 idle half-lives score 0, 2 recent hits score 2 *)
-  let c = Fs_cache.create ~config:(cfg ~capacity:2 ~half_life:1_000 ()) () in
+  let c = Fs_cache.create () in
+  let later = 5 * half_life in
   ignore (Fs_cache.insert_file c ~now:0 ~ino:1 ~size:1);
   for _ = 1 to 7 do ignore (Fs_cache.file_entry c ~now:0 ~ino:1) done;
-  ignore (Fs_cache.insert_file c ~now:5_000 ~ino:2 ~size:1);
-  ignore (Fs_cache.file_entry c ~now:5_000 ~ino:2);
-  ignore (Fs_cache.insert_file c ~now:5_000 ~ino:3 ~size:1);
+  ignore (Fs_cache.insert_file c ~now:later ~ino:2 ~size:1);
+  ignore (Fs_cache.file_entry c ~now:later ~ino:2);
+  fill c ~now:later ~first:3 ~last:(capacity + 1);
   check_bool "idle-decayed entry evicted" true
-    (Fs_cache.file_entry c ~now:5_000 ~ino:1 = None);
+    (Fs_cache.file_entry c ~now:later ~ino:1 = None);
   check_bool "recent entry survives" true
-    (Fs_cache.file_entry c ~now:5_000 ~ino:2 <> None)
+    (Fs_cache.file_entry c ~now:later ~ino:2 <> None)
 
 let test_seq_tracking () =
   let c = Fs_cache.create () in
-  Fs_cache.reset_seq c;
   check_bool "seq 0" true (Fs_cache.note_seq c ~seq:0 = `Ok);
   check_bool "seq 1" true (Fs_cache.note_seq c ~seq:1 = `Ok);
   check_bool "seq 3 is a gap" true (Fs_cache.note_seq c ~seq:3 = `Gap);
-  check_bool "seq 4 resumes" true (Fs_cache.note_seq c ~seq:4 = `Ok);
-  Fs_cache.reset_seq c;
-  check_bool "after reset, 0 again" true (Fs_cache.note_seq c ~seq:0 = `Ok)
+  check_bool "seq 4 resumes" true (Fs_cache.note_seq c ~seq:4 = `Ok)
 
 let fake_extent ~foff ~len =
   { Fs_cache.x_foff = foff; x_len = len;
@@ -136,15 +148,9 @@ let test_inval_semantics () =
   check_int "coverage reset with it" 0 e.Fs_cache.fe_alloc_end;
   (* unlink: entry leaves the table, surviving handles read EOF *)
   check_bool "inval_remove hits" true
-    (Fs_cache.inval_remove c ~ino:7 ~size:0 ~path:"/x");
+    (Fs_cache.inval_remove c ~ino:7 ~path:"/x");
   check_int "handle sees EOF" 0 e.Fs_cache.fe_size;
   check_bool "gone from the table" true (Fs_cache.file_entry c ~now:0 ~ino:7 = None);
-  (* rename source: entry leaves the table but handles keep reading *)
-  let e2 = Fs_cache.insert_file c ~now:0 ~ino:8 ~size:64 in
-  e2.Fs_cache.fe_extents <- [ fake_extent ~foff:0 ~len:64 ];
-  ignore (Fs_cache.inval_remove c ~ino:8 ~size:64 ~path:"/y");
-  check_int "renamed: size kept" 64 e2.Fs_cache.fe_size;
-  check_bool "renamed: extents kept" true (e2.Fs_cache.fe_extents <> []);
   (* flush: generation bump, surviving handles must revalidate *)
   let e3 = Fs_cache.insert_file c ~now:0 ~ino:9 ~size:32 in
   let gen = Fs_cache.generation c in
@@ -197,9 +203,9 @@ let list_dir env path =
   in
   go 0 []
 
-(* The cache is OFF here: the readdir batch cache predates this PR and
-   its staleness was a plain bug. A listing, then a create / unlink /
-   rename through the same mount, then the same listing again must
+(* The cache is OFF here: the readdir batch cache predates the mount
+   cache and its staleness was a plain bug. A listing, then a create /
+   unlink through the same mount, then the same listing again must
    reflect the change. *)
 let test_readdir_cache_invalidation () =
   let code, _ =
@@ -216,13 +222,6 @@ let test_readdir_cache_invalidation () =
         (* unlink: the file must disappear *)
         ok (Vfs.unlink env "/d/a");
         check_int "after unlink" 2 (List.length (list_dir env "/d"));
-        (* rename: old name out, new name in *)
-        ok (Vfs.rename env ~src:"/d/b" ~dst:"/d/z");
-        let names = list_dir env "/d" in
-        check_bool "renamed away" false
-          (List.exists (fun n -> contains n "b") names);
-        check_bool "renamed to" true
-          (List.exists (fun n -> contains n "z") names);
         0)
   in
   check_int "exit" 0 code
@@ -373,34 +372,6 @@ let test_cross_vpe_unlink_is_seen () =
   in
   check_int "exit" 0 code
 
-(* Rename by another VPE: the old path's cached attr dies, the new
-   path resolves, and a handle opened before the rename keeps reading
-   — the inode kept its blocks. *)
-let test_cross_vpe_rename_is_seen () =
-  let code, _ =
-    run ~seeds:[ seed ~size:2048 "/from" ]
-      (fun _sys env ->
-        ok (Vfs.mount_root env);
-        ok (Vfs.enable_cache env ~path:"/");
-        let buf = Env.alloc_spm env ~size:1024 in
-        ignore (ok (Vfs.stat env "/from"));
-        let f = ok (Vfs.open_ env "/from" ~flags:Fs_proto.o_read) in
-        check_int "warm-up read" 2048 (read_whole env f ~buf);
-        in_child env ~name:"renamer"
-          (rooted (fun cenv -> ok (Vfs.rename cenv ~src:"/from" ~dst:"/to")));
-        (match Vfs.stat env "/from" with
-        | Error Errno.E_not_found -> ()
-        | Ok _ -> Alcotest.fail "stat served a stale attr for the old name"
-        | Error e -> Alcotest.failf "stat: %s" (Errno.to_string e));
-        check_int "new name resolves" 2048
-          (ok (Vfs.stat env "/to")).Fs_proto.st_size;
-        ok (File.seek env f 0);
-        check_int "pre-rename handle keeps reading" 2048 (read_whole env f ~buf);
-        ok (File.close env f);
-        0)
-  in
-  check_int "exit" 0 code
-
 (* Two top-level directories the 2-shard ring assigns to different
    shards (scanned, not hard-coded — same idiom as test_shard). *)
 let disjoint_dirs () =
@@ -456,77 +427,56 @@ let test_sharded_cache_coherence () =
   in
   check_int "exit" 0 code
 
-(* --- bugfix: crash-restart recovery -------------------------------------- *)
+(* --- a dead service --------------------------------------------------------- *)
 
-(* m3fs runs supervised and its PE is killed mid-workload by an
-   explicit fault schedule. The caching client must flush (reason
-   "crash"), re-open a session with the restarted instance, refetch
-   capabilities and finish — instead of retry-looping on the revoked
-   ones. PE layout: kernel = 0, m3fs = 1, app = 2, restart lands on a
-   spare. *)
-let test_crash_restart_recovery () =
+(* m3fs runs on PE 1 and an explicit fault schedule kills it while the
+   app stats missing files; nothing restarts it. Returns what the first
+   stat after the interrupted one answers, and its cycles. *)
+let stat_after_service_death ~cache =
   let engine = Engine.create () in
-  let flushes = ref [] in
-  let obs = Obs.of_engine engine in
-  Obs.attach obs
-    {
-      Obs.sink_name = "flush-probe";
-      sink_emit =
-        (fun ~at:_ ev ->
-          match ev with
-          | Event.Fs_cache_flush { reason; _ } -> flushes := reason :: !flushes
-          | _ -> ());
-    };
-  (* Low crash point: the warm cache means re-opens never reach the
-     server, so its DTU only accepts a handful of commands (session
-     setup, the cold open/close, the uncached stats). 10 lands inside
-     the stat loop. *)
-  let plan = Plan.create ~crashes:[ (1, 10) ] ~seed:0xF5 () in
-  let sys = Bootstrap.start ~no_fs:true ~obs ~faults:plan engine in
+  let plan = Plan.create ~crashes:[ (1, 20) ] ~seed:1 () in
+  let sys = Bootstrap.start ~no_fs:true ~faults:plan engine in
   let dram = Platform.dram sys.Bootstrap.platform in
   let fs_config =
     { (M3fs.default_config ~dram) with seed = [ seed ~size:8192 "/data" ] }
   in
-  (* Launch m3fs before the app so its VPE deterministically claims
-     PE 1 — the PE the fault plan kills. A watcher relaunches it once
-     after the abort, on a spare PE. *)
-  let fs_restarts = ref 0 in
-  let iv0 = Bootstrap.launch sys ~name:"m3fs" (M3fs.main fs_config) in
-  ignore
-    (Process.spawn engine ~name:"fs-watcher" (fun () ->
-         let code = Process.Ivar.read iv0 in
-         if code = M3.Kernel.abort_exit_code then begin
-           incr fs_restarts;
-           ignore (Bootstrap.launch sys ~name:"m3fs" (M3fs.main fs_config))
-         end));
+  (* launched before the app, so it claims PE 1 *)
+  ignore (Bootstrap.launch sys ~name:"m3fs" (M3fs.main fs_config));
+  let answer = ref None in
   let exit =
     Bootstrap.launch sys ~name:"app" (fun env ->
         ok (Vfs.mount_root env);
-        ok (Vfs.enable_cache env ~path:"/");
+        if cache then ok (Vfs.enable_cache env ~path:"/");
         let buf = Env.alloc_spm env ~size:1024 in
         let f = ok (Vfs.open_ env "/data" ~flags:Fs_proto.o_read) in
         check_int "warm-up read" 8192 (read_whole env f ~buf);
         ok (File.close env f);
-        (* drive the service's DTU past the crash point, recovering
-           transparently, and keep re-reading through the cache *)
-        for i = 1 to 12 do
-          (match Vfs.stat env (Printf.sprintf "/miss%d" i) with
-          | Error Errno.E_not_found -> ()
+        (* the stat in flight at the crash waits out the watchdog *)
+        let rec until_failure i =
+          match Vfs.stat env (Printf.sprintf "/miss%d" i) with
+          | Error Errno.E_not_found -> until_failure (i + 1)
           | Ok _ -> Alcotest.fail "phantom file"
-          | Error e -> Alcotest.failf "stat: %s" (Errno.to_string e));
-          let f = ok (Vfs.open_ env "/data" ~flags:Fs_proto.o_read) in
-          check_int "re-read" 8192 (read_whole env f ~buf);
-          ok (File.close env f)
-        done;
+          | Error _ -> ()
+        in
+        until_failure 1;
+        let t0 = Engine.now env.Env.engine in
+        let r = Vfs.stat env "/miss0" in
+        answer := Some (r, Engine.now env.Env.engine - t0);
         0)
   in
   ignore (Engine.run engine);
-  check_int "client recovered and finished" 0
-    (Option.value ~default:min_int (Process.Ivar.peek exit));
+  check_int "exit" 0 (Option.value ~default:min_int (Process.Ivar.peek exit));
   check_int "exactly one crash injected" 1 (Plan.crashes_injected plan);
-  check_int "m3fs was restarted once" 1 !fs_restarts;
-  check_bool "cache flushed with reason=crash" true
-    (List.mem "crash" !flushes)
+  Option.get !answer
+
+let test_dead_service_fails_alike () =
+  let show = function Ok _ -> "ok" | Error e -> Errno.to_string e in
+  let plain, plain_cycles = stat_after_service_death ~cache:false in
+  let cached, cached_cycles = stat_after_service_death ~cache:true in
+  check_bool "plain mount: a DTU error" true
+    (match plain with Error (Errno.E_dtu _) -> true | _ -> false);
+  check_string "caching mount: the same errno" (show plain) (show cached);
+  check_int "in the same cycles" plain_cycles cached_cycles
 
 (* --- zero cost when off + determinism ------------------------------------ *)
 
@@ -551,8 +501,7 @@ let logged_run ~cache =
       in
       ok (File.write_string env f "hello");
       ok (File.close env f);
-      ok (Vfs.rename env ~src:"/w/c" ~dst:"/w/d");
-      ok (Vfs.unlink env "/w/d");
+      ok (Vfs.unlink env "/w/c");
       0)
 
 let test_cache_off_is_silent_and_deterministic () =
@@ -573,7 +522,7 @@ let test_cache_on_is_deterministic () =
   check_int "exit" 0 code2;
   check_string "byte-identical across repeats" log1 log2;
   check_bool "cache hits observable" true (contains log1 "fs.cache.hit");
-  (* rename/unlink through the caching mount invalidate locally; the
+  (* unlink through the caching mount invalidates locally; the
      broadcast path is exercised by the coherence suite, where a
      second session is registered *)
   check_bool "invalidations observable" true (contains log1 "fs.cache.inval")
@@ -601,12 +550,12 @@ let suites =
         tc "cross-VPE append is seen" test_cross_vpe_append_is_seen;
         tc "cross-VPE truncate is seen" test_cross_vpe_truncate_is_seen;
         tc "cross-VPE unlink is seen" test_cross_vpe_unlink_is_seen;
-        tc "cross-VPE rename is seen" test_cross_vpe_rename_is_seen;
         tc "sharded: only the owning shard is disturbed"
           test_sharded_cache_coherence;
       ] );
-    ( "fscache.crash",
-      [ tc "crash-restart: flush and re-attach" test_crash_restart_recovery ] );
+    ( "fscache.dead",
+      [ tc "a dead service fails both mounts alike"
+          test_dead_service_fails_alike ] );
     ( "fscache.off",
       [
         tc "cache off: silent and deterministic"

@@ -544,13 +544,11 @@ type dir_op =
   | Mkdir of string
   | Create of string
   | Unlink of string
-  | Rename of string * string
 
 let show_dir_op = function
   | Mkdir p -> "mkdir " ^ p
   | Create p -> "create " ^ p
   | Unlink p -> "unlink " ^ p
-  | Rename (a, b) -> Printf.sprintf "rename %s %s" a b
 
 (* Parents that may or may not exist (or be files), and names that
    share prefixes and lengths, fill several directory blocks, and
@@ -575,19 +573,18 @@ let dir_op_gen =
       (2, map (fun p -> Mkdir p) path);
       (6, map (fun p -> Create p) path);
       (3, map (fun p -> Unlink p) path);
-      (2, map2 (fun a b -> Rename (a, b)) path path);
     ]
 
 let split_parent path =
   let i = String.rindex path '/' in
   (String.sub path 0 i, String.sub path (i + 1) (String.length path - i - 1))
 
-(* Random mkdir/create/unlink/rename scripts on 512-byte blocks (16
+(* Random mkdir/create/unlink scripts on 512-byte blocks (16
    entries each). After every step the one-walk functions must agree
    with [Ref_dir]: [lookup]'s (ino, scanned) for every live path, the
    parents and the step's own paths; every directory's entries through
    [readdir] and [readdir_batch]; the slot [dir_add] fills (or the
-   block it grows by); and the slot [unlink] and [rename] clear. *)
+   block it grows by); and the slot [unlink] clears. *)
 let qcheck_dirs_match_reference =
   QCheck.Test.make ~name:"one-walk directories match the re-walking reference"
     ~count:60
@@ -656,12 +653,7 @@ let qcheck_dirs_match_reference =
             check_added step op expect (Fs.create_file fs p)
           | Unlink p ->
             let slot = found_slot p in
-            check_cleared step op slot (ok_unit (Fs.unlink fs p))
-          | Rename (a, b) ->
-            let slot = found_slot a and expect = add_slot b in
-            let r = Fs.rename fs ~src:a ~dst:b in
-            check_added step op expect r;
-            check_cleared step op slot r);
+            check_cleared step op slot (ok_unit (Fs.unlink fs p)));
           let live_paths =
             List.concat_map
               (fun parent ->
@@ -675,7 +667,6 @@ let qcheck_dirs_match_reference =
           let op_paths =
             match op with
             | Mkdir p | Create p | Unlink p -> [ p ]
-            | Rename (a, b) -> [ a; b ]
           in
           List.iter
             (fun p ->

@@ -19,6 +19,7 @@ module Vpe_api = M3.Vpe_api
 module Vfs = M3.Vfs
 module File = M3.File
 module Fs_proto = M3.Fs_proto
+module Msgbuf = M3.Msgbuf
 module Pipe = M3.Pipe
 module M3fs = M3.M3fs
 module Fs_image = M3.Fs_image
@@ -448,6 +449,45 @@ let test_fs_seek () =
          ok (File.close env f);
          0))
 
+(* Session op code 6 is unassigned: m3fs refuses a raw request with
+   it (two paths, the missing source first) with [E_inv_args] and
+   keeps serving. *)
+let test_fs_unassigned_op_refused () =
+  let seed =
+    [
+      { M3fs.sd_path = "/kept"; sd_size = 2048; sd_blocks_per_extent = 4;
+        sd_dir = false };
+    ]
+  in
+  ignore
+    (run_app
+       ~fs:(fun ~dram -> { (M3fs.default_config ~dram) with seed })
+       (fun _sys env ->
+         (* mounting waits until the service has registered *)
+         ok (Vfs.mount_root env);
+         let _, sgate_sel = ok (Syscalls.open_sess env ~srv:"m3fs" ~arg:0) in
+         let reply =
+           ok
+             (Gate.create_recv env ~slot_order:Fs_proto.srv_msg_order
+                ~slot_count:2)
+         in
+         let w = Msgbuf.W.create () in
+         Msgbuf.W.u8 w 6;
+         Msgbuf.W.str w "/missing";
+         Msgbuf.W.str w "/elsewhere";
+         let answer =
+           ok
+             (Gate.call env (Gate.send_gate_of_sel sgate_sel) ~reply_gate:reply
+                (Msgbuf.W.contents w))
+         in
+         check_str "errno" (Errno.to_string Errno.E_inv_args)
+           (Errno.to_string
+              (Errno.of_int (Msgbuf.R.u64 (Msgbuf.R.of_bytes answer))));
+         check_int "server still answers" 2048
+           (ok (Vfs.stat env "/kept")).Fs_proto.st_size;
+         check_bool "op 6 decodes to nothing" true (Fs_proto.op_of_int 6 = None);
+         0))
+
 (* --- pipes ------------------------------------------------------------------- *)
 
 let test_pipe_parent_reads_child_writes () =
@@ -624,6 +664,7 @@ let suites =
         tc "256 KiB file, extents, truncate" test_fs_big_file_write_then_read;
         tc "seek" test_fs_seek;
         tc "readdir with a negative index" test_fs_readdir_negative_index;
+        tc "unassigned op code 6 is refused" test_fs_unassigned_op_refused;
       ] );
     ( "os.pipe",
       [
